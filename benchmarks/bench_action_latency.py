@@ -3,10 +3,9 @@
 The paper's whole premise is sub-second interactivity: a session is a chain
 of small refinements where each ETable is derived from the last. This bench
 replays one scripted 30-action refinement-heavy session (filters, neighbor
-filters, pivots, and reverts — the Figure 1 access pattern) three ways:
+filters, pivots, and reverts — the Figure 1 access pattern) two ways:
 
 * ``planned``     — the cost-based planner + CachingExecutor (prefix reuse);
-* ``parallel``    — the same, with partitioned delta joins across workers;
 * ``incremental`` — the action-delta engine: filters answered as row
                     selections over the previous relation, pivots as one
                     delta join, reverts as lineage lookups.
@@ -21,7 +20,7 @@ scripted session's delta-hit rate must be at least
 
 Results land in ``results/action_latency.json``. Env knobs:
 ``REPRO_ACTION_BENCH_PAPERS`` (corpus size; CI smoke uses a small corpus and
-a relaxed speedup floor), ``REPRO_ACTION_BENCH_WORKERS`` (parallel replay).
+a relaxed speedup floor).
 """
 
 import os
@@ -37,7 +36,6 @@ from bench_scalability import SIZES
 PAPERS = int(os.environ.get("REPRO_ACTION_BENCH_PAPERS", str(max(SIZES))))
 MIN_SPEEDUP = float(os.environ.get("REPRO_ACTION_MIN_SPEEDUP", "2.0"))
 MIN_DELTA_HIT = float(os.environ.get("REPRO_ACTION_MIN_DELTA_HIT", "0.7"))
-WORKERS = int(os.environ.get("REPRO_ACTION_BENCH_WORKERS", "2"))
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
 
 # The classes whose latency the incremental engine is built to collapse.
@@ -111,10 +109,6 @@ def _make_session(tgdb, engine):
     if engine == "planned":
         return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
                              use_cache=True)
-    if engine == "parallel":
-        return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
-                             use_cache=True, engine="parallel",
-                             workers=WORKERS)
     if engine == "incremental":
         return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
                              engine="incremental")
@@ -157,11 +151,8 @@ def test_action_latency():
     tgdb = _build_corpus()
     script_length = len(_script())
 
-    # Warm the parallel pool outside the timed replay (services pay process
-    # startup once, not per action), then replay each engine.
-    _replay(tgdb, "parallel")
     results = {}
-    for engine in ("planned", "parallel", "incremental"):
+    for engine in ("planned", "incremental"):
         timings, row_counts, session = _replay(tgdb, engine)
         results[engine] = {
             "timings": timings,
@@ -230,7 +221,6 @@ def test_action_latency():
     save_result("action_latency", {
         "papers": PAPERS,
         "actions": script_length,
-        "parallel_workers": WORKERS,
         "engines": summary,
         "refinement_classes": list(REFINEMENT_CLASSES),
         "refinement_p50_speedup_vs_planned": round(refinement_speedup, 2),

@@ -216,9 +216,8 @@ def _build_manager(args: argparse.Namespace, tgdb, journal_dir,
     return SessionManager(
         tgdb.schema, tgdb.graph, row_limit=args.row_limit,
         journal_dir=journal_dir,
-        engine=args.engine, workers=args.workers,
+        engine=args.engine,
         compact_every=args.compact_every or None,
-        adaptive_threshold=args.adaptive_threshold,
         require_auth=args.require_auth,
         quota_actions=args.quota_actions,
         quota_window=args.quota_window,
@@ -514,22 +513,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ttl", type=float, default=1800.0,
                         help="idle session TTL in seconds")
     parser.add_argument("--engine", default="planned",
-                        choices=["planned", "parallel", "incremental", "pushdown"],  # repro: engine-surface service
+                        choices=["planned", "incremental"],  # repro: engine-surface service
                         help="execution engine behind the shared cache "
-                             "(parallel shards big delta joins across "
-                             "worker processes; incremental answers "
-                             "refinement actions from each session's "
-                             "previous ETable instead of re-matching; "
-                             "pushdown routes oversized delta joins to "
-                             "an indexed SQLite image of the graph)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --engine parallel, or "
-                             "to layer incremental over parallel "
-                             "(default: auto for parallel)")
-    parser.add_argument("--adaptive-threshold", action="store_true",
-                        help="adapt the parallel serial-fallback threshold "
-                             "from the observed per-join process "
-                             "round-trip latency")
+                             "(incremental answers refinement actions "
+                             "from each session's previous ETable instead "
+                             "of re-matching)")
     parser.add_argument("--compact-every", type=int, default=64,
                         help="checkpoint each session journal every N "
                              "actions (0 disables compaction)")

@@ -2,10 +2,9 @@
 
 PRs 3-5 turned the reproduction into a concurrent, multi-engine service
 whose correctness rests on conventions no test can see directly: which
-attributes a lock guards, which functions may cross a process boundary,
-which dataclasses the wire protocol must round-trip, which literal engine
-lists have to stay in sync, and which graph mutations must bump the cache
-version. This package makes those conventions *machine-checked at lint
+attributes a lock guards, which dataclasses the wire protocol must
+round-trip, which literal engine lists have to stay in sync, and which
+graph mutations must bump the cache version. This package makes those conventions *machine-checked at lint
 time* — the "compile-time contract" discipline server codebases such as
 edgedb apply to their cores — so the next concurrency PRs fail in CI
 instead of in a fuzzer stack trace.
@@ -20,13 +19,6 @@ RPA101    **Lock discipline.** Attributes declared
           ``# guarded-by: self._lock`` may only be read or written
           inside a ``with self._lock:`` scope or inside a method
           annotated ``# requires-lock`` (caller holds the lock).
-RPA102    **Worker purity.** Functions shipped to a
-          ``ProcessPoolExecutor`` must be module-level (picklable by
-          reference, closure-free), must not touch denylisted shared
-          state (``InstanceGraph``, executors, registries), and
-          worker payload dataclasses (``*Task`` / classes marked
-          ``# repro: worker-payload``) may only carry
-          picklable-primitive field types.
 RPA103    **Protocol field coverage.** Every dataclass serialized by
           a ``X_to_json`` / ``X_from_json`` pair (or ``to_json`` /
           ``from_json`` methods) must have *every* field read on the

@@ -10,8 +10,7 @@ tagged ``# repro: engine-registry``; every surface literal is tagged
 
 * role ``all``     — exactly the full ``ENGINES`` registry;
 * role ``service`` — exactly the ``SERVICE_ENGINES`` registry;
-* role ``fuzzer``  — every entry is an engine name, an underscore
-  composition of engine names (``incremental_parallel``), or a transport
+* role ``fuzzer``  — every entry is an engine name or a transport
   from the ``FUZZER_TRANSPORTS`` registry (lockstep participants that
   drive a real engine through another path, e.g. the fleet router);
   together the engine entries exercise every registered engine
@@ -140,15 +139,10 @@ class EngineParityCheck(Check):
                         # path (fleet router); legal, but it exercises no
                         # *new* engine, so it adds nothing to coverage.
                         continue
-                    parts = value.split("_")
-                    if len(parts) > 1 and all(p in full_set for p in parts):
-                        exercised.update(parts)
-                        continue
                     findings.append(self.finding(
                         parsed, line,
                         f"fuzzer surface names unknown engine '{value}' "
-                        "(not in ENGINES or FUZZER_TRANSPORTS, nor a "
-                        "composition of engines)",
+                        "(not in ENGINES or FUZZER_TRANSPORTS)",
                     ))
                 for absent in sorted(full_set - exercised):
                     findings.append(self.finding(

@@ -1,8 +1,8 @@
 """Shared configuration for the invariant checks.
 
 Markers are plain comments, so annotating code costs nothing at runtime;
-this module is the single place their spellings (and the worker-purity
-type policy) live, for both the checks and the docs.
+this module is the single place their spellings live, for both the
+checks and the docs.
 """
 
 from __future__ import annotations
@@ -16,32 +16,6 @@ REQUIRES_LOCK_MARKER = "requires-lock"
 #: Methods where unguarded access is allowed: construction happens
 #: before the object is shared, and teardown after.
 LOCK_EXEMPT_METHODS = frozenset({"__init__", "__del__", "__repr__"})
-
-# --- RPA102 worker purity ---------------------------------------------
-#: On a ``@dataclass`` class line: fields must be picklable primitives.
-WORKER_PAYLOAD_MARKER = "repro: worker-payload"
-#: Payload classes are also recognised by this name suffix.
-WORKER_PAYLOAD_NAME_SUFFIX = "Task"
-#: Annotation type names allowed in worker payload fields. Anything
-#: outside this set (``InstanceGraph``, executors, sessions, locks...)
-#: would drag un-picklable or mutable shared state across the process
-#: boundary.
-PICKLABLE_TYPE_NAMES = frozenset({
-    "int", "float", "str", "bool", "bytes", "complex", "None",
-    "tuple", "list", "dict", "set", "frozenset",
-    "Tuple", "List", "Dict", "Set", "FrozenSet", "Optional", "Union",
-    "Sequence", "Mapping", "Iterable", "Any",
-})
-#: Names a worker function must never reference — shared state that
-#: must not leak into (or be reconstructed inside) a worker process.
-WORKER_DENYLIST = frozenset({
-    "InstanceGraph", "ProcessPoolExecutor", "ThreadPoolExecutor",
-    "SessionManager", "EtableSession", "CachingExecutor",
-    "IncrementalExecutor", "ParallelContext",
-})
-#: Attribute names whose access on a call suggests pool submission.
-POOL_SUBMIT_ATTRS = frozenset({"submit", "map"})
-POOL_RECEIVER_HINTS = ("pool",)
 
 # --- RPA103 protocol coverage -----------------------------------------
 #: Only files whose name matches participate (serializer modules).

@@ -44,13 +44,11 @@ from repro.core.planner import (
     DeltaPlanner,
     DeltaReport,
     ExecutionReport,
-    ParallelContext,
     Plan,
     PrefixStore,
     build_plan,
     canonical_pattern_key,
     normalize_pattern,
-    parallel_context,
     restore_reference_order,
     execute_plan,
 )
@@ -169,7 +167,6 @@ class CacheStats:
     prefix_hits: int = 0
     reused_nodes: int = 0
     delta_joins: int = 0
-    pushdown_joins: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -287,25 +284,10 @@ class CachingExecutor:
         max_prefix_entries: int = 512,
         max_cells: int | None = 4_000_000,
         max_prefix_cells: int | None = 4_000_000,
-        parallel: ParallelContext | None = None,
-        workers: int | None = None,
-        pushdown: "PushdownContext | None" = None,
         max_plans: int = 512,
     ) -> None:
         self.graph = graph
         self.max_entries = max_entries
-        # Partitioned delta joins compose with prefix reuse: the executor
-        # merges each sharded join back into one ordinary GraphRelation
-        # before it is cached, so cached intermediates are identical whether
-        # they were computed serially or across worker processes. ``workers``
-        # is sugar for the process-wide shared context of that size.
-        if parallel is None and workers is not None:
-            parallel = parallel_context(workers)
-        self.parallel = parallel
-        # SQL pushdown of oversized delta joins (``engine="pushdown"``):
-        # like the parallel path, pushed joins are merged back into ordinary
-        # GraphRelations before caching, so they compose with prefix reuse.
-        self.pushdown = pushdown
         # Compiled plans are shared across every session this executor
         # serves — the fleet-wide normalized plan cache of ROADMAP item 3.
         self.plans = CompiledPlanCache(graph, max_entries=max_plans)
@@ -366,14 +348,11 @@ class CachingExecutor:
                 memo=self.memo,
                 store=self.prefixes,
                 report=report,
-                parallel=self.parallel,
-                pushdown=self.pushdown,
             )
             if report.reused_nodes:
                 self.stats.prefix_hits += 1
                 self.stats.reused_nodes += report.reused_nodes
             self.stats.delta_joins += report.delta_joins
-            self.stats.pushdown_joins += report.pushdown_joins
             result = restore_reference_order(pattern, relation, self.graph)
             self._store.put(key, result)
             return result
@@ -422,19 +401,10 @@ class CachingExecutor:
             ),
             "reused_nodes": self.stats.reused_nodes,
             "delta_joins": self.stats.delta_joins,
-            "pushdown_joins": self.stats.pushdown_joins,
             "results": self._store.stats(),
             "prefixes": self.prefixes.stats(),
             "plan_cache": self.plans.stats(),
             "incremental": self.incremental.payload(),
-            "parallel": (
-                self.parallel.stats_payload()
-                if self.parallel is not None else None
-            ),
-            "pushdown": (
-                self.pushdown.stats_payload()
-                if self.pushdown is not None else None
-            ),
         }
 
     def invalidate(self) -> None:
@@ -460,16 +430,12 @@ class IncrementalExecutor:
     :class:`CompiledPlanCache` before planning, so even replans reuse
     normalized compiled plans. Every result (delta or replan) is recorded
     in the lineage and adopted into the base's whole-pattern cache, so
-    cross-session reuse still compounds. Delta joins ride the base's
-    pushdown context when one is attached, so ``incremental`` layers over
-    ``pushdown`` transparently too.
+    cross-session reuse still compounds.
 
     The instance is **per-session** (the lineage and previous-relation
     pointer are a session's private chain); the base executor may be shared
     by many sessions, exactly like the multi-user service shares one
-    ``CachingExecutor``. Delta joins ride the base's parallel context when
-    one is attached, so ``incremental`` layers over ``planned`` *or*
-    ``parallel`` transparently.
+    ``CachingExecutor``.
     """
 
     def __init__(
@@ -490,14 +456,6 @@ class IncrementalExecutor:
         self.last_outcome: str = ""
         self._previous: tuple[QueryPattern, GraphRelation] | None = None
         self._previous_version = base.graph.version
-
-    @property
-    def parallel(self) -> ParallelContext | None:
-        return self.base.parallel
-
-    @property
-    def pushdown(self) -> "PushdownContext | None":
-        return self.base.pushdown
 
     def _remember(self, pattern: QueryPattern, relation: GraphRelation,
                   key: tuple) -> None:
@@ -542,8 +500,7 @@ class IncrementalExecutor:
             assert previous is not None
             relation, report = self.planner.execute(
                 delta, previous[1], pattern,
-                memo=self.base.memo, parallel=self.base.parallel,
-                pushdown=self.base.pushdown,
+                memo=self.base.memo,
             )
             if not delta.order_preserved:
                 relation = restore_reference_order(
@@ -556,10 +513,7 @@ class IncrementalExecutor:
             self.last_outcome = (
                 f"{delta.describe()} "
                 f"[{report.rows_in} -> {report.rows_out} rows, "
-                f"{report.rows_touched} touched"
-                + (", partitioned" if report.parallel_join else "")
-                + (", pushed to SQL" if report.pushdown_join else "")
-                + "]"
+                f"{report.rows_touched} touched]"
             )
             # Feed the exact result back to the shared whole-pattern cache.
             self.base.adopt_result(pattern, relation, key=key)

@@ -15,9 +15,8 @@ Roles:
 * ``service`` — surfaces restricted to the shared-cache service engines
   (the service always routes through the caching planner, so ``naive``
   is intentionally absent).
-* ``fuzzer``  — the lockstep list; may also name underscore-composed
-  combinations (``incremental_parallel``) and must exercise every
-  registered engine. Entries from :data:`FUZZER_TRANSPORTS` are also
+* ``fuzzer``  — the lockstep list; must exercise every registered
+  engine. Entries from :data:`FUZZER_TRANSPORTS` are also
   legal there: they are *transports*, not engines — lockstep
   participants that drive a real engine through a different path (the
   fleet router) — and do not count toward engine coverage.
@@ -28,16 +27,12 @@ from __future__ import annotations
 ENGINES = (  # repro: engine-registry
     "naive",
     "planned",
-    "parallel",
     "incremental",
-    "pushdown",
 )
 
 SERVICE_ENGINES = (  # repro: engine-registry
     "planned",
-    "parallel",
     "incremental",
-    "pushdown",
 )
 
 FUZZER_TRANSPORTS = (  # repro: engine-registry

@@ -16,14 +16,6 @@ Two evaluators implement the same function:
   selectivity-ordered joins over index-probed candidate sets with semi-join
   pruning, re-sorted afterwards into the reference order so the output is
   identical attribute-for-attribute and tuple-for-tuple.
-* :func:`match_parallel` — the planned engine with partitioned delta joins:
-  prefix relations above a size threshold are sharded by prefix-tuple
-  partition across worker processes and merged in partition order, still
-  bit-identical to :func:`match`.
-* :func:`match_pushdown` — the planned engine with cost-based SQL pushdown:
-  delta joins whose estimated intermediate exceeds a threshold run as
-  indexed SQLite queries over the four-table storage image, still
-  bit-identical to :func:`match`.
 
 The pattern is a tree, so a BFS order from the primary node guarantees each
 join connects the new node to the already-joined prefix. Selections are
@@ -62,75 +54,6 @@ def match_planned(
     pattern.validate(graph.schema)
     plan = build_plan(pattern, graph, stats=stats)
     relation = execute_plan(plan, graph, memo=memo)
-    return restore_reference_order(pattern, relation, graph)
-
-
-def match_parallel(
-    pattern: QueryPattern,
-    graph: InstanceGraph,
-    stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
-    context: "ParallelContext | None" = None,
-    workers: int | None = None,
-) -> GraphRelation:
-    """Evaluate ``m(Q)`` with partitioned delta joins; output equals
-    :func:`match`.
-
-    ``context`` supplies the worker pool (and serial-fallback threshold);
-    without one, the process-wide shared context for ``workers`` is used.
-    Small prefixes fall back to serial joins inside the context's policy,
-    so interactive steps on small tables never pay process overhead.
-    """
-    from repro.core.planner import (
-        build_plan,
-        execute_plan,
-        parallel_context,
-        restore_reference_order,
-    )
-
-    pattern.validate(graph.schema)
-    plan = build_plan(pattern, graph, stats=stats, semijoin=False)
-    relation = execute_plan(
-        plan,
-        graph,
-        memo=memo,
-        parallel=context or parallel_context(workers),
-    )
-    return restore_reference_order(pattern, relation, graph)
-
-
-def match_pushdown(
-    pattern: QueryPattern,
-    graph: InstanceGraph,
-    stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
-    context: "PushdownContext | None" = None,
-    min_rows: int | None = None,
-) -> GraphRelation:
-    """Evaluate ``m(Q)`` routing oversized delta joins to SQLite; output
-    equals :func:`match`.
-
-    ``context`` supplies the per-graph SQL engine (and its cost threshold);
-    without one, the process-wide shared context for ``(graph, min_rows)``
-    is used. Joins whose estimated intermediate stays below the threshold
-    run in the Python kernel as usual, so interactive steps never pay the
-    round-trip.
-    """
-    from repro.core.planner import (
-        build_plan,
-        execute_plan,
-        restore_reference_order,
-    )
-    from repro.relational.backends.pushdown import pushdown_context
-
-    pattern.validate(graph.schema)
-    plan = build_plan(pattern, graph, stats=stats, semijoin=False)
-    relation = execute_plan(
-        plan,
-        graph,
-        memo=memo,
-        pushdown=context or pushdown_context(graph, min_rows),
-    )
     return restore_reference_order(pattern, relation, graph)
 
 

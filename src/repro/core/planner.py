@@ -34,17 +34,11 @@ equivalence tests, figures) sees the same ETable.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.analysis.runtime import assert_locked
 from repro.errors import InvalidQueryPattern, TgmError
 from repro.tgm.conditions import (
     AndCondition,
@@ -810,404 +804,6 @@ class ExecutionReport:
     reused_nodes: int = 0
     delta_joins: int = 0
     semijoin_pruned: int = 0
-    parallel_joins: int = 0
-    serial_fallbacks: int = 0
-    pushdown_joins: int = 0
-
-
-# ----------------------------------------------------------------------
-# Parallel partition execution (ROADMAP: "parallel partition execution")
-# ----------------------------------------------------------------------
-# Below this many prefix tuples a delta join runs serially: shipping the
-# partitions to worker processes costs more than the join itself, and small
-# interactive steps must never pay process overhead.
-DEFAULT_MIN_PARTITION_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class PartitionJoinTask:
-    """The picklable worker payload: one partition of one delta join.
-
-    Workers are pure functions of this payload — no graph, no globals, no
-    start-method assumptions. ``columns`` is the partition's slice of the
-    prefix relation; ``adjacency`` is the slice of the graph's adjacency
-    index covering exactly the distinct source ids that appear in the
-    partition's probe column; ``candidates`` is the (shared) candidate set
-    of the pattern node being joined on.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    left_position: int
-    adjacency: dict[int, Sequence[int]]
-    candidates: frozenset[int] | None
-
-
-def execute_partition_join(
-    task: PartitionJoinTask,
-) -> tuple[float, list[list[int]]]:
-    """Run one partition's delta join; returns (seconds, output columns).
-
-    The loop is the exact serial :func:`_delta_join` kernel over the
-    shipped slices, so concatenating partition outputs in partition order
-    reproduces the serial result row-for-row. ``candidates=None`` means
-    the joined pattern node is unconditioned: every adjacency neighbor
-    qualifies (adjacency lists are type-homogeneous by construction).
-    """
-    start = time.perf_counter()
-    columns = task.columns
-    source_column = columns[task.left_position]
-    adjacency = task.adjacency
-    candidates = task.candidates
-    selected: list[int] = []
-    new_column: list[int] = []
-    for index in range(len(source_column)):
-        neighbors = adjacency.get(source_column[index])
-        if not neighbors:
-            continue
-        for neighbor_id in neighbors:
-            if candidates is None or neighbor_id in candidates:
-                selected.append(index)
-                new_column.append(neighbor_id)
-    out = [[column[index] for index in selected] for column in columns]
-    out.append(new_column)
-    return time.perf_counter() - start, out
-
-
-def resolve_workers(workers: int | None) -> int:
-    """``None`` means auto: ``REPRO_PARALLEL_WORKERS`` or the CPU count."""
-    if workers is None:
-        env = os.environ.get("REPRO_PARALLEL_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(workers))
-
-
-class ParallelContext:
-    """A persistent worker pool for partitioned delta joins.
-
-    One context owns one lazily-created ``ProcessPoolExecutor`` plus the
-    partitioning policy (worker count, serial-fallback threshold) and the
-    observability counters the service's ``stats_payload`` exposes. The
-    pool is created on the first join that clears the threshold and reused
-    for every later one, so process startup is paid once per context, not
-    once per action. Contexts are thread-safe: many sessions may submit
-    through one context concurrently (``ProcessPoolExecutor`` queues are
-    thread-safe; the counters are guarded by the context lock).
-
-    With ``adaptive=True`` the serial-fallback threshold is re-derived from
-    *observed* latencies instead of the static default: every parallel join
-    records its process round-trip overhead (wall time minus the slowest
-    worker kernel), every serial fallback records its rows/second, and the
-    effective threshold becomes the row count where the serial join would
-    cost twice the round-trip — so a 1-core container (round-trip ≈ 2-3 ms)
-    raises the bar and stops shipping joins that parallelism cannot repay,
-    while a fast multicore pool lowers it. Cold-pool joins (worker startup
-    in the window) are excluded from the overhead observations, and one in
-    every ``_PROBE_EVERY`` joins that clear the static threshold still runs
-    parallel so the estimate keeps tracking reality.
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
-        adaptive: bool = False,
-    ) -> None:
-        self.workers = resolve_workers(workers)
-        self.min_partition_rows = max(0, int(min_partition_rows))
-        self.adaptive = bool(adaptive)
-        self._pool: ProcessPoolExecutor | None = None  # guarded-by: self._lock
-        self._lock = threading.Lock()
-        self.parallel_joins = 0  # guarded-by: self._lock
-        self.serial_fallbacks = 0  # guarded-by: self._lock
-        self.partitions_executed = 0  # guarded-by: self._lock
-        # Adaptive-threshold observations (EMA-smoothed; seconds and rows/s).
-        self._overhead_ema: float | None = None  # guarded-by: self._lock
-        self._serial_rate_ema: float | None = None  # guarded-by: self._lock
-        self._adaptive_rows = self.min_partition_rows  # guarded-by: self._lock
-        self._probe_countdown = self._PROBE_EVERY  # guarded-by: self._lock
-        # Per-partition timings of the most recent parallel joins (bounded;
-        # exposed through CachingExecutor.stats_payload / the REPL's plan).
-        self.last_timings: list[dict] = []  # guarded-by: self._lock
-        self._max_timings = 32
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                # Never bare-fork: the pool is created lazily, typically
-                # from a request thread of the multi-threaded service, and
-                # forking a multi-threaded process can deadlock children on
-                # locks held mid-fork. forkserver forks from a clean
-                # single-threaded helper; tasks are pure picklable
-                # payloads, so any start method works.
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "forkserver" if "forkserver" in methods else "spawn"
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; the context stays usable —
-        the next parallel join starts a fresh pool)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # Under an adaptive threshold, every Nth join that clears the *static*
-    # threshold but not the adaptive one still goes parallel as a probe:
-    # overhead is only observable on parallel joins, so without probing a
-    # once-inflated estimate could disable parallelism permanently.
-    _PROBE_EVERY = 32
-
-    # ------------------------------------------------------------------
-    def effective_min_partition_rows(self) -> int:
-        """The live serial-fallback threshold (adaptive or static)."""
-        with self._lock:
-            return (
-                self._adaptive_rows if self.adaptive
-                else self.min_partition_rows
-            )
-
-    def should_parallelize(self, rows: int) -> bool:
-        """Serial below the partition-size threshold: a process round-trip
-        on a small prefix costs more than the join it would offload."""
-        if self.workers <= 1:
-            return False
-        if not self.adaptive:
-            return rows >= self.min_partition_rows
-        # One lock scope for the whole adaptive decision: reading
-        # _adaptive_rows and decrementing _probe_countdown in separate
-        # steps let a concurrent _update_adaptive_threshold interleave
-        # between them (the unguarded read RPA101 originally flagged).
-        with self._lock:
-            if rows >= self._adaptive_rows:
-                return True
-            if rows >= self.min_partition_rows:
-                # Static policy would have parallelized this join; run one
-                # in every _PROBE_EVERY such joins parallel anyway so the
-                # overhead estimate keeps tracking reality (pools get
-                # faster after warm-up, machines get quieter) instead of
-                # freezing at its worst observation.
-                self._probe_countdown -= 1
-                if self._probe_countdown <= 0:
-                    self._probe_countdown = self._PROBE_EVERY
-                    return True
-        return False
-
-    def record(self, timing: dict, partitions: int,
-               wall_seconds: float | None = None) -> None:
-        with self._lock:
-            self.parallel_joins += 1
-            self.partitions_executed += partitions
-            self.last_timings.append(timing)
-            if len(self.last_timings) > self._max_timings:
-                del self.last_timings[: -self._max_timings]
-            if wall_seconds is not None and timing.get("partition_ms"):
-                # Round-trip overhead = everything the workers did not do:
-                # pickling, queueing, and pool latency beyond the slowest
-                # kernel. This is the fixed per-join tax parallelism must
-                # repay before it helps.
-                kernel = max(timing["partition_ms"]) / 1000.0
-                overhead = max(0.0, wall_seconds - kernel)
-                self._overhead_ema = (
-                    overhead if self._overhead_ema is None
-                    else 0.7 * self._overhead_ema + 0.3 * overhead
-                )
-                self._update_adaptive_threshold()
-
-    def record_fallback(self) -> None:
-        with self._lock:
-            self.serial_fallbacks += 1
-
-    def record_serial(self, rows: int, seconds: float) -> None:
-        """Feed one serial delta join's throughput into the adaptive model."""
-        if rows <= 0 or seconds <= 0.0:
-            return
-        rate = rows / seconds
-        with self._lock:
-            self._serial_rate_ema = (
-                rate if self._serial_rate_ema is None
-                else 0.7 * self._serial_rate_ema + 0.3 * rate
-            )
-            self._update_adaptive_threshold()
-
-    # Adaptive threshold bounds: never drop below a few cache lines of rows
-    # (the round-trip can only be *under*-observed), never climb past 2^20
-    # (at that point the measurement itself is suspect).
-    _ADAPTIVE_FLOOR = 64
-    _ADAPTIVE_CEILING = 1 << 20
-
-    def _update_adaptive_threshold(self) -> None:  # requires-lock
-        """Re-derive the threshold from observations (caller holds lock).
-
-        Break-even: a serial join of ``rows`` costs ``rows / serial_rate``
-        seconds; parallelism pays a fixed ``overhead`` round-trip. The
-        threshold is set at 2× the break-even row count, so joins only go
-        parallel when the offloaded work clearly dominates the shipping.
-        """
-        assert_locked(self._lock, "ParallelContext._lock")
-        if not self.adaptive:
-            return
-        if self._overhead_ema is None or self._serial_rate_ema is None:
-            return
-        breakeven = self._overhead_ema * self._serial_rate_ema
-        self._adaptive_rows = int(
-            min(self._ADAPTIVE_CEILING,
-                max(self._ADAPTIVE_FLOOR, 2.0 * breakeven))
-        )
-
-    def stats_payload(self) -> dict:
-        """JSON-able counters + recent per-partition timings."""
-        with self._lock:
-            return {
-                "workers": self.workers,
-                "min_partition_rows": self.min_partition_rows,
-                "adaptive": self.adaptive,
-                # Inlined rather than calling effective_min_partition_rows():
-                # that method takes this (non-reentrant) lock itself.
-                "effective_min_partition_rows": (
-                    self._adaptive_rows if self.adaptive
-                    else self.min_partition_rows
-                ),
-                "observed_overhead_ms": (
-                    round(self._overhead_ema * 1000, 3)
-                    if self._overhead_ema is not None else None
-                ),
-                "observed_serial_rows_per_s": (
-                    round(self._serial_rate_ema, 1)
-                    if self._serial_rate_ema is not None else None
-                ),
-                "parallel_joins": self.parallel_joins,
-                "serial_fallbacks": self.serial_fallbacks,
-                "partitions_executed": self.partitions_executed,
-                "pool_live": self._pool is not None,
-                "last_timings": [dict(t) for t in self.last_timings],
-            }
-
-
-# Process-wide shared contexts, one per configuration: sessions and
-# executors asking for the same worker count share one pool instead of
-# forking a fresh pool (and leaking it) per session.
-_CONTEXTS: dict[tuple[int, int, bool], ParallelContext] = {}
-_CONTEXTS_LOCK = threading.Lock()
-
-
-def parallel_context(
-    workers: int | None = None,
-    min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
-    adaptive: bool = False,
-) -> ParallelContext:
-    """The shared :class:`ParallelContext` for one configuration.
-
-    ``workers=None`` means "auto" (``REPRO_PARALLEL_WORKERS`` or the CPU
-    count) and is resolved *before* the registry lookup, so "auto" and an
-    explicit matching count share one pool. Contexts returned here live
-    for the process; callers that need a private, closeable pool
-    (benchmarks sweeping worker counts) should construct
-    :class:`ParallelContext` directly.
-    """
-    key = (resolve_workers(workers), min_partition_rows, bool(adaptive))
-    with _CONTEXTS_LOCK:
-        context = _CONTEXTS.get(key)
-        if context is None:
-            context = ParallelContext(
-                workers=workers, min_partition_rows=min_partition_rows,
-                adaptive=adaptive,
-            )
-            _CONTEXTS[key] = context
-        return context
-
-
-def _delta_join_parallel(
-    relation: GraphRelation,
-    graph: InstanceGraph,
-    left_key: str,
-    traversal_edge: str,
-    new_key: str,
-    new_type: str,
-    candidate_set: dict[int, None] | frozenset[int] | None,
-    context: ParallelContext,
-) -> GraphRelation:
-    """Shard the prefix relation and run the delta join across workers.
-
-    The prefix is split into contiguous row partitions (one per worker);
-    each worker gets the partition's columns, the adjacency slice for the
-    source ids it will probe, and the candidate set, and runs the exact
-    serial join kernel. Partial relations are concatenated in partition
-    order, so the merged output is bit-identical to the serial join — the
-    reference-order restoration downstream never knows the difference.
-    """
-    # Pool startup is a one-time cost, not per-join overhead: create it
-    # outside the timed window, and skip the overhead observation entirely
-    # on a cold pool (workers may still fork lazily inside the first map,
-    # and seeding the EMA with fork latency would inflate the adaptive
-    # threshold by orders of magnitude).
-    pool_was_cold = context._pool is None
-    context._ensure_pool()
-    wall_start = time.perf_counter()
-    partitions = relation.split(context.workers)
-    left_position = relation.position(left_key)
-    adjacency = graph._adjacency
-    candidates = (
-        frozenset(candidate_set) if candidate_set is not None else None
-    )
-    tasks = []
-    for part in partitions:
-        part_columns = part.columns_view()
-        slice_: dict[int, Sequence[int]] = {}
-        for source_id in part_columns[left_position]:
-            if source_id not in slice_:
-                neighbors = adjacency.get((source_id, traversal_edge))
-                if neighbors:
-                    slice_[source_id] = neighbors
-        tasks.append(
-            PartitionJoinTask(
-                columns=tuple(tuple(column) for column in part_columns),
-                left_position=left_position,
-                adjacency=slice_,
-                candidates=candidates,
-            )
-        )
-    try:
-        outputs = list(context._ensure_pool().map(execute_partition_join, tasks))
-    except RuntimeError:
-        # A concurrent close() can shut the pool down between _ensure_pool
-        # and map ("cannot schedule new futures after shutdown"); close()
-        # promises the context stays usable, so start a fresh pool once.
-        outputs = list(context._ensure_pool().map(execute_partition_join, tasks))
-    attributes = list(relation.attributes) + [GraphAttribute(new_key, new_type)]
-    merged = GraphRelation.concat(
-        [
-            GraphRelation.from_columns(attributes, columns)
-            for _, columns in outputs
-        ]
-    )
-    context.record(
-        {
-            "edge": traversal_edge,
-            "new_key": new_key,
-            "rows_in": len(relation),
-            "rows_out": len(merged),
-            "partitions": len(tasks),
-            "partition_ms": [
-                round(elapsed * 1000, 3) for elapsed, _ in outputs
-            ],
-        },
-        partitions=len(tasks),
-        wall_seconds=(None if pool_was_cold
-                      else time.perf_counter() - wall_start),
-    )
-    return merged
 
 
 def execute_plan(
@@ -1216,8 +812,6 @@ def execute_plan(
     memo: ConditionMemo | None = None,
     store: PrefixStore | None = None,
     report: ExecutionReport | None = None,
-    parallel: ParallelContext | None = None,
-    pushdown: "PushdownContext | None" = None,
 ) -> GraphRelation:
     """Run a plan; result tuples are in *engine order* (see
     :func:`restore_reference_order` for the reference ordering).
@@ -1231,22 +825,6 @@ def execute_plan(
     intermediate under its canonical subpattern key. Cross-subpattern
     semi-join reduction is skipped so every cached intermediate stays exact
     for its own subpattern (reusable by *any* extension).
-
-    With a ``parallel`` context: each delta join over a prefix at least
-    ``min_partition_rows`` tall is sharded by contiguous prefix-tuple
-    partitions across the context's worker processes and merged back in
-    partition order — bit-identical output, including under a ``store``
-    (the merged relation is what gets cached, so partitioned results
-    compose with prefix reuse transparently).
-
-    With a ``pushdown`` context
-    (:class:`repro.relational.backends.pushdown.PushdownContext`): each
-    delta join whose estimated intermediate clears the context's cost rule
-    is routed to the SQL backend over the four-table storage instead of the
-    Python kernel — also bit-identical (the SQL reproduces the adjacency
-    probe order exactly), so pushed joins compose with a ``store`` the same
-    way partitioned ones do. The pushdown decision is evaluated before the
-    parallel one: a join big enough for SQL is answered there outright.
     """
     pattern = plan.pattern
     report = report if report is not None else ExecutionReport()
@@ -1313,61 +891,15 @@ def execute_plan(
             continue
         stuck_guard = 0
         left_key, traversal = join_info
-        if pushdown is not None and pushdown.should_push(len(relation), traversal):
-            relation = pushdown.delta_join(
-                relation,
-                left_key,
-                traversal,
-                step.key,
-                types[step.key],
-                candidate_set(step.key),
-            )
-            report.pushdown_joins += 1
-        elif parallel is not None and parallel.should_parallelize(len(relation)):
-            relation = _delta_join_parallel(
-                relation,
-                graph,
-                left_key,
-                traversal,
-                step.key,
-                types[step.key],
-                candidate_set(step.key),
-                parallel,
-            )
-            report.parallel_joins += 1
-        else:
-            if parallel is not None:
-                parallel.record_fallback()
-                report.serial_fallbacks += 1
-            if parallel is not None and parallel.adaptive:
-                # Time serial joins only for an adaptive context: the
-                # threshold needs the observed serial rows/second to know
-                # where parallelism starts paying off. Static contexts
-                # skip the timing (and the extra lock) entirely.
-                serial_start = time.perf_counter()
-                rows_in = len(relation)
-                relation = _delta_join(
-                    relation,
-                    graph,
-                    left_key,
-                    traversal,
-                    step.key,
-                    types[step.key],
-                    candidate_set(step.key),
-                )
-                parallel.record_serial(
-                    rows_in, time.perf_counter() - serial_start
-                )
-            else:
-                relation = _delta_join(
-                    relation,
-                    graph,
-                    left_key,
-                    traversal,
-                    step.key,
-                    types[step.key],
-                    candidate_set(step.key),
-                )
+        relation = _delta_join(
+            relation,
+            graph,
+            left_key,
+            traversal,
+            step.key,
+            types[step.key],
+            candidate_set(step.key),
+        )
         report.delta_joins += 1
         covered = covered | {step.key}
         if store is not None:
@@ -1920,8 +1452,6 @@ class DeltaReport:
     rows_in: int = 0
     rows_out: int = 0
     rows_touched: int = 0
-    parallel_join: bool = False
-    pushdown_join: bool = False
     identities: RowIdentities | None = None
 
 
@@ -1963,19 +1493,13 @@ def execute_delta(
     pattern: QueryPattern,
     graph: InstanceGraph,
     memo: ConditionMemo | None = None,
-    parallel: ParallelContext | None = None,
-    pushdown: "PushdownContext | None" = None,
 ) -> tuple[GraphRelation, DeltaReport]:
     """Derive ``m(pattern)`` from the previous pattern's full relation.
 
     Selections filter the relation row-wise (sharing the executor's
-    condition memo); an extension runs exactly one delta join — through the
-    SQL pushdown path when a context is attached and the join clears its
-    cost rule, or the parallel partition path when that context's threshold
-    clears instead, so ``engine="incremental"`` composes with both
-    ``engine="pushdown"`` and ``engine="parallel"``. The output is in
-    engine order unless ``delta.order_preserved``; callers restore the
-    reference order exactly as the full planner does.
+    condition memo); an extension runs exactly one delta join. The output
+    is in engine order unless ``delta.order_preserved``; callers restore
+    the reference order exactly as the full planner does.
     """
     report = DeltaReport(kind=delta.kind, rows_in=len(prev_relation))
     relation = prev_relation
@@ -1992,38 +1516,10 @@ def execute_delta(
                 candidate_ids(graph, node.type_name, condition, memo)
             )
         report.rows_touched += len(relation)
-        if pushdown is not None and pushdown.should_push(
-            len(relation), traversal
-        ):
-            relation = pushdown.delta_join(
-                relation, left_key, traversal, new_key,
-                node.type_name, candidate_set,
-            )
-            report.pushdown_join = True
-        elif parallel is not None and parallel.should_parallelize(len(relation)):
-            relation = _delta_join_parallel(
-                relation, graph, left_key, traversal, new_key,
-                node.type_name, candidate_set, parallel,
-            )
-            report.parallel_join = True
-        else:
-            if parallel is not None:
-                parallel.record_fallback()
-            if parallel is not None and parallel.adaptive:
-                serial_start = time.perf_counter()
-                rows_in = len(relation)
-                relation = _delta_join(
-                    relation, graph, left_key, traversal, new_key,
-                    node.type_name, candidate_set,
-                )
-                parallel.record_serial(
-                    rows_in, time.perf_counter() - serial_start
-                )
-            else:
-                relation = _delta_join(
-                    relation, graph, left_key, traversal, new_key,
-                    node.type_name, candidate_set,
-                )
+        relation = _delta_join(
+            relation, graph, left_key, traversal, new_key,
+            node.type_name, candidate_set,
+        )
     report.rows_out = len(relation)
     report.identities = _row_identities(
         delta, prev_relation, relation, pattern.primary_key
@@ -2085,10 +1581,7 @@ class DeltaPlanner:
         prev_relation: GraphRelation,
         pattern: QueryPattern,
         memo: ConditionMemo | None = None,
-        parallel: ParallelContext | None = None,
-        pushdown: "PushdownContext | None" = None,
     ) -> tuple[GraphRelation, DeltaReport]:
         return execute_delta(
-            delta, prev_relation, pattern, self.graph,
-            memo=memo, parallel=parallel, pushdown=pushdown,
+            delta, prev_relation, pattern, self.graph, memo=memo,
         )

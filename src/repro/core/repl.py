@@ -109,21 +109,17 @@ class Repl:
         use_cache: bool = True,
         max_rows: int = 10,
         engine: str = "planned",
-        workers: int | None = None,
     ) -> None:
-        # engine="parallel" shards big delta joins across worker processes
-        # (the `plan` command then shows per-partition timings);
         # engine="incremental" answers refinement actions from the previous
         # ETable's relation (the `plan` command then shows the chosen delta
-        # kind and the session's delta-hit rate); engine="pushdown" routes
-        # oversized delta joins to an indexed SQLite image of the graph.
-        if engine not in ("naive", "planned", "parallel", "incremental", "pushdown"):  # repro: engine-surface all
+        # kind and the session's delta-hit rate).
+        if engine not in ("naive", "planned", "incremental"):  # repro: engine-surface all
             raise InvalidAction(
                 f"unknown engine {engine!r}; the REPL speaks 'naive', "
-                f"'planned', 'parallel', 'incremental', and 'pushdown'"
+                f"'planned', and 'incremental'"
             )
         self.session = EtableSession(schema, graph, use_cache=use_cache,
-                                     engine=engine, workers=workers)
+                                     engine=engine)
         self.mapping = mapping  # TranslationMap, enables the 'sql' command
         self.max_rows = max_rows
         self.done = False

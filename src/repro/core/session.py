@@ -49,18 +49,16 @@ class EtableSession:
         use_cache: bool = False,
         engine: str = "planned",
         executor: "CachingExecutor | None" = None,
-        workers: int | None = None,
     ) -> None:
-        if engine not in ("naive", "planned", "parallel", "incremental", "pushdown"):  # repro: engine-surface all
+        if engine not in ("naive", "planned", "incremental"):  # repro: engine-surface all
             raise InvalidAction(
                 f"unknown engine {engine!r}; expected 'naive', 'planned', "
-                f"'parallel', 'incremental', or 'pushdown'"
+                f"or 'incremental'"
             )
         self.schema = schema
         self.graph = graph
         self.row_limit = row_limit
         self.engine = engine
-        self.workers = workers
         self.current: ETable | None = None
         self.history: list[HistoryEntry] = []
         self._sort: tuple[str, bool] | None = None
@@ -74,11 +72,10 @@ class EtableSession:
         # ``engine="incremental"`` layers the per-session action-delta
         # engine (``repro.core.cache.IncrementalExecutor``) over a caching
         # executor: refinement actions are answered from the previous
-        # relation instead of re-matching the pattern. It composes with
-        # ``workers``/a parallel-context executor (delta joins shard when
-        # big enough) and implies the cache.
+        # relation instead of re-matching the pattern. It implies the
+        # cache.
         if executor is not None or use_cache or engine == "incremental":
-            if engine not in ("planned", "parallel", "incremental", "pushdown"):  # repro: engine-surface service
+            if engine not in ("planned", "incremental"):  # repro: engine-surface service
                 # The caching executor always plans; silently serving the
                 # planner to someone who asked for the naive oracle would
                 # mask exactly the discrepancies the oracle exists to find.
@@ -93,15 +90,10 @@ class EtableSession:
                 )
         if engine == "incremental":
             from repro.core.cache import CachingExecutor, IncrementalExecutor
-            from repro.core.planner import parallel_context
 
             base = executor
             if base is None:
-                base = CachingExecutor(
-                    graph,
-                    parallel=(parallel_context(workers)
-                              if workers is not None else None),
-                )
+                base = CachingExecutor(graph)
             # The wrapper is per-session (it owns this session's result
             # lineage); the base may be shared across sessions.
             self._executor: "CachingExecutor | None" = IncrementalExecutor(base)
@@ -110,25 +102,7 @@ class EtableSession:
         elif use_cache:
             from repro.core.cache import CachingExecutor
 
-            # engine="parallel" + cache: the executor runs partitioned delta
-            # joins and caches the merged relations — prefix reuse and
-            # parallel partitions compose. Likewise engine="pushdown" +
-            # cache: oversized delta joins route to the shared SQLite image
-            # while their results still land in the relation cache.
-            if engine == "parallel":
-                from repro.core.planner import parallel_context
-
-                self._executor = CachingExecutor(
-                    graph, parallel=parallel_context(workers)
-                )
-            elif engine == "pushdown":
-                from repro.relational.backends.pushdown import pushdown_context
-
-                self._executor = CachingExecutor(
-                    graph, pushdown=pushdown_context(graph)
-                )
-            else:
-                self._executor = CachingExecutor(graph)
+            self._executor = CachingExecutor(graph)
         else:
             self._executor = None
 
@@ -136,7 +110,7 @@ class EtableSession:
         if self._executor is not None:
             return self._executor.execute(pattern, self.row_limit)
         return execute_pattern(pattern, self.graph, self.row_limit,
-                               engine=self.engine, workers=self.workers)
+                               engine=self.engine)
 
     def explain_plan(self) -> str:
         """The current pattern's execution plan (and cache stats, if any).
@@ -192,36 +166,7 @@ class EtableSession:
                     lines.append(
                         f"  last action: {incremental.last_outcome}"
                     )
-        context = self._parallel_context()
-        if context is not None:
-            payload = context.stats_payload()
-            lines.append(
-                f"parallel: {payload['workers']} workers, serial below "
-                f"{payload['min_partition_rows']} rows; "
-                f"{payload['parallel_joins']} partitioned joins, "
-                f"{payload['serial_fallbacks']} serial fallbacks"
-            )
-            for timing in payload["last_timings"][-3:]:
-                per_partition = ", ".join(
-                    f"{ms:.1f}" for ms in timing["partition_ms"]
-                )
-                lines.append(
-                    f"  join -[{timing['edge']}]-> {timing['new_key']}: "
-                    f"{timing['rows_in']} -> {timing['rows_out']} rows over "
-                    f"{timing['partitions']} partitions "
-                    f"[{per_partition} ms]"
-                )
         return "\n".join(lines)
-
-    def _parallel_context(self):
-        """The parallel context this session executes through, if any."""
-        if self._executor is not None:
-            return self._executor.parallel
-        if self.engine == "parallel":
-            from repro.core.planner import parallel_context
-
-            return parallel_context(self.workers)
-        return None
 
     # ------------------------------------------------------------------
     # The default table list (Figure 9, component 1)

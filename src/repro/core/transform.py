@@ -27,12 +27,7 @@ from weakref import WeakKeyDictionary
 from repro.tgm.graph_relation import GraphRelation
 from repro.tgm.instance_graph import InstanceGraph, Node
 from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
-from repro.core.matching import (
-    match,
-    match_parallel,
-    match_planned,
-    match_pushdown,
-)
+from repro.core.matching import match, match_planned
 from repro.core.query_pattern import QueryPattern
 
 
@@ -41,7 +36,6 @@ def execute_pattern(
     graph: InstanceGraph,
     row_limit: int | None = None,
     engine: str = "planned",
-    workers: int | None = None,
 ) -> ETable:
     """Run the full pipeline: instance matching, then format transformation.
 
@@ -49,20 +43,13 @@ def execute_pattern(
     itself is always complete so reference counts stay exact.
 
     ``engine`` selects the matcher: ``"planned"`` (default) runs the
-    cost-based planner, ``"naive"`` the reference BFS pipeline,
-    ``"parallel"`` the planner with partitioned delta joins across
-    ``workers`` processes (``None`` = auto), and ``"pushdown"`` the
-    planner with oversized delta joins routed to SQLite. All produce the
-    same ETable; the reference stays available as the oracle.
+    cost-based planner, ``"naive"`` the reference BFS pipeline. Both
+    produce the same ETable; the reference stays available as the oracle.
     """
     if engine == "planned":
         matched = match_planned(pattern, graph)
     elif engine == "naive":
         matched = match(pattern, graph)
-    elif engine == "parallel":
-        matched = match_parallel(pattern, graph, workers=workers)
-    elif engine == "pushdown":
-        matched = match_pushdown(pattern, graph)
     else:
         raise ValueError(f"unknown matching engine {engine!r}")
     return transform(pattern, matched, graph, row_limit=row_limit)

@@ -22,21 +22,15 @@ from repro.relational.backends.base import (
     register_backend,
 )
 from repro.relational.backends.memory import MemoryBackend
-from repro.relational.backends.pushdown import (
-    PushdownContext,
-    pushdown_context,
-)
 from repro.relational.backends.sqlite_backend import SqliteBackend
 
 __all__ = [
     "BackendCapabilities",
     "MemoryBackend",
-    "PushdownContext",
     "SqlBackend",
     "SqliteBackend",
     "backend_class",
     "backend_names",
     "create_backend",
-    "pushdown_context",
     "register_backend",
 ]

@@ -108,10 +108,6 @@ class SqliteBackend(SqlBackend):
 
     ``path`` defaults to ``":memory:"``; pass a filesystem path for a
     persistent database (the load then rebuilds it from scratch).
-    ``check_same_thread=False`` lets callers that serialize access
-    themselves (the pushdown context runs under its own lock inside the
-    service's shared executor) use one connection from many threads —
-    sqlite3's default binding refuses cross-thread use outright.
     """
 
     name = "sqlite"
@@ -123,10 +119,8 @@ class SqliteBackend(SqlBackend):
         self,
         database: Database | None = None,
         path: str = ":memory:",
-        check_same_thread: bool = True,
     ) -> None:
         self._path = path
-        self._check_same_thread = check_same_thread
         self._connection: sqlite3.Connection | None = None
         super().__init__(database)
 
@@ -137,9 +131,7 @@ class SqliteBackend(SqlBackend):
 
     def _do_load(self, database: Database) -> None:
         self.close()
-        connection = sqlite3.connect(
-            self._path, check_same_thread=self._check_same_thread
-        )
+        connection = sqlite3.connect(self._path)
         connection.create_aggregate("ENT_LIST", 1, _EntListAggregate)
         connection.create_function("LIKE", 2, _like)
         for table in database.tables.values():

@@ -150,6 +150,10 @@ class AsyncNavigationServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._inflight = 0  # loop-thread only
+        # Writers of open connections (loop-thread only): the drain closes
+        # whatever is still open so no handler is left for asyncio.run()
+        # to cancel mid-read.
+        self._connections: set[asyncio.StreamWriter] = set()
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._finished = threading.Event()
@@ -234,13 +238,21 @@ class AsyncNavigationServer:
             deadline = loop.time() + 5.0
             while self._inflight > 0 and loop.time() < deadline:
                 await asyncio.sleep(0.01)
-        # asyncio.run() cancels the remaining connection tasks on exit.
+            # Idle keep-alive connections are parked in readuntil(): closing
+            # their transports feeds EOF, so each handler returns through
+            # its IncompleteReadError path instead of being cancelled.
+            for writer in list(self._connections):
+                writer.close()
+            deadline = loop.time() + 5.0
+            while self._connections and loop.time() < deadline:
+                await asyncio.sleep(0.01)
 
     # ------------------------------------------------------------------
     # Connection handling (loop side)
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -295,14 +307,16 @@ class AsyncNavigationServer:
                                     keep_alive=keep_alive)
                 if not keep_alive:
                     return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
+            pass  # client gone (or closed by the drain) mid-request
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            self._connections.discard(writer)
 
     async def _dispatch(self, method: str, path: str, query: dict[str, str],
                         raw_body: bytes, auth_token: str | None

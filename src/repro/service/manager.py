@@ -85,18 +85,15 @@ class SessionManager:
         executor: CachingExecutor | None = None,
         fsync_journal: bool = False,
         engine: str = "planned",
-        workers: int | None = None,
         compact_every: int | None = 64,
-        adaptive_threshold: bool = False,
         require_auth: bool = False,
         quota_actions: int | None = None,
         quota_window: float = 60.0,
     ) -> None:
-        if engine not in ("planned", "parallel", "incremental", "pushdown"):  # repro: engine-surface service
+        if engine not in ("planned", "incremental"):  # repro: engine-surface service
             raise ServiceError(
                 f"the service executes through the caching planner; "
-                f"engine must be 'planned', 'parallel', 'incremental', "
-                f"or 'pushdown', not {engine!r}"
+                f"engine must be 'planned' or 'incremental', not {engine!r}"
             )
         if compact_every is not None and compact_every < 1:
             raise ServiceError(
@@ -118,7 +115,6 @@ class SessionManager:
         self.journal_dir = Path(journal_dir) if journal_dir else None
         self.fsync_journal = fsync_journal
         self.engine = engine
-        self.workers = workers
         # Journal compaction policy (ROADMAP follow-up): checkpoint long
         # append-only journals every N mutating actions so replay cost
         # stays bounded even for sessions that never revert. None disables.
@@ -145,37 +141,12 @@ class SessionManager:
         self._lifecycle_observers: list[Callable[[str, str], None]] = []
         self.observer_errors = 0  # guarded-by: self._lock
         # One executor for everyone: cross-session prefix reuse is the
-        # service's whole performance story. With engine="parallel" the
-        # executor shards big delta joins across a shared worker pool;
-        # results (and therefore cache contents) are bit-identical. With
-        # engine="incremental" each hosted session additionally wraps this
-        # shared executor in its own per-session IncrementalExecutor (the
-        # lineage chain is private; the fallback planner and its caches are
-        # shared), optionally over the same worker pool. With
-        # engine="pushdown" the executor routes oversized delta joins to
-        # one shared SQLite image of the graph (its own lock serializes
-        # the service's request threads).
+        # service's whole performance story. With engine="incremental" each
+        # hosted session additionally wraps this shared executor in its own
+        # per-session IncrementalExecutor (the lineage chain is private; the
+        # fallback planner and its caches are shared).
         if executor is None:
-            if engine == "parallel" or (engine == "incremental"
-                                        and workers is not None):
-                from repro.core.planner import parallel_context
-
-                executor = CachingExecutor(
-                    graph,
-                    parallel=parallel_context(
-                        workers, adaptive=adaptive_threshold
-                    ),
-                )
-            elif engine == "pushdown":
-                from repro.relational.backends.pushdown import (
-                    pushdown_context,
-                )
-
-                executor = CachingExecutor(
-                    graph, pushdown=pushdown_context(graph)
-                )
-            else:
-                executor = CachingExecutor(graph)
+            executor = CachingExecutor(graph)
         self.executor = executor
         self._sessions: dict[str, ManagedSession] = {}  # guarded-by: self._lock
         # Sessions whose journal stopped accepting writes (disk full, IO
@@ -615,9 +586,7 @@ class SessionManager:
         assert_locked(self._lock, "SessionManager._lock")
         session = EtableSession(
             self.schema, self.graph, row_limit=self.row_limit,
-            executor=self.executor,
-            engine=("incremental" if self.engine == "incremental"
-                    else "planned"),
+            executor=self.executor, engine=self.engine,
         )
         auth_token = uuid.uuid4().hex if self.require_auth else None
         journal = None

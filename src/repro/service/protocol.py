@@ -32,11 +32,9 @@ action                Figure 9 / Section 6.1 counterpart
 ``revert``            component 4, the history panel's revert
 ``history``           component 4, the history panel itself
 ``plan``              the execution plan (engine introspection; under
-                      ``engine="parallel"`` it includes worker counts and
-                      recent per-partition join timings, and under
-                      ``engine="incremental"`` the chosen action-delta
-                      kind — select / extend / reorder / replay — plus the
-                      session's delta-hit rate)
+                      ``engine="incremental"`` it includes the chosen
+                      action-delta kind — select / extend / reorder /
+                      replay — plus the session's delta-hit rate)
 ``etable``/``export`` component 3, the enriched table (paginated)
 ====================  ==================================================
 

@@ -42,7 +42,7 @@ class StudyConfig:
 
 
 @dataclass
-class PreparedTask:  # repro: noqa-RPA102 — in-process only, never pickled
+class PreparedTask:
     """A task with its ground truth, validated ETable script, and flat-join
     size, computed once per study run."""
 

@@ -155,60 +155,6 @@ class GraphRelation:
         """Distinct node ids of one attribute, first-appearance order."""
         return list(dict.fromkeys(self._columns[self.position(key)]))
 
-    # ------------------------------------------------------------------
-    # Partitioning (the parallel engine's shard/merge primitives)
-    # ------------------------------------------------------------------
-    def split(self, parts: int) -> list["GraphRelation"]:
-        """Partition the rows into up to ``parts`` contiguous slices.
-
-        Row order is preserved across the concatenation of the returned
-        relations (``concat(r.split(p))`` is the identity), which is what
-        lets the parallel executor shard a prefix relation, join each shard
-        independently, and merge without re-sorting. Attribute lists are
-        shared, column slices are copies; a single-part split returns
-        ``self`` unsliced (zero-copy).
-        """
-        size = len(self)
-        if parts <= 1 or size <= 1:
-            return [self]
-        chunk = -(-size // min(parts, size))  # ceil division, no empty parts
-        return [
-            GraphRelation.from_columns(
-                self.attributes,
-                [column[start:start + chunk] for column in self._columns],
-            )
-            for start in range(0, size, chunk)
-        ]
-
-    @classmethod
-    def concat(cls, relations: Sequence["GraphRelation"]) -> "GraphRelation":
-        """Row-concatenate relations over identical attribute lists.
-
-        The inverse of :meth:`split`: partial results come back in partition
-        order and their rows are appended in that order, so the merged
-        relation's tuple order equals the unsharded execution's. A single
-        input is returned as-is (zero-copy).
-        """
-        if not relations:
-            raise TgmError("concat needs at least one relation")
-        first = relations[0]
-        if len(relations) == 1:
-            return first
-        for relation in relations[1:]:
-            if relation.attributes != first.attributes:
-                raise TgmError(
-                    f"concat over mismatched attributes: "
-                    f"{[str(a) for a in first.attributes]} vs "
-                    f"{[str(a) for a in relation.attributes]}"
-                )
-        columns: list[list[int]] = []
-        for position in range(len(first.attributes)):
-            merged: list[int] = []
-            for relation in relations:
-                merged.extend(relation._columns[position])
-            columns.append(merged)
-        return cls.from_columns(first.attributes, columns)
-
     def to_table(self, graph: InstanceGraph) -> list[dict[str, Any]]:
         """Render tuples as label dictionaries (used by Figure 8's bench)."""
         out: list[dict[str, Any]] = []

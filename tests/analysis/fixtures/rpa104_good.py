@@ -5,4 +5,4 @@ SERVICE_ENGINES = ("beta",)  # repro: engine-registry
 
 SESSION_VALID = ("alpha", "beta")  # repro: engine-surface all
 CLI_CHOICES = ["beta"]  # repro: engine-surface service
-FUZZ_LOCKSTEP = ("alpha", "beta", "alpha_beta")  # repro: engine-surface fuzzer
+FUZZ_LOCKSTEP = ("alpha", "beta")  # repro: engine-surface fuzzer

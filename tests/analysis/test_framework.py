@@ -62,7 +62,7 @@ class TestParsedFile:
     def test_is_suppressed_code_match(self):
         parsed = ParsedFile(Path("x.py"), "b = 2  # repro: noqa-RPA101\n")
         hit = Finding(Path("x.py"), 1, 0, "RPA101", "m")
-        miss = Finding(Path("x.py"), 1, 0, "RPA102", "m")
+        miss = Finding(Path("x.py"), 1, 0, "RPA105", "m")
         assert parsed.is_suppressed(hit)
         assert not parsed.is_suppressed(miss)
 
@@ -89,10 +89,8 @@ class TestReporting:
         with pytest.raises(SystemExit, match="unknown check code"):
             analyze_paths([FIXTURES / "rpa101_good.py"], select=["RPA999"])
 
-    def test_registry_has_all_five_checks(self):
-        assert set(all_checks()) == {
-            "RPA101", "RPA102", "RPA103", "RPA104", "RPA105",
-        }
+    def test_registry_has_all_four_checks(self):
+        assert set(all_checks()) == {"RPA101", "RPA103", "RPA104", "RPA105"}
 
 
 class TestCli:
@@ -118,5 +116,6 @@ class TestCli:
     def test_list_checks(self):
         result = run_cli("--list-checks")
         assert result.returncode == 0
-        for code in ("RPA101", "RPA102", "RPA103", "RPA104", "RPA105"):
+        for code in ("RPA101", "RPA103", "RPA104", "RPA105"):
             assert code in result.stdout
+        assert "RPA102" not in result.stdout

@@ -1,10 +1,8 @@
 """The RPA101 runtime twin, and regressions for the lock fixes.
 
-The static check found genuinely unguarded reads in the stats/threshold
-counters (``IncrementalStats.actions`` / ``delta_hit_rate``,
-``ParallelContext.should_parallelize`` / ``effective_min_partition_rows``).
-These tests pin the fixes with an instrumented lock: the property must
-take the lock, and must take it *once* (a single scope — two separate
+The static check found genuinely unguarded reads in the stats counters
+(``IncrementalStats.actions`` / ``delta_hit_rate``). These tests pin
+the fixes with an instrumented lock: the property must take the lock, and must take it *once* (a single scope — two separate
 acquisitions would let a writer interleave between numerator and
 denominator and report a hit rate above 1.0).
 """
@@ -16,7 +14,6 @@ import pytest
 from repro.analysis import runtime
 from repro.analysis.runtime import LockDisciplineError, assert_locked
 from repro.core.cache import IncrementalStats
-from repro.core.planner import ParallelContext
 from repro.service.manager import SessionManager
 
 
@@ -72,13 +69,6 @@ class TestRequiresLockMethods:
         with manager._lock:
             manager._evict_expired()  # fine under the lock
 
-    def test_context_threshold_update_demands_the_lock(self, armed):
-        context = ParallelContext(workers=2, adaptive=True)
-        with pytest.raises(LockDisciplineError):
-            context._update_adaptive_threshold()
-        with context._lock:
-            context._update_adaptive_threshold()
-
 
 class TestIncrementalStatsLocking:
     def test_actions_property_takes_the_lock_once(self):
@@ -101,44 +91,3 @@ class TestIncrementalStatsLocking:
 
     def test_delta_hit_rate_empty(self):
         assert IncrementalStats().delta_hit_rate == 0.0
-
-
-class TestParallelContextLocking:
-    def test_effective_threshold_takes_the_lock(self):
-        context = ParallelContext(workers=2, adaptive=True)
-        probe = context._lock = ProbeLock()
-        assert context.effective_min_partition_rows() == \
-            context.min_partition_rows
-        assert probe.acquisitions == 1
-
-    def test_adaptive_decision_single_lock_scope(self):
-        context = ParallelContext(workers=2, min_partition_rows=10,
-                                  adaptive=True)
-        probe = context._lock = ProbeLock()
-        assert context.should_parallelize(context._adaptive_rows + 1)
-        assert probe.acquisitions == 1
-
-    def test_static_decision_never_locks(self):
-        context = ParallelContext(workers=2, min_partition_rows=10,
-                                  adaptive=False)
-        probe = context._lock = ProbeLock()
-        assert context.should_parallelize(10)
-        assert not context.should_parallelize(9)
-        assert probe.acquisitions == 0
-
-    def test_stats_payload_does_not_deadlock(self):
-        # Regression: stats_payload holds the (non-reentrant) context lock;
-        # it must not call back into effective_min_partition_rows(), which
-        # takes the lock itself. A reintroduced nested call deadlocks, so
-        # probe from a worker thread with a timeout.
-        context = ParallelContext(workers=2, adaptive=True)
-        payload = {}
-        thread = threading.Thread(
-            target=lambda: payload.update(context.stats_payload()),
-            daemon=True,
-        )
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "stats_payload deadlocked on its own lock"
-        assert payload["effective_min_partition_rows"] == \
-            context.effective_min_partition_rows()

@@ -223,9 +223,14 @@ class TestEngineSelection:
         )
 
     def test_unknown_engine_rejected(self, toy):
-        # Rejected at construction (fail fast), not at the first action.
-        with pytest.raises(InvalidAction):
-            EtableSession(toy.schema, toy.graph, engine="wat")
+        # Rejected at construction (fail fast), not at the first action;
+        # the deleted engines are unknown names like any other.
+        for engine in ("wat", "parallel", "pushdown"):
+            with pytest.raises(InvalidAction):
+                EtableSession(toy.schema, toy.graph, engine=engine)
+            with pytest.raises(InvalidAction):
+                EtableSession(toy.schema, toy.graph, engine=engine,
+                              use_cache=True)
 
     def test_cache_with_naive_engine_rejected(self, toy):
         """The caching executor always plans; asking for the naive oracle

@@ -296,8 +296,11 @@ class TestServiceSurface:
         from repro.service.manager import SessionManager
 
         tgdb = self._tgdb()
-        with pytest.raises(ServiceError):
-            SessionManager(tgdb.schema, tgdb.graph, engine="warp")
+        # The deleted engines are unknown names now, rejected with the same
+        # typed error as any other.
+        for engine in ("warp", "parallel", "pushdown"):
+            with pytest.raises(ServiceError):
+                SessionManager(tgdb.schema, tgdb.graph, engine=engine)
 
     def test_incremental_sessions_isolate_lineage_but_share_cache(self):
         from repro.service.manager import SessionManager

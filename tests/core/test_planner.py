@@ -6,8 +6,6 @@ and the condition memo. Integration-level equivalence against the reference
 matcher lives in tests/integration/test_planner_equivalence.py.
 """
 
-import pickle
-
 import pytest
 
 from repro.errors import TgmError
@@ -23,13 +21,10 @@ from repro.tgm.conditions import (
 )
 from repro.tgm.graph_relation import GraphAttribute, GraphRelation
 from repro.core.cache import CachingExecutor
-from repro.core.matching import match, match_parallel, match_planned
+from repro.core.matching import match, match_planned
 from repro.core.operators import add, initiate, select, shift
 from repro.core.planner import (
     DeltaPlanner,
-    ExecutionReport,
-    ParallelContext,
-    PartitionJoinTask,
     PrefixStore,
     build_plan,
     candidate_ids,
@@ -38,10 +33,8 @@ from repro.core.planner import (
     estimate_replan_cost,
     estimate_selectivity,
     execute_delta,
-    execute_partition_join,
     execute_plan,
     find_cached_base,
-    parallel_context,
     restore_reference_order,
     subpattern_key,
 )
@@ -553,116 +546,7 @@ class TestGraphRelationConstruction:
         assert relation.distinct_column("A") == [1, 2]
 
 
-# ----------------------------------------------------------------------
-# Parallel partition execution
-# ----------------------------------------------------------------------
-class TestParallelExecution:
-    def _pattern(self, toy):
-        pattern = initiate(toy.schema, "Conferences")
-        pattern = add(pattern, toy.schema, "Conferences->Papers")
-        pattern = add(pattern, toy.schema, "Papers->Authors")
-        return pattern
-
-    def test_parallel_equals_reference(self, toy):
-        pattern = self._pattern(toy)
-        reference = match(pattern, toy.graph)
-        with ParallelContext(workers=2, min_partition_rows=0) as context:
-            parallel = match_parallel(pattern, toy.graph, context=context)
-            payload = context.stats_payload()
-        assert parallel.keys == reference.keys
-        assert parallel.tuples == reference.tuples
-        assert payload["parallel_joins"] > 0
-        assert payload["last_timings"], "per-partition timings were recorded"
-        timing = payload["last_timings"][-1]
-        assert timing["partitions"] >= 1
-        assert len(timing["partition_ms"]) == timing["partitions"]
-
-    def test_parallel_composes_with_prefix_store(self, toy):
-        pattern = self._pattern(toy)
-        reference = match(pattern, toy.graph)
-        with ParallelContext(workers=2, min_partition_rows=0) as context:
-            store = PrefixStore()
-            plan = build_plan(pattern, toy.graph, semijoin=False)
-            relation = execute_plan(
-                plan, toy.graph, store=store, parallel=context
-            )
-            restored = restore_reference_order(pattern, relation, toy.graph)
-            assert restored.tuples == reference.tuples
-            # Every covered prefix landed in the store as a merged relation.
-            all_keys = frozenset(node.key for node in pattern.nodes)
-            assert store.get(subpattern_key(pattern, all_keys)) is not None
-
-    def test_small_prefixes_fall_back_to_serial(self, toy):
-        pattern = self._pattern(toy)
-        # Threshold far above the toy corpus: the context must never fork.
-        with ParallelContext(workers=4, min_partition_rows=10**6) as context:
-            parallel = match_parallel(pattern, toy.graph, context=context)
-            payload = context.stats_payload()
-        assert parallel.tuples == match(pattern, toy.graph).tuples
-        assert payload["parallel_joins"] == 0
-        assert payload["serial_fallbacks"] > 0
-        assert payload["pool_live"] is False, "no pool for serial-only work"
-
-    def test_single_worker_context_never_parallelizes(self, toy):
-        context = ParallelContext(workers=1, min_partition_rows=0)
-        assert not context.should_parallelize(10**9)
-
-    def test_worker_payload_is_picklable_and_pure(self):
-        task = PartitionJoinTask(
-            columns=((1, 2, 3), (4, 5, 6)),
-            left_position=0,
-            adjacency={1: (10, 11), 3: (12,)},
-            candidates=frozenset({10, 12}),
-        )
-        revived = pickle.loads(pickle.dumps(task))
-        elapsed, columns = execute_partition_join(revived)
-        # Row 0 matches neighbor 10, row 2 matches neighbor 12; row 1 has
-        # no adjacency entry and drops out.
-        assert columns == [[1, 3], [4, 6], [10, 12]]
-        assert elapsed >= 0.0
-
-    def test_worker_kernel_matches_serial_join_shape(self):
-        # Dangling prefix rows (neighbors outside the candidate set) drop.
-        task = PartitionJoinTask(
-            columns=((7, 8),),
-            left_position=0,
-            adjacency={7: (1,), 8: (2,)},
-            candidates=frozenset({2}),
-        )
-        _, columns = execute_partition_join(task)
-        assert columns == [[8], [2]]
-
-    def test_context_registry_shares_instances(self):
-        first = parallel_context(workers=3, min_partition_rows=123)
-        second = parallel_context(workers=3, min_partition_rows=123)
-        other = parallel_context(workers=2, min_partition_rows=123)
-        assert first is second
-        assert first is not other
-
-    def test_execution_report_counts_parallel_joins(self, toy):
-        pattern = self._pattern(toy)
-        with ParallelContext(workers=2, min_partition_rows=0) as context:
-            plan = build_plan(pattern, toy.graph, semijoin=False)
-            report = ExecutionReport()
-            execute_plan(plan, toy.graph, report=report, parallel=context)
-        assert report.parallel_joins == report.delta_joins > 0
-        assert report.serial_fallbacks == 0
-
-    def test_explain_plan_shows_partition_timings(self, toy):
-        from repro.core.session import EtableSession
-
-        context = parallel_context(workers=2, min_partition_rows=0)
-        executor = CachingExecutor(toy.graph, parallel=context)
-        session = EtableSession(toy.schema, toy.graph, engine="parallel",
-                                executor=executor)
-        session.open("Conferences")
-        session.pivot("Papers")
-        text = session.explain_plan()
-        assert "parallel:" in text
-        assert "partitioned joins" in text
-
-
-class TestParallelStatsPayloads:
+class TestStatsPayloads:
     def test_cold_prefix_store_hit_rate_is_guarded(self):
         store = PrefixStore()
         stats = store.stats()
@@ -686,22 +570,6 @@ class TestParallelStatsPayloads:
         assert payload["prefix_hit_rate"] == 0.0
         assert payload["results"]["hit_rate"] == 0.0
         assert payload["prefixes"]["hit_rate"] == 0.0
-        assert payload["parallel"] is None
-
-    def test_executor_stats_payload_exposes_parallel_section(self, toy):
-        context = parallel_context(workers=2, min_partition_rows=0)
-        executor = CachingExecutor(toy.graph, parallel=context)
-        pattern = initiate(toy.schema, "Conferences")
-        pattern = add(pattern, toy.schema, "Conferences->Papers")
-        executor.match(pattern)
-        payload = executor.stats_payload()
-        assert payload["parallel"]["workers"] == 2
-        assert payload["parallel"]["parallel_joins"] >= 1
-        assert payload["parallel"]["last_timings"]
-
-    def test_executor_workers_shorthand(self, toy):
-        executor = CachingExecutor(toy.graph, workers=2)
-        assert executor.parallel is parallel_context(2)
 
 
 # ----------------------------------------------------------------------
@@ -798,13 +666,12 @@ class TestDeltaClassification:
 class TestDeltaExecution:
     """Every delta kind reproduces the reference matcher bit-for-bit."""
 
-    def _assert_delta_equals_oracle(self, toy, previous, pattern,
-                                    parallel=None):
+    def _assert_delta_equals_oracle(self, toy, previous, pattern):
         delta = classify_delta(previous, pattern, toy.graph)
         assert delta is not None
         prev_relation = match_planned(previous, toy.graph)
         relation, report = execute_delta(
-            delta, prev_relation, pattern, toy.graph, parallel=parallel
+            delta, prev_relation, pattern, toy.graph
         )
         if not delta.order_preserved:
             relation = restore_reference_order(pattern, relation, toy.graph)
@@ -845,16 +712,6 @@ class TestDeltaExecution:
         pattern = shift(previous, "Conferences")
         report = self._assert_delta_equals_oracle(toy, previous, pattern)
         assert report.rows_touched == 0  # no selection, no join: a re-rank
-
-    def test_extend_delta_parallel_partitions(self, toy):
-        previous = initiate(toy.schema, "Papers")
-        pattern = add(previous, toy.schema, "Papers->Authors")
-        with ParallelContext(workers=2, min_partition_rows=0) as context:
-            report = self._assert_delta_equals_oracle(
-                toy, previous, pattern, parallel=context
-            )
-            assert report.parallel_join
-            assert context.stats_payload()["parallel_joins"] > 0
 
     def test_nfilter_delta(self, toy):
         previous = initiate(toy.schema, "Papers")
@@ -908,120 +765,6 @@ class TestDeltaPlanner:
         stats = toy.graph.statistics()
         assert estimate_delta_cost(delta, 10, pattern, toy.graph, stats) >= 1.0
         assert estimate_replan_cost(pattern, toy.graph, stats) >= 1.0
-
-
-# ----------------------------------------------------------------------
-# Adaptive serial-fallback threshold
-# ----------------------------------------------------------------------
-class TestAdaptiveThreshold:
-    def test_static_context_ignores_observations(self):
-        context = ParallelContext(workers=4, min_partition_rows=2048)
-        context.record_serial(10_000, 0.001)
-        context.record({"partition_ms": [0.1]}, partitions=1,
-                       wall_seconds=0.050)
-        assert context.effective_min_partition_rows() == 2048
-
-    def test_high_overhead_raises_threshold(self):
-        """A 1-core-container profile (big round-trip, fast serial joins)
-        pushes the threshold far above the static default."""
-        context = ParallelContext(workers=4, min_partition_rows=2048,
-                                  adaptive=True)
-        # Serial joins run at 2M rows/s; the pool round-trip costs 3 ms.
-        context.record_serial(100_000, 0.05)
-        context.record({"partition_ms": [1.0]}, partitions=4,
-                       wall_seconds=0.004)
-        threshold = context.effective_min_partition_rows()
-        assert threshold > 2048
-        # 2x the break-even of 3ms x 2M rows/s = 12000 rows.
-        assert threshold == pytest.approx(12_000, rel=0.05)
-        assert not context.should_parallelize(4096)
-        assert context.should_parallelize(threshold)
-
-    def test_low_overhead_lowers_threshold(self):
-        """A fast pool (sub-ms round-trip) lowers the bar below the static
-        default so mid-size joins start parallelizing."""
-        context = ParallelContext(workers=4, min_partition_rows=2048,
-                                  adaptive=True)
-        context.record_serial(100_000, 0.1)  # 1M rows/s serial
-        context.record({"partition_ms": [1.0]}, partitions=4,
-                       wall_seconds=0.0012)  # 0.2 ms overhead
-        threshold = context.effective_min_partition_rows()
-        assert threshold < 2048
-        assert context.should_parallelize(1024)
-
-    def test_threshold_is_clamped(self):
-        context = ParallelContext(workers=4, adaptive=True)
-        context.record_serial(10, 10.0)  # pathologically slow serial joins
-        context.record({"partition_ms": [1.0]}, partitions=1,
-                       wall_seconds=0.0011)
-        assert (context.effective_min_partition_rows()
-                >= ParallelContext._ADAPTIVE_FLOOR)
-        context.record_serial(10**9, 0.0001)  # impossibly fast serial joins
-        context.record({"partition_ms": [1.0]}, partitions=1,
-                       wall_seconds=10.0)
-        assert (context.effective_min_partition_rows()
-                <= ParallelContext._ADAPTIVE_CEILING)
-
-    def test_stats_payload_exposes_adaptive_fields(self):
-        context = ParallelContext(workers=2, adaptive=True)
-        payload = context.stats_payload()
-        assert payload["adaptive"] is True
-        assert payload["observed_overhead_ms"] is None  # cold context
-        context.record_serial(1000, 0.001)
-        context.record({"partition_ms": [0.5]}, partitions=2,
-                       wall_seconds=0.002)
-        payload = context.stats_payload()
-        assert payload["observed_overhead_ms"] is not None
-        assert payload["observed_serial_rows_per_s"] is not None
-        assert payload["effective_min_partition_rows"] > 0
-
-    def test_cold_pool_join_does_not_seed_overhead(self, toy):
-        """The first parallel join forks the worker pool; that one-time
-        latency must not poison the overhead EMA (it would inflate the
-        threshold by orders of magnitude and switch parallelism off)."""
-        pattern = initiate(toy.schema, "Conferences")
-        pattern = add(pattern, toy.schema, "Conferences->Papers")
-        with ParallelContext(workers=2, min_partition_rows=0,
-                             adaptive=True) as context:
-            match_parallel(pattern, toy.graph, context=context)
-            first = context.stats_payload()
-            match_parallel(pattern, toy.graph, context=context)
-            second = context.stats_payload()
-        assert first["parallel_joins"] >= 1
-        # Only warm-pool joins contribute overhead observations.
-        assert second["parallel_joins"] > first["parallel_joins"]
-        assert second["observed_overhead_ms"] is not None
-
-    def test_probe_joins_keep_estimate_alive(self):
-        """With the adaptive threshold inflated above every real join, one
-        in every _PROBE_EVERY joins that clear the *static* threshold
-        still parallelizes, so the estimate can correct itself."""
-        context = ParallelContext(workers=4, min_partition_rows=1024,
-                                  adaptive=True)
-        context._adaptive_rows = 10**9  # simulate a poisoned estimate
-        decisions = [context.should_parallelize(4096) for _ in range(96)]
-        assert sum(decisions) == 96 // ParallelContext._PROBE_EVERY
-        # Below the static threshold nothing probes.
-        assert not any(context.should_parallelize(512) for _ in range(64))
-
-    def test_static_context_never_times_serial_joins(self, toy):
-        """record_serial only feeds the adaptive model; a static context's
-        serial fallbacks must not maintain the EMA."""
-        pattern = initiate(toy.schema, "Conferences")
-        pattern = add(pattern, toy.schema, "Conferences->Papers")
-        with ParallelContext(workers=4, min_partition_rows=10**6) as context:
-            match_parallel(pattern, toy.graph, context=context)
-            payload = context.stats_payload()
-        assert payload["serial_fallbacks"] > 0
-        assert payload["observed_serial_rows_per_s"] is None
-
-    def test_adaptive_context_registry_is_distinct(self):
-        static = parallel_context(workers=3, min_partition_rows=777)
-        adaptive = parallel_context(workers=3, min_partition_rows=777,
-                                    adaptive=True)
-        assert static is not adaptive
-        assert parallel_context(workers=3, min_partition_rows=777,
-                                adaptive=True) is adaptive
 
 
 class TestPrefixStoreVersionGuard:

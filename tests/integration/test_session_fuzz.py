@@ -1,55 +1,41 @@
-"""Differential session fuzzing across all seven execution engines.
+"""Differential session fuzzing across every execution engine.
 
 The PR 2 equivalence suite proved the planner matches the naive oracle on
-hand-picked patterns; this harness proves it — plus the parallel partition
-engine, the SQL pushdown engine, and the prefix-reuse cache — on
-*hundreds of machine-generated browsing sessions* per dataset. A seeded
-generator produces random but valid-by-construction action sequences
-(params are drawn from the live schema and the current table state), and
-every sequence is replayed step-in-lockstep through seven sessions:
+hand-picked patterns; this harness proves it — plus the incremental
+engine and the prefix-reuse cache — on *hundreds of machine-generated
+browsing sessions* per dataset. A seeded generator produces random but
+valid-by-construction action sequences (params are drawn from the live
+schema and the current table state), and every sequence is replayed
+step-in-lockstep through four participants:
 
 * ``naive``       — the reference BFS matcher, no cache;
 * ``planned``     — the cost-based planner behind a shared
                     ``CachingExecutor`` (prefix reuse accumulates *across*
                     sequences, like the multi-user service);
-* ``parallel``    — the planner with partitioned delta joins behind its own
-                    shared executor, with the serial-fallback threshold
-                    forced to zero so every join really crosses process
-                    boundaries;
-* ``pushdown``    — the planner with delta joins routed to an indexed
-                    SQLite image of the graph behind its own shared
-                    executor, with the cost threshold forced to zero so
-                    every join really runs as SQL;
 * ``incremental`` — the action-delta engine (``engine="incremental"``)
                     layered over the shared planned executor: filters
                     become row-selections over the previous relation,
                     pivots one delta join, reverts lineage lookups;
-* ``incremental_parallel`` — the same delta engine layered over the shared
-                    parallel executor (threshold still zero), so delta
-                    joins cross process boundaries too;
-* ``incremental_pushdown`` — the same delta engine layered over the shared
-                    pushdown executor (threshold still zero), so replans
-                    and delta-extension joins run as SQL too;
-* ``routed``      — not an eighth engine but a *transport*: the same
+* ``routed``      — not a fourth engine but a *transport*: the same
                     actions driven through a live two-worker
                     :class:`~repro.service.fleet.FleetRouter` (consistent
                     hashing, local sockets, journal-handoff migration),
                     compared against the oracle modulo one JSON wire
                     round trip.
 
-The three incremental sessions also *adopt* their delta-derived relations
-into the shared executors' whole-pattern caches, so a wrong delta would
-poison the planned/parallel/pushdown sessions of later sequences — the
-lockstep comparison is sensitive to that immediately.
+The incremental session also *adopts* its delta-derived relations into
+the shared executor's whole-pattern cache, so a wrong delta would poison
+the planned sessions of later sequences — the lockstep comparison is
+sensitive to that immediately.
 
 After every action the harness asserts
 
-1. the seven ETables are identical cell-for-cell (full protocol
+1. the ETables are identical cell-for-cell (full protocol
    serialization, hidden columns and reference lists included);
 2. the wire protocol is a fixpoint: ``serialize -> deserialize ->
    serialize`` reproduces the exact payload, for the ETable, the session
    history, and every streaming delta frame;
-3. the seven histories stay in lockstep;
+3. the histories stay in lockstep;
 4. two *streaming clients* stay in lockstep with the tables: one folds
    every delta frame (built with the incremental engine's row-identity
    fast path and shipped through the wire round-trip), one is a forced
@@ -76,9 +62,7 @@ import pytest
 
 from repro.core.cache import CachingExecutor
 from repro.core.etable import ColumnKind
-from repro.core.planner import ParallelContext
 from repro.core.session import EtableSession
-from repro.relational.backends.pushdown import PushdownContext
 from repro.service import protocol
 from repro.service.stream import FrameSource, StreamStats, coalesce_frame, fold_frame
 
@@ -86,9 +70,7 @@ SEQUENCES = int(os.environ.get("REPRO_FUZZ_SEQUENCES", "200"))
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 MAX_ACTIONS = int(os.environ.get("REPRO_FUZZ_MAX_ACTIONS", "5"))
 
-ENGINES = ("naive", "planned", "parallel", "pushdown",  # repro: engine-surface fuzzer
-           "incremental", "incremental_parallel", "incremental_pushdown",
-           "routed")
+ENGINES = ("naive", "planned", "incremental", "routed")  # repro: engine-surface fuzzer
 
 
 # ----------------------------------------------------------------------
@@ -150,15 +132,6 @@ _BUILDERS = {
 
 
 @pytest.fixture(scope="module")
-def parallel_ctx():
-    # min_partition_rows=0 forces every delta join across real worker
-    # processes — the fuzzer must exercise the partition/merge path, not
-    # the small-table serial fallback.
-    with ParallelContext(workers=2, min_partition_rows=0) as context:
-        yield context
-
-
-@pytest.fixture(scope="module")
 def fleet(corpus):
     """A live two-worker fleet over the same dataset as ``corpus``.
 
@@ -188,20 +161,11 @@ def fleet(corpus):
 
 
 @pytest.fixture(scope="module", params=sorted(_BUILDERS))
-def corpus(request, parallel_ctx):
+def corpus(request):
     tgdb = _BUILDERS[request.param]()
-    # Shared executors accumulate reuse across sequences, mirroring the
+    # The shared executor accumulates reuse across sequences, mirroring the
     # multi-user service (one user's prefix is the next one's cache hit).
-    executors = {
-        "planned": CachingExecutor(tgdb.graph),
-        "parallel": CachingExecutor(tgdb.graph, parallel=parallel_ctx),
-        # min_rows=0 forces every delta join through the SQL path — the
-        # fuzzer must exercise the pushed join, not the cost-rule fallback.
-        "pushdown": CachingExecutor(
-            tgdb.graph, pushdown=PushdownContext(tgdb.graph, min_rows=0)
-        ),
-    }
-    return request.param, tgdb, executors
+    return request.param, tgdb, CachingExecutor(tgdb.graph)
 
 
 # ----------------------------------------------------------------------
@@ -455,29 +419,18 @@ class _StreamClients:
         return None
 
 
-def _run_sequence(dataset, tgdb, executors, seed, stream_stats, router):
+def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
     rng = random.Random(seed)
     graph = tgdb.graph
     routed = _RoutedSession(router)
     sessions = {
         "naive": EtableSession(tgdb.schema, graph, engine="naive"),
-        "planned": EtableSession(tgdb.schema, graph,
-                                 executor=executors["planned"]),
-        "parallel": EtableSession(tgdb.schema, graph, engine="parallel",
-                                  executor=executors["parallel"]),
-        "pushdown": EtableSession(tgdb.schema, graph, engine="pushdown",
-                                  executor=executors["pushdown"]),
+        "planned": EtableSession(tgdb.schema, graph, executor=executor),
         # The incremental engine is per-session (its own result lineage)
-        # over the *shared* executors, mirroring the multi-user service.
+        # over the *shared* executor, mirroring the multi-user service.
         "incremental": EtableSession(tgdb.schema, graph,
                                      engine="incremental",
-                                     executor=executors["planned"]),
-        "incremental_parallel": EtableSession(tgdb.schema, graph,
-                                              engine="incremental",
-                                              executor=executors["parallel"]),
-        "incremental_pushdown": EtableSession(tgdb.schema, graph,
-                                              engine="incremental",
-                                              executor=executors["pushdown"]),
+                                     executor=executor),
     }
     driver = sessions["naive"]
     streams = _StreamClients(rng, stream_stats, sessions["incremental"])
@@ -542,13 +495,13 @@ def _run_sequence(dataset, tgdb, executors, seed, stream_stats, router):
 
 
 def test_fuzz_engines_bit_identical(corpus, fleet):
-    dataset, tgdb, executors = corpus
+    dataset, tgdb, executor = corpus
     master = random.Random(MASTER_SEED)
     sequence_seeds = [master.randrange(2**31) for _ in range(SEQUENCES)]
     total_actions = 0
     stream_stats = StreamStats()
     for seed in sequence_seeds:
-        total_actions += _run_sequence(dataset, tgdb, executors, seed,
+        total_actions += _run_sequence(dataset, tgdb, executor, seed,
                                        stream_stats, fleet)
     assert total_actions >= SEQUENCES * 2, "sequences were unexpectedly short"
     # The streaming lockstep clients must have exercised every frame shape:
@@ -563,22 +516,13 @@ def test_fuzz_engines_bit_identical(corpus, fleet):
     assert stream_stats.coalesce_events > 0, (
         "the slow consumer never received a coalesced frame"
     )
-    # The shared parallel executor must have really crossed process
-    # boundaries (the whole point of fuzzing the parallel engine).
-    parallel_stats = executors["parallel"].stats_payload()["parallel"]
-    assert parallel_stats["parallel_joins"] > 0
-    # The shared pushdown executor must have really answered joins from
-    # SQLite (min_rows=0 guarantees eligibility, this guarantees use).
-    pushdown_stats = executors["pushdown"].stats_payload()["pushdown"]
-    assert pushdown_stats["pushed_joins"] > 0
-    # The incremental sessions must have really answered actions from the
-    # previous relation (aggregated on the shared base executors) — a
+    # The incremental session must have really answered actions from the
+    # previous relation (aggregated on the shared base executor) — a
     # classifier that always falls back would pass lockstep trivially.
-    for name in ("planned", "parallel", "pushdown"):
-        incremental = executors[name].stats_payload()["incremental"]
-        assert incremental["delta_actions"] > 0, (
-            f"{name} base: no fuzz action ever took the delta path"
-        )
+    incremental = executor.stats_payload()["incremental"]
+    assert incremental["delta_actions"] > 0, (
+        "no fuzz action ever took the delta path"
+    )
     # The routed transport must have really pushed actions through the
     # fleet's worker processes (not short-circuited in the router).
     fleet_stats = fleet.stats()

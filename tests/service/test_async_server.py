@@ -8,6 +8,7 @@ the SSE stream (urllib buffers, which defeats event streaming).
 """
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -447,6 +448,26 @@ class TestGracefulShutdown:
         assert closed
         stream.close()
         manager.shutdown()
+
+
+    def test_async_shutdown_with_idle_keep_alive_connection(self, toy,
+                                                            caplog):
+        # An idle keep-alive connection must be closed by the drain, not
+        # left for asyncio.run() to cancel mid-read (which logs a
+        # CancelledError traceback on the asyncio logger).
+        manager = SessionManager(toy.schema, toy.graph)
+        server = AsyncNavigationServer(manager, port=0).start()
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.shutdown()
+        manager.shutdown()
+        errors = [record for record in caplog.records
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert errors == [], [record.getMessage() for record in errors]
 
 
 class TestAdmissionControl:

@@ -367,39 +367,8 @@ class TestHandleRequest:
         assert response.ok and "live_sessions" in response.result
 
 
-class TestParallelEngine:
-    """engine="parallel": the shared executor shards big delta joins."""
-
-    def test_parallel_manager_matches_planned_manager(self, toy):
-        from repro.core.planner import ParallelContext
-        from repro.core.cache import CachingExecutor
-
-        script = [
-            ("open", {"type": "Conferences"}),
-            ("pivot", {"column": "Papers"}),
-            ("pivot", {"column": "Papers->Authors"}),
-        ]
-        planned = _manager(toy)
-        planned_sid = planned.create_session("p")
-        with ParallelContext(workers=2, min_partition_rows=0) as context:
-            executor = CachingExecutor(toy.graph, parallel=context)
-            parallel = _manager(toy, executor=executor)
-            parallel_sid = parallel.create_session("q")
-            for action, params in script:
-                a = planned.apply(planned_sid, action, params)
-                b = parallel.apply(parallel_sid, action, params)
-                assert a == b
-            a = planned.apply(planned_sid, "etable", {})
-            b = parallel.apply(parallel_sid, "etable", {})
-            assert a == b
-            payload = parallel.stats()["cache"]["parallel"]
-        assert payload["parallel_joins"] > 0
-        assert payload["last_timings"], "stats expose per-partition timings"
-
-    def test_engine_parallel_builds_parallel_executor(self, toy):
-        manager = _manager(toy, engine="parallel", workers=2)
-        assert manager.stats()["engine"] == "parallel"
-        assert manager.stats()["cache"]["parallel"]["workers"] == 2
+class TestEngineSelection:
+    """The service engine is validated up front."""
 
     def test_unknown_engine_rejected(self, toy):
         from repro.errors import ServiceError
@@ -410,7 +379,7 @@ class TestParallelEngine:
     def test_stats_payload_is_json_serializable_when_cold(self, toy):
         import json
 
-        manager = _manager(toy, engine="parallel", workers=2)
+        manager = _manager(toy, engine="incremental")
         json.dumps(manager.stats())  # cold caches, no division by zero
 
 

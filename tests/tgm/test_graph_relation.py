@@ -118,6 +118,11 @@ class TestStructure:
             GraphRelation(
                 [GraphAttribute("A", "T"), GraphAttribute("A", "T")], []
             )
+        # Distinct types do not make a repeated key legal.
+        with pytest.raises(TgmError):
+            GraphRelation(
+                [GraphAttribute("A", "T"), GraphAttribute("A", "U")], [(1, 2)]
+            )
 
     def test_arity_checked(self):
         with pytest.raises(TgmError):
@@ -142,8 +147,7 @@ def _random_relation(rng: random.Random, arity: int, rows: int) -> GraphRelation
 
 
 class TestRoundTripProperties:
-    """Seeded property tests for the invariants the parallel engine's
-    partitioning helpers lean on."""
+    """Seeded property tests for the columnar fast constructors."""
 
     def test_from_rows_iter_rows_round_trip(self):
         rng = random.Random(42)
@@ -169,83 +173,3 @@ class TestRoundTripProperties:
                 [list(column) for column in relation.columns_view()],
             )
             assert rebuilt.tuples == relation.tuples
-
-    def test_split_concat_identity(self):
-        rng = random.Random(44)
-        for _ in range(100):
-            relation = _random_relation(
-                rng, arity=rng.randint(1, 4), rows=rng.randint(0, 40)
-            )
-            parts = rng.randint(1, 9)
-            shards = relation.split(parts)
-            assert sum(len(shard) for shard in shards) == len(relation)
-            merged = GraphRelation.concat(shards)
-            assert merged.attributes == relation.attributes
-            assert merged.tuples == relation.tuples
-
-    def test_split_respects_row_order(self):
-        relation = _random_relation(random.Random(45), arity=2, rows=25)
-        shards = relation.split(4)
-        flattened = [row for shard in shards for row in shard.iter_rows()]
-        assert flattened == relation.tuples
-
-    def test_split_never_returns_empty_parts(self):
-        relation = _random_relation(random.Random(46), arity=2, rows=10)
-        for parts in range(1, 15):
-            assert all(len(shard) > 0 for shard in relation.split(parts))
-
-    def test_split_single_part_is_zero_copy(self):
-        relation = _random_relation(random.Random(47), arity=3, rows=8)
-        assert relation.split(1) == [relation]
-        assert relation.split(0) == [relation]
-
-    def test_concat_single_input_is_zero_copy(self):
-        relation = _random_relation(random.Random(48), arity=3, rows=8)
-        assert GraphRelation.concat([relation]) is relation
-
-
-class TestSplitConcatEdgeCases:
-    def test_empty_relation_split(self):
-        relation = GraphRelation([GraphAttribute("A", "T")], [])
-        shards = relation.split(4)
-        assert len(shards) == 1 and len(shards[0]) == 0
-        assert GraphRelation.concat(shards).tuples == []
-
-    def test_empty_relations_concat(self):
-        attributes = [GraphAttribute("A", "T"), GraphAttribute("B", "U")]
-        empties = [GraphRelation(attributes, []) for _ in range(3)]
-        merged = GraphRelation.concat(empties)
-        assert merged.tuples == [] and merged.attributes == attributes
-
-    def test_concat_requires_relations(self):
-        with pytest.raises(TgmError):
-            GraphRelation.concat([])
-
-    def test_concat_rejects_mismatched_attributes(self):
-        left = GraphRelation([GraphAttribute("A", "T")], [(1,)])
-        right = GraphRelation([GraphAttribute("B", "T")], [(2,)])
-        with pytest.raises(TgmError):
-            GraphRelation.concat([left, right])
-
-    def test_concat_rejects_mismatched_types(self):
-        left = GraphRelation([GraphAttribute("A", "T")], [(1,)])
-        right = GraphRelation([GraphAttribute("A", "U")], [(2,)])
-        with pytest.raises(TgmError):
-            GraphRelation.concat([left, right])
-
-    def test_duplicate_attribute_keys_still_rejected(self):
-        # The partitioning helpers go through from_columns, which skips
-        # validation — but the public constructor must keep rejecting the
-        # duplicate-key shapes a bad merge could otherwise smuggle in.
-        with pytest.raises(TgmError):
-            GraphRelation(
-                [GraphAttribute("A", "T"), GraphAttribute("A", "U")], [(1, 2)]
-            )
-
-    def test_self_join_duplicate_types_split_concat(self):
-        # Duplicate *types* under distinct keys (a self-join shape) must
-        # survive the round trip.
-        attributes = [GraphAttribute("P1", "Papers"), GraphAttribute("P2", "Papers")]
-        relation = GraphRelation(attributes, [(1, 2), (2, 1), (3, 3)])
-        merged = GraphRelation.concat(relation.split(2))
-        assert merged.tuples == relation.tuples
