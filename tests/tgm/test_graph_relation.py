@@ -173,3 +173,13 @@ class TestRoundTripProperties:
                 [list(column) for column in relation.columns_view()],
             )
             assert rebuilt.tuples == relation.tuples
+
+
+class TestSplitConcatEdgeCases:
+    def test_duplicate_attribute_keys_still_rejected(self):
+        # from_columns skips validation, but the public constructor must keep
+        # rejecting a repeated key even when the types differ.
+        with pytest.raises(TgmError):
+            GraphRelation(
+                [GraphAttribute("A", "T"), GraphAttribute("A", "U")], [(1, 2)]
+            )
