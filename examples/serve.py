@@ -2,15 +2,13 @@
 """Run the multi-user ETable navigation service over HTTP.
 
 Boots a :class:`~repro.service.manager.SessionManager` over a generated
-corpus and serves the JSON wire protocol — with the stdlib threaded HTTP
-frontend (the client–server shape of the paper's prototype, Section 6) or
-the asyncio frontend, which additionally streams ETable delta frames to
-subscribed clients over SSE.
+corpus and serves the JSON wire protocol from the stdlib asyncio frontend
+(the client–server shape of the paper's prototype, Section 6), which also
+streams ETable delta frames to subscribed clients over SSE.
 
     python examples/serve.py                        # academic, port 8080
     python examples/serve.py --dataset movies --port 9000
     python examples/serve.py --journal-dir journals # durable sessions
-    python examples/serve.py --frontend async       # + /stream SSE pushes
     python examples/serve.py --fleet 4              # 4 worker processes
                                                     # behind a hash router
 
@@ -20,7 +18,7 @@ Then, from any HTTP client::
     curl -s -X POST localhost:8080/v1/sessions/<id>/actions \\
          -d '{"action": "open", "params": {"type": "Papers"}}'
     curl -s 'localhost:8080/v1/sessions/<id>/etable?limit=5'
-    curl -sN localhost:8080/v1/sessions/<id>/stream   # async frontend only
+    curl -sN localhost:8080/v1/sessions/<id>/stream   # not under --fleet
 
 ``--require-auth`` mints a per-session bearer token at create time
 (``Authorization: Bearer <token>``); ``--quota-actions`` rate-limits
@@ -28,10 +26,10 @@ mutating actions per session. SIGTERM (and Ctrl-C) shuts down gracefully:
 in-flight requests drain, then journals flush.
 
 ``--self-test`` boots on an ephemeral port, drives a full scripted session
-end-to-end over localhost (open → filter → pivot → sort → revert — over
-SSE with a lockstep folding client when the frontend is async), kills the
-service, restarts it on the same journal directory, and verifies the
-replayed session is identical — the CI smoke path.
+end-to-end over localhost (open → filter → pivot → sort → revert — with
+a lockstep client folding the session's SSE stream), kills the service,
+restarts it on the same journal directory, and verifies the replayed
+session is identical — the CI smoke path.
 """
 
 from __future__ import annotations
@@ -251,16 +249,11 @@ def _build_fleet(args: argparse.Namespace, journal_dir: str):
     return FleetRouter(spec, workers=args.fleet)
 
 
-def _build_server(args: argparse.Namespace, manager, port: int):
-    from repro.service import AsyncNavigationServer, NavigationServer
+def _build_server(args: argparse.Namespace, manager, host: str, port: int):
+    from repro.service import AsyncNavigationServer
 
-    if args.frontend == "async":
-        return AsyncNavigationServer(manager, host="127.0.0.1", port=port,
-                                     verbose=args.verbose,
-                                     max_inflight=args.max_inflight)
-    return NavigationServer(manager, host="127.0.0.1", port=port,
-                            verbose=args.verbose,
-                            max_inflight=args.max_inflight)
+    return AsyncNavigationServer(manager, host=host, port=port,
+                                 max_inflight=args.max_inflight)
 
 
 def fleet_self_test(args: argparse.Namespace) -> int:
@@ -287,10 +280,10 @@ def fleet_self_test(args: argparse.Namespace) -> int:
         print(f"self-test: chaos armed ({args.faults!r}, "
               f"seed={args.faults_seed})")
     router = _build_fleet(args, journal_dir)
-    server = _build_server(args, router, port=0).start()
+    server = _build_server(args, router, "127.0.0.1", 0).start()
     base = server.url
     print(f"self-test: fleet of {args.fleet} workers serving {args.dataset} "
-          f"at {base} ({args.frontend} frontend)")
+          f"at {base}")
 
     health = _http(f"{base}/healthz")
     assert health["ok"], health
@@ -381,19 +374,17 @@ def fleet_self_test(args: argparse.Namespace) -> int:
 def self_test(args: argparse.Namespace) -> int:
     """Boot, drive a scripted session over localhost, restart, verify.
 
-    With ``--frontend async`` the scripted session is additionally
-    observed over SSE by a lockstep folding client whose state must match
-    a fresh ``GET .../etable`` after *every* action, and the restarted
-    service must stream too.
+    The scripted session is also observed over SSE by a lockstep folding
+    client whose state must match a fresh ``GET .../etable`` after *every*
+    action, and the restarted service must stream too.
     """
     tgdb = build_tgdb(args.dataset, args.papers)
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="etable-journals-")
 
     manager = _build_manager(args, tgdb, journal_dir)
-    server = _build_server(args, manager, port=0).start()
+    server = _build_server(args, manager, "127.0.0.1", 0).start()
     base = server.url
-    print(f"self-test: serving {args.dataset} at {base} "
-          f"({args.frontend} frontend)")
+    print(f"self-test: serving {args.dataset} at {base}")
 
     health = _http(f"{base}/healthz")
     assert health["ok"], health
@@ -405,26 +396,22 @@ def self_test(args: argparse.Namespace) -> int:
     token = created.get("auth_token")
     assert bool(token) == args.require_auth, created
 
-    sse = None
-    if args.frontend == "async":
-        sse = SseClient(server.host, server.port, session_id, token=token)
+    sse = SseClient(server.host, server.port, session_id, token=token)
     for index, action in enumerate(_SCRIPTED_ACTIONS, start=1):
         result = _http(f"{base}/v1/sessions/{session_id}/actions", "POST",
                        action, token=token)
         assert result["ok"], result
         print(f"  {action['action']:8s} -> {result['result']}")
-        if sse is not None:
-            folded = sse.wait_folded(index)
-            fetched = _http(f"{base}/v1/sessions/{session_id}/etable",
-                            token=token)["result"]["etable"]
-            assert folded == fetched, (
-                f"stream fold diverged from GET after {action['action']}"
-            )
-    if sse is not None:
-        kinds = [frame.kind for frame in sse.frames]
-        print(f"  stream   -> {len(sse.frames)} frames ({kinds}), "
-              f"fold == GET after every action")
-        sse.close()
+        folded = sse.wait_folded(index)
+        fetched = _http(f"{base}/v1/sessions/{session_id}/etable",
+                        token=token)["result"]["etable"]
+        assert folded == fetched, (
+            f"stream fold diverged from GET after {action['action']}"
+        )
+    kinds = [frame.kind for frame in sse.frames]
+    print(f"  stream   -> {len(sse.frames)} frames ({kinds}), "
+          f"fold == GET after every action")
+    sse.close()
     before_table = _http(
         f"{base}/v1/sessions/{session_id}/etable?include_history=1",
         token=token,
@@ -442,7 +429,7 @@ def self_test(args: argparse.Namespace) -> int:
     manager2 = _build_manager(args, tgdb, journal_dir)
     resumed = manager2.recover_all()
     assert session_id in resumed, (session_id, resumed)
-    server2 = _build_server(args, manager2, port=0).start()
+    server2 = _build_server(args, manager2, "127.0.0.1", 0).start()
     base2 = server2.url
     token2 = manager2.session_auth_token(session_id) if args.require_auth else None
     if args.require_auth:
@@ -456,24 +443,22 @@ def self_test(args: argparse.Namespace) -> int:
     )["result"]["lines"]
     assert before_history == after_history, (before_history, after_history)
     assert before_table == after_table
-    if args.frontend == "async":
-        # The restarted service must stream the resumed session too.
-        sse2 = SseClient(server2.host, server2.port, session_id,
-                         token=token2)
-        sse2.wait_frames(1)  # the subscribe-time snapshot
-        result = _http(f"{base2}/v1/sessions/{session_id}/actions", "POST",
-                       {"action": "sort", "params": {"column": "year"}},
-                       token=token2)
-        assert result["ok"], result
-        folded = sse2.wait_folded(1)
-        fetched = _http(f"{base2}/v1/sessions/{session_id}/etable",
-                        token=token2)["result"]["etable"]
-        assert folded == fetched
-        stream_stats = _http(f"{base2}/v1/stats")["result"]["stream"]
-        assert stream_stats["frames"] >= 2, stream_stats
-        print(f"  stream   -> resumed session streams after restart "
-              f"({stream_stats})")
-        sse2.close()
+    # The restarted service must stream the resumed session too.
+    sse2 = SseClient(server2.host, server2.port, session_id, token=token2)
+    sse2.wait_frames(1)  # the subscribe-time snapshot
+    result = _http(f"{base2}/v1/sessions/{session_id}/actions", "POST",
+                   {"action": "sort", "params": {"column": "year"}},
+                   token=token2)
+    assert result["ok"], result
+    folded = sse2.wait_folded(1)
+    fetched = _http(f"{base2}/v1/sessions/{session_id}/etable",
+                    token=token2)["result"]["etable"]
+    assert folded == fetched
+    stream_stats = _http(f"{base2}/v1/stats")["result"]["stream"]
+    assert stream_stats["frames"] >= 2, stream_stats
+    print(f"  stream   -> resumed session streams after restart "
+          f"({stream_stats})")
+    sse2.close()
     stats = _http(f"{base2}/v1/stats")["result"]
     print(f"  restart  -> replayed {len(after_history)} history steps "
           f"bit-identically (cache hits: {stats['cache']['hits']})")
@@ -491,12 +476,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="academic corpus size (default 1200)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
-    parser.add_argument("--frontend", default="threaded",
-                        choices=["threaded", "async"],
-                        help="threaded: one thread per connection; async: "
-                             "one event loop multiplexing every "
-                             "connection, plus SSE delta streaming at "
-                             "GET /v1/sessions/<id>/stream")
     parser.add_argument("--require-auth", action="store_true",
                         help="mint a per-session bearer token at create "
                              "time; every later request must present it")
@@ -546,8 +525,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=int(os.environ.get("REPRO_FAULTS_SEED", "0")),
                         help="seed for the fault injector's RNG (default "
                              "$REPRO_FAULTS_SEED or 0)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request")
     parser.add_argument("--self-test", action="store_true",
                         help="boot, drive a scripted session, verify, exit")
     args = parser.parse_args(argv)
@@ -565,8 +542,6 @@ def main(argv: list[str] | None = None) -> int:
         ))
         print(f"fault injection armed: {args.faults!r} "
               f"(seed={args.faults_seed})")
-
-    from repro.service import AsyncNavigationServer, NavigationServer
 
     if args.fleet:
         journal_dir = (args.journal_dir
@@ -589,20 +564,12 @@ def main(argv: list[str] | None = None) -> int:
             resumed = manager.recover_all()
             if resumed:
                 print(f"resumed {len(resumed)} journaled session(s)")
-    if args.frontend == "async":
-        server = AsyncNavigationServer(manager, host=args.host,
-                                       port=args.port, verbose=args.verbose,
-                                       max_inflight=args.max_inflight)
-    else:
-        server = NavigationServer(manager, host=args.host, port=args.port,
-                                  verbose=args.verbose,
-                                  max_inflight=args.max_inflight)
-    server.start()
+    server = _build_server(args, manager, args.host, args.port).start()
     print(f"serving ETable navigation API at {server.url} "
-          f"({args.frontend} frontend; Ctrl-C or SIGTERM to stop)")
-    # Both frontends serve on daemon threads; the main thread just waits
-    # for a stop signal so SIGTERM and Ctrl-C share one graceful path:
-    # drain in-flight requests, then flush every session journal.
+          "(Ctrl-C or SIGTERM to stop)")
+    # The server runs its event loop on a daemon thread; the main thread
+    # just waits for a stop signal so SIGTERM and Ctrl-C share one graceful
+    # path: drain in-flight requests, then flush every session journal.
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     try:

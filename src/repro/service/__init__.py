@@ -3,17 +3,13 @@
 The reproduction's client–server layer: many concurrent
 :class:`~repro.core.session.EtableSession` s hosted over one shared graph
 and one shared plan-and-reuse cache, a versioned JSON wire protocol, a
-durable per-session action journal, and two stdlib HTTP frontends — a
-threaded request/response server and an asyncio server that additionally
-streams ETable delta frames to subscribed clients over SSE.
+durable per-session action journal, and a stdlib asyncio HTTP frontend
+that answers requests and streams ETable delta frames to subscribed
+clients over SSE.
 
-    from repro.service import SessionManager, NavigationServer
+    from repro.service import AsyncNavigationServer, SessionManager
 
     manager = SessionManager(schema, graph, journal_dir="journals")
-    server = NavigationServer(manager, port=8080).start()
-
-    from repro.service import AsyncNavigationServer
-
     server = AsyncNavigationServer(manager, port=8080).start()
 """
 
@@ -23,7 +19,6 @@ from repro.service.faults import FaultInjector, FaultRule, InjectedFault
 from repro.service.fleet import FleetRouter, FleetWorker, HashRing
 from repro.service.journal import ActionJournal, read_records, replay_journal
 from repro.service.manager import ManagedSession, SessionManager
-from repro.service.http_api import NavigationServer
 from repro.service.resilience import (
     AdmissionControl,
     CircuitBreaker,
@@ -75,7 +70,6 @@ __all__ = [
     "HealthProbe",
     "InjectedFault",
     "ManagedSession",
-    "NavigationServer",
     "PROTOCOL_VERSION",
     "Request",
     "Response",

@@ -1,19 +1,47 @@
-"""Asyncio HTTP/SSE frontend: thousands of idle sessions, one process.
+"""HTTP/SSE frontend for the navigation service (stdlib ``asyncio``).
 
-The threaded frontend (:mod:`repro.service.http_api`) spends a thread per
-connection — fine for short request/response browsing, fatal for the
-paper's real deployment shape where most sessions sit *idle* between user
-actions but keep a live push channel open. This frontend is the classic
-parse → dispatch → stream server core: one event loop owns every socket,
-requests are parsed on the loop, blocking manager work is dispatched to a
-small thread pool, and ETable deltas are *streamed* to subscribed clients
-over SSE (``GET /v1/sessions/<id>/stream``) instead of being re-fetched
-page by page. An idle subscribed session costs one socket and a few
-queue objects — no thread, no polling.
+The paper's prototype served its ETable web interface from a central
+server (Section 6); this module is that server, speaking the JSON wire
+protocol of :mod:`repro.service.protocol`. Most browsing sessions sit
+*idle* between user actions but keep a live push channel open, so one
+event loop owns every socket: requests are parsed on the loop, blocking
+manager work is dispatched to a small thread pool, and ETable deltas are
+*streamed* to subscribed clients over SSE instead of being re-fetched page
+by page. An idle subscribed session costs one socket and a few queue
+objects — no thread, no polling.
 
-Routes are the threaded frontend's exact surface plus the stream
-endpoint; both speak the same :mod:`repro.service.protocol` envelopes, so
-clients can't tell the frontends apart except by concurrency behavior.
+Routes (:func:`route_request`, plus the stream endpoint), mapped to the
+Figure 9 interface components:
+
+=============================================  ===========================
+route                                          Figure 9 counterpart
+=============================================  ===========================
+``GET  /healthz``                              liveness + session counts
+``GET  /v1/stats``                             cache/manager introspection
+``GET  /v1/tables``                            component 1, table list
+``POST /v1/sessions``                          a user opens the interface
+``DELETE /v1/sessions/<id>``                   the user leaves
+``POST /v1/sessions/<id>/actions``             components 2+4: every user
+                                               action (open/filter/nfilter/
+                                               pivot/single/seeall/sort/
+                                               hide/show/rank/revert) as a
+                                               ``{"action", "params"}`` body
+``GET  /v1/sessions/<id>/etable``              component 3, the enriched
+                                               table (``offset``/``limit``/
+                                               ``max_refs`` paginate)
+``GET  /v1/sessions/<id>/history``             component 4, history panel
+``GET  /v1/sessions/<id>/plan``                execution-plan introspection
+``GET  /v1/sessions/<id>/stream``              component 3 kept live: SSE
+                                               delta frames, a snapshot on
+                                               subscribe, then one frame
+                                               per mutating action
+=============================================  ===========================
+
+Every response body is a protocol :class:`~repro.service.protocol.Response`
+envelope; HTTP status codes mirror ``ok`` (200), domain rejections (400),
+auth failures (401), unknown sessions/routes (404), spent quotas (429),
+and server-side failures a client may retry — ``overloaded``, ``degraded``,
+``worker_failure`` (503).
 
 The SSE wire format, one frame per accepted mutating action::
 
@@ -37,23 +65,70 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import Overloaded, ProtocolError, ReproError
 from repro.service import protocol
-from repro.service.http_api import _bearer_token, _etable_params, _status_of
 from repro.service.manager import SessionManager
 from repro.service.resilience import AdmissionControl
 from repro.service.stream.hub import StreamHub
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+# Bound on each shutdown phase: in-flight dispatches, then open connections.
+_DRAIN_TIMEOUT_S = 5.0
+# Interval of the ``: ping`` comment an idle SSE stream sends.
+_PING_INTERVAL_S = 15.0
+
+# Failure envelopes whose HTTP status is not 400, by ``error_type``.
+_ERROR_STATUS = {
+    "unknown_session": 404,
+    "auth_error": 401,
+    "quota_exceeded": 429,
+    "overloaded": 503,
+    "degraded": 503,
+    "worker_failure": 503,
+}
+
+
+def _status_of(response: protocol.Response) -> int:
+    if response.ok:
+        return 200
+    return _ERROR_STATUS.get(response.error_type or "", 400)
+
+
+def _bearer_token(value: str | None) -> str | None:
+    """Token from an ``Authorization: Bearer <token>`` header value."""
+    if not value:
+        return None
+    scheme, _, token = value.partition(" ")
+    token = token.strip()
+    if scheme.lower() == "bearer" and token:
+        return token
+    return None
+
+
+def _etable_params(query: dict[str, str]) -> dict[str, Any]:
+    params: dict[str, Any] = {}
+    for name in ("offset", "limit", "max_refs"):
+        if name in query:
+            # Validate at the HTTP edge so "?limit=abc" is a typed 400
+            # protocol_error here, same as it would be from the protocol
+            # layer's own _int_param — never an unhandled ValueError.
+            try:
+                params[name] = int(query[name])
+            except ValueError:
+                raise ProtocolError(
+                    f"query param {name!r} must be an integer, "
+                    f"got {query[name]!r}"
+                ) from None
+    if query.get("include_history") in ("1", "true", "yes"):
+        params["include_history"] = True
+    return params
 
 
 def route_request(manager: SessionManager, method: str, path: str,
                   query: dict[str, str], body: Any,
                   auth_token: str | None) -> tuple[int, protocol.Response]:
-    """The transport-independent route table (blocking; executor-side).
+    """The request/response route table (blocking; executor-side).
 
-    Mirrors the threaded frontend's dispatch exactly — same URLs, same
-    envelopes, same status mapping — so the two frontends stay
-    behaviorally identical on the request/response surface.
+    Every route but ``/stream``, which the loop serves itself.
     """
     parts = [part for part in path.split("/") if part]
     try:
@@ -71,7 +146,7 @@ def route_request(manager: SessionManager, method: str, path: str,
                 response = manager.handle_request(
                     protocol.Request(action="tables")
                 )
-                return (200 if response.ok else 400), response
+                return _status_of(response), response
             if len(parts) == 4 and parts[:2] == ["v1", "sessions"]:
                 session_id, leaf = parts[2], parts[3]
                 leaf_params: dict[str, Any] | None = None
@@ -93,7 +168,7 @@ def route_request(manager: SessionManager, method: str, path: str,
                     params=body if isinstance(body, dict) else {},
                 )
                 response = manager.handle_request(request)
-                return (200 if response.ok else 400), response
+                return _status_of(response), response
             if (len(parts) == 4 and parts[:2] == ["v1", "sessions"]
                     and parts[3] == "actions"):
                 session_id = parts[2]
@@ -128,23 +203,18 @@ def route_request(manager: SessionManager, method: str, path: str,
 class AsyncNavigationServer:
     """One event loop serving the whole protocol surface plus SSE streams.
 
-    ``start()`` runs the loop on a daemon thread (tests, benches, and the
-    self-test own the lifecycle); ``serve_forever()`` runs it in the
-    calling thread (``examples/serve.py --frontend async``). ``shutdown()``
-    is graceful from any thread: stop accepting, close streams, drain
-    in-flight dispatches, then stop the loop.
+    ``port=0`` binds an ephemeral port (tests, CI). ``start()`` runs the
+    loop on a daemon thread (the caller owns the lifecycle);
+    ``serve_forever()`` runs it in the calling thread. ``shutdown()`` is
+    graceful from any thread: stop accepting, close streams, let in-flight
+    requests finish, close open keep-alive connections, then stop the loop.
     """
 
     def __init__(self, manager: SessionManager, host: str = "127.0.0.1",
-                 port: int = 8080, verbose: bool = False,
-                 max_queue: int = 32, ping_interval: float = 15.0,
-                 max_inflight: int | None = None) -> None:
+                 port: int = 8080, max_inflight: int | None = None) -> None:
         self.manager = manager
         self._host = host
         self._port = port
-        self.verbose = verbose
-        self.max_queue = max_queue
-        self.ping_interval = ping_interval
         self.admission = AdmissionControl(max_inflight=max_inflight)
         self.hub: StreamHub | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -194,7 +264,7 @@ class AsyncNavigationServer:
             self._started.set()  # unblock start() even on bind failure
             self._finished.set()
 
-    def shutdown(self, drain_timeout: float = 5.0) -> None:
+    def shutdown(self) -> None:
         """Graceful stop from any thread: drain, then stop the loop."""
         loop = self._loop
         if loop is None:
@@ -206,7 +276,9 @@ class AsyncNavigationServer:
             loop.call_soon_threadsafe(begin)
         except RuntimeError:
             return  # loop already closed
-        self._finished.wait(drain_timeout + 10.0)
+        # _main bounds each of its two drain phases by _DRAIN_TIMEOUT_S;
+        # the rest is slack for the loop to wind down.
+        self._finished.wait(3 * _DRAIN_TIMEOUT_S)
         if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=5)
             self._thread = None
@@ -215,7 +287,7 @@ class AsyncNavigationServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop_event = asyncio.Event()
-        self.hub = StreamHub(self.manager, loop, max_queue=self.max_queue)
+        self.hub = StreamHub(self.manager, loop)
         try:
             server = await asyncio.start_server(
                 self._handle_connection, self._host, self._port,
@@ -235,7 +307,7 @@ class AsyncNavigationServer:
             # request dispatches to write their responses.
             server.close()
             self.hub.close()
-            deadline = loop.time() + 5.0
+            deadline = loop.time() + _DRAIN_TIMEOUT_S
             while self._inflight > 0 and loop.time() < deadline:
                 await asyncio.sleep(0.01)
             # Idle keep-alive connections are parked in readuntil(): closing
@@ -243,7 +315,7 @@ class AsyncNavigationServer:
             # its IncompleteReadError path instead of being cancelled.
             for writer in list(self._connections):
                 writer.close()
-            deadline = loop.time() + 5.0
+            deadline = loop.time() + _DRAIN_TIMEOUT_S
             while self._connections and loop.time() < deadline:
                 await asyncio.sleep(0.01)
 
@@ -407,7 +479,7 @@ class AsyncNavigationServer:
                     try:
                         await asyncio.wait_for(
                             subscriber.event.wait(),
-                            timeout=self.ping_interval,
+                            timeout=_PING_INTERVAL_S,
                         )
                     except asyncio.TimeoutError:
                         writer.write(b": ping\n\n")

@@ -1,14 +1,15 @@
 """Multi-process fleet: a router consistent-hashing sessions to workers.
 
+    from repro.service import AsyncNavigationServer
     from repro.service.fleet import FleetRouter
 
     router = FleetRouter({"factory": "examples/serve.py:build_tgdb",
                           "factory_kwargs": {"dataset": "toy", "papers": 0},
                           "journal_dir": "journals"}, workers=4)
-    server = NavigationServer(router, port=8080).start()  # unchanged
+    server = AsyncNavigationServer(router, port=8080).start()  # unchanged
 
 The router duck-types :class:`~repro.service.manager.SessionManager`, so
-the HTTP frontends need no changes; session migration between workers is
+the HTTP frontend needs no changes; session migration between workers is
 journal handoff (see :mod:`repro.service.fleet.router`).
 """
 

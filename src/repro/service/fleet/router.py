@@ -4,10 +4,10 @@ cubicweb's repository/session split, flattened onto this codebase: the
 router owns *placement* (which worker hosts which session) and the
 workers own *state* (the sessions themselves, each durably journaled in
 the fleet-shared journal directory). The router duck-types the
-:class:`~repro.service.manager.SessionManager` surface the frontends
-use — ``handle_request``, ``close_session``, ``stats``,
-``session_auth_token``, ``recover_all``, ``shutdown`` — so both the
-threaded and asyncio HTTP servers sit in front of a fleet unchanged.
+:class:`~repro.service.manager.SessionManager` surface the frontend
+uses — ``handle_request``, ``close_session``, ``stats``,
+``session_auth_token``, ``recover_all``, ``shutdown`` — so the HTTP
+server sits in front of a fleet unchanged.
 
 Migration is journal handoff, not state transfer. Because every worker
 journals into the same directory, moving a session is: reassign the hash

@@ -8,7 +8,7 @@ loopback port for newline-delimited JSON. Two envelope kinds ride the
 same socket, discriminated by the ``"control"`` key:
 
 * :class:`~repro.service.protocol.Request` — user traffic, answered by
-  ``manager.handle_request`` exactly as the HTTP frontends would;
+  ``manager.handle_request`` exactly as the HTTP frontend would;
 * :class:`~repro.service.protocol.WorkerControl` — router control plane
   (drain, rebalance, resume, shutdown), answered with the same
   :class:`~repro.service.protocol.Response` envelope.

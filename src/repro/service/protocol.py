@@ -110,7 +110,7 @@ class Request:
 
     ``auth_token`` carries the per-session bearer token the manager mints
     at ``create_session`` time when it runs with ``require_auth``; the HTTP
-    frontends lift it out of the ``Authorization`` header into this field,
+    frontend lifts it out of the ``Authorization`` header into this field,
     so the manager's check is transport-independent.
     """
 
@@ -268,7 +268,7 @@ def exception_from_response(response: Response) -> Exception:
 
     The fleet router forwards requests to worker processes over the wire;
     when a worker replies with a failure envelope, the router must raise
-    the *same* exception type the worker raised so frontends keep mapping
+    the *same* exception type the worker raised so the frontend keeps mapping
     it to the right HTTP status (``unknown_session`` -> 404, and so on).
     Unknown ``error_type`` values degrade to :class:`ServiceError`.
     """

@@ -9,7 +9,7 @@ The fleet's failure handling is policy, not scattered ad-hoc recovery:
 * :class:`HealthProbe` — a background sweep that pings workers so death
   is noticed before a user request trips over it;
 * :class:`AdmissionControl` — a bounded in-flight cap for the HTTP
-  frontends (shed with 503 + ``Retry-After`` instead of queueing).
+  frontend (shed with 503 + ``Retry-After`` instead of queueing).
 
 All four are transport-agnostic and deterministic enough to unit-test
 without a fleet (seeded RNG, injectable clock, plain callables).

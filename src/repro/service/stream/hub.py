@@ -199,8 +199,7 @@ class StreamHub:
             subscriber.push_closed(frame)
 
     async def subscribe(self, session_id: str,
-                        auth_token: str | None = None,
-                        max_queue: int | None = None) -> StreamSubscriber:
+                        auth_token: str | None = None) -> StreamSubscriber:
         """Attach a subscriber; its first queued frame is a snapshot.
 
         The snapshot is taken under the session lock (via
@@ -211,8 +210,7 @@ class StreamHub:
         between the snapshot's state and the first frame can be missed.
         """
         self._watch(session_id, +1)
-        subscriber = StreamSubscriber(session_id,
-                                      max_queue or self.max_queue)
+        subscriber = StreamSubscriber(session_id, self.max_queue)
         try:
             def grab(session: EtableSession) -> None:
                 payload = (

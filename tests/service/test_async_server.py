@@ -1,10 +1,11 @@
-"""Async frontend end-to-end: routes, SSE streaming, auth, drain.
+"""HTTP frontend end-to-end: SSE streaming, auth, keep-alive, drain.
 
-The asyncio server must be indistinguishable from the threaded frontend on
-the request/response surface (same routes, same envelopes, same status
-codes) and additionally push delta frames over SSE. These tests drive a
-live localhost server through urllib for requests and a raw socket for
-the SSE stream (urllib buffers, which defeats event streaming).
+The request/response routes have their own end-to-end suite; these tests
+cover what the asyncio server adds around them: delta frames pushed over
+SSE, the per-session bearer token on every route including the stream,
+keep-alive connection reuse, and graceful shutdown. They drive a live
+localhost server through urllib for requests and a raw socket for the
+SSE stream (urllib buffers, which defeats event streaming).
 """
 
 import json
@@ -17,12 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.service import (
-    AsyncNavigationServer,
-    NavigationServer,
-    fold_frame,
-    frame_from_json,
-)
+from repro.service import AsyncNavigationServer, fold_frame, frame_from_json
 from repro.service.manager import SessionManager
 
 
@@ -138,12 +134,8 @@ class TestRouteParity:
         assert status == 200 and body["result"]["status"] == "ok"
         status, body = _call(server, "/v1/stats")
         assert status == 200 and "cache" in body["result"]
-        assert "stream" in body["result"]  # async frontend extra
+        assert "stream" in body["result"]
         assert body["result"]["stream"]["open_streams"] == 0
-
-    def test_tables(self, server):
-        status, body = _call(server, "/v1/tables")
-        assert status == 200 and "Papers" in body["result"]["tables"]
 
     def test_session_lifecycle_and_actions(self, server):
         status, body = _call(server, "/v1/sessions", "POST", {})
@@ -195,38 +187,6 @@ class TestRouteParity:
                     rest += sock.recv(65536)
         finally:
             sock.close()
-
-
-class TestMalformedRequests:
-    def test_malformed_content_length_is_a_typed_400(self, server):
-        """Regression (parity with the threaded frontend): a non-integer
-        Content-Length must come back as a typed 400 protocol_error, not
-        a ValueError-driven 500 or a dropped connection."""
-        for bad in (b"banana", b"12abc", b"-5"):
-            sock = socket.create_connection((server.host, server.port),
-                                            timeout=10)
-            try:
-                sock.sendall(b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
-                             b"Content-Length: " + bad + b"\r\n\r\n")
-                data = b""
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    data += chunk
-            finally:
-                sock.close()
-            head, _, body = data.partition(b"\r\n\r\n")
-            assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request", bad
-            assert json.loads(body)["error_type"] == "protocol_error", bad
-
-    def test_non_integer_etable_params_are_a_typed_400(self, server):
-        _, created = _call(server, "/v1/sessions", "POST", {})
-        sid = created["result"]["session_id"]
-        _act(server, sid, "open", {"type": "Papers"})
-        status, body = _call(server, f"/v1/sessions/{sid}/etable?limit=abc")
-        assert status == 400
-        assert body["error_type"] == "protocol_error"
 
 
 class TestStreaming:
@@ -375,29 +335,9 @@ class TestAuthAndQuota:
         assert _call(auth_server, f"/v1/sessions/{sid}", "DELETE",
                      token=token)[0] == 200
 
-    def test_threaded_frontend_same_auth_surface(self, toy, tmp_path):
-        manager = SessionManager(
-            toy.schema, toy.graph, journal_dir=tmp_path / "journals",
-            require_auth=True,
-        )
-        server = NavigationServer(manager, port=0).start()
-        try:
-            body = _call(server, "/v1/sessions", "POST", {})[1]
-            sid = body["result"]["session_id"]
-            token = body["result"]["auth_token"]
-            assert _act(server, sid, "open", {"type": "Papers"})[0] == 401
-            assert _act(server, sid, "open", {"type": "Papers"},
-                        token=token)[0] == 200
-            assert _call(server, f"/v1/sessions/{sid}/etable")[0] == 401
-            assert _call(server, f"/v1/sessions/{sid}/etable",
-                         token=token)[0] == 200
-        finally:
-            server.shutdown()
-            manager.shutdown()
-
 
 class TestGracefulShutdown:
-    def test_threaded_drain_lets_inflight_request_finish(self, toy, tmp_path):
+    def test_drain_lets_inflight_request_finish(self, toy, tmp_path):
         manager = SessionManager(toy.schema, toy.graph,
                                  journal_dir=tmp_path / "journals")
         original_stats = manager.stats
@@ -407,7 +347,7 @@ class TestGracefulShutdown:
             return original_stats()
 
         manager.stats = slow_stats
-        server = NavigationServer(manager, port=0).start()
+        server = AsyncNavigationServer(manager, port=0).start()
         results = {}
 
         def request():
@@ -417,7 +357,7 @@ class TestGracefulShutdown:
         worker.start()
         time.sleep(0.2)  # let the slow request begin dispatch
         started = time.monotonic()
-        server.shutdown(drain_timeout=5.0)
+        server.shutdown()
         drained_in = time.monotonic() - started
         worker.join(timeout=5)
         status, body = results["response"]
@@ -449,7 +389,6 @@ class TestGracefulShutdown:
         stream.close()
         manager.shutdown()
 
-
     def test_async_shutdown_with_idle_keep_alive_connection(self, toy,
                                                             caplog):
         # An idle keep-alive connection must be closed by the drain, not
@@ -468,33 +407,3 @@ class TestGracefulShutdown:
                   if record.name == "asyncio"
                   and record.levelno >= logging.ERROR]
         assert errors == [], [record.getMessage() for record in errors]
-
-
-class TestAdmissionControl:
-    """The async frontend sheds over-cap dispatches identically."""
-
-    def test_over_cap_requests_shed_with_typed_503(self, toy):
-        manager = SessionManager(toy.schema, toy.graph)
-        server = AsyncNavigationServer(manager, port=0,
-                                       max_inflight=1).start()
-        try:
-            assert server.admission.try_acquire()  # occupy the only slot
-            request = urllib.request.Request(server.url + "/healthz")
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            error = excinfo.value
-            with error:
-                assert error.code == 503
-                assert error.headers["Retry-After"] == "1"
-                body = json.loads(error.read())
-            assert body["error_type"] == "overloaded"
-            server.admission.release()
-
-            status, _body = _call(server, "/healthz")
-            assert status == 200
-            status, body = _call(server, "/v1/stats")
-            assert status == 200
-            assert body["result"]["admission"]["shed"] == 1
-        finally:
-            server.shutdown()
-            manager.shutdown()

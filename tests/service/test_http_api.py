@@ -6,7 +6,9 @@ import urllib.request
 
 import pytest
 
-from repro.service import NavigationServer
+from repro.errors import WorkerFailure
+from repro.service import AsyncNavigationServer, protocol
+from repro.service.async_server import route_request
 from repro.service.manager import SessionManager
 
 
@@ -14,9 +16,10 @@ from repro.service.manager import SessionManager
 def server(toy, tmp_path):
     manager = SessionManager(toy.schema, toy.graph,
                              journal_dir=tmp_path / "journals")
-    server = NavigationServer(manager, port=0).start()
+    server = AsyncNavigationServer(manager, port=0).start()
     yield server
     server.shutdown()
+    manager.shutdown()
 
 
 def _call(server, path, method="GET", body=None):
@@ -51,6 +54,7 @@ class TestRoutes:
     def test_stats(self, server):
         status, body = _call(server, "/v1/stats")
         assert status == 200 and "cache" in body["result"]
+        assert body["result"]["stream"]["open_streams"] == 0
 
     def test_unknown_route_404(self, server):
         assert _call(server, "/nope")[0] == 404
@@ -73,15 +77,21 @@ class TestRoutes:
         sid = created["result"]["session_id"]
         status, body = _act(server, sid, "frobnicate")
         assert status == 400 and not body["ok"]
+        assert body["error_type"] == "protocol_error"
 
     def test_non_json_body_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/v1/sessions", data=b"not json", method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        with excinfo.value as error:  # close the response socket
-            assert error.code == 400
+        _, created = _call(server, "/v1/sessions", "POST", {})
+        sid = created["result"]["session_id"]
+        for path in ("/v1/sessions", f"/v1/sessions/{sid}/actions"):
+            request = urllib.request.Request(
+                server.url + path, data=b"not json", method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            with excinfo.value as error:  # close the response socket
+                assert error.code == 400, path
+                body = json.loads(error.read())
+            assert body["error_type"] == "protocol_error", path
 
     def test_malformed_content_length_is_a_typed_400(self, server):
         """Regression: a non-integer Content-Length used to escape as a
@@ -101,6 +111,7 @@ class TestRoutes:
                 response = connection.getresponse()
                 body = json.loads(response.read())
                 assert response.status == 400, bad
+                assert response.reason == "Bad Request", bad
                 assert body["error_type"] == "protocol_error", bad
             finally:
                 connection.close()
@@ -250,7 +261,8 @@ class TestAdmissionControl:
 
     def test_over_cap_requests_shed_with_typed_503(self, toy):
         manager = SessionManager(toy.schema, toy.graph)
-        server = NavigationServer(manager, port=0, max_inflight=1).start()
+        server = AsyncNavigationServer(manager, port=0,
+                                       max_inflight=1).start()
         try:
             # Occupy the single slot directly: the next HTTP request must
             # be shed without queueing behind anything.
@@ -274,6 +286,7 @@ class TestAdmissionControl:
             assert body["result"]["admission"]["max_inflight"] == 1
         finally:
             server.shutdown()
+            manager.shutdown()
 
     def test_uncapped_by_default(self, server):
         status, body = _call(server, "/v1/stats")
@@ -281,3 +294,27 @@ class TestAdmissionControl:
         admission = body["result"]["admission"]
         assert admission["max_inflight"] is None
         assert admission["shed"] == 0
+
+
+class _FailingManager:
+    """Answers every request with the envelope a fleet router builds when
+    a worker's breaker is open or its retry budget is spent."""
+
+    def handle_request(self, request):
+        return protocol.Response.failure(WorkerFailure("no worker answered"))
+
+
+class TestStatusMapping:
+    def test_worker_failure_is_a_retryable_503(self):
+        manager = _FailingManager()
+        for method, path, body in [
+            ("POST", "/v1/sessions/s1/actions",
+             {"action": "open", "params": {"type": "Papers"}}),
+            ("GET", "/v1/sessions/s1/etable", {}),
+            ("GET", "/v1/tables", {}),
+            ("POST", "/v1/sessions", {}),
+        ]:
+            status, response = route_request(manager, method, path, {},
+                                             body, None)
+            assert response.error_type == "worker_failure", path
+            assert status == 503, (method, path)

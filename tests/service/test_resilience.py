@@ -1,6 +1,6 @@
 """Unit tests for the resilience primitives and the fault-injection DSL.
 
-These are the building blocks the fleet router and the HTTP frontends
+These are the building blocks the fleet router and the HTTP frontend
 compose (retry/backoff, circuit breaker, health probe, admission
 control, deterministic fault injection); each is tested in isolation
 here, with fake clocks and lambda probes — the integration behavior
