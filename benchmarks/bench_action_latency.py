@@ -5,7 +5,8 @@ of small refinements where each ETable is derived from the last. This bench
 replays one scripted 30-action refinement-heavy session (filters, neighbor
 filters, pivots, and reverts — the Figure 1 access pattern) two ways:
 
-* ``planned``     — the cost-based planner + CachingExecutor (prefix reuse);
+* ``planned``     — the cost-based planner behind a CachingExecutor
+                    (prefix reuse);
 * ``incremental`` — the action-delta engine: filters answered as row
                     selections over the previous relation, pivots as one
                     delta join, reverts as lineage lookups.
@@ -107,8 +108,7 @@ def _script():
 
 def _make_session(tgdb, engine):
     if engine == "planned":
-        return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
-                             use_cache=True)
+        return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT)
     if engine == "incremental":
         return EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
                              engine="incremental")

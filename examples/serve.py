@@ -469,6 +469,8 @@ def self_test(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.engines import SERVICE_ENGINES
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dataset", default="academic",
                         choices=["academic", "movies", "toy"])
@@ -492,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ttl", type=float, default=1800.0,
                         help="idle session TTL in seconds")
     parser.add_argument("--engine", default="planned",
-                        choices=["planned", "incremental"],  # repro: engine-surface service
+                        choices=SERVICE_ENGINES,
                         help="execution engine behind the shared cache "
                              "(incremental answers refinement actions "
                              "from each session's previous ETable instead "

@@ -3,11 +3,11 @@
 PRs 3-5 turned the reproduction into a concurrent, multi-engine service
 whose correctness rests on conventions no test can see directly: which
 attributes a lock guards, which dataclasses the wire protocol must
-round-trip, which literal engine lists have to stay in sync, and which
-graph mutations must bump the cache version. This package makes those conventions *machine-checked at lint
-time* — the "compile-time contract" discipline server codebases such as
-edgedb apply to their cores — so the next concurrency PRs fail in CI
-instead of in a fuzzer stack trace.
+round-trip, and which graph mutations must bump the cache version. This
+package makes those conventions *machine-checked at lint time* — the
+"compile-time contract" discipline server codebases such as edgedb apply
+to their cores — so the next concurrency changes fail in CI instead of in
+a fuzzer stack trace.
 
 Check catalog
 =============
@@ -25,11 +25,6 @@ RPA103    **Protocol field coverage.** Every dataclass serialized by
           serialize side and restored by the constructor call on the
           deserialize side — adding a field without wire support
           fails lint instead of fuzz.
-RPA104    **Engine parity.** The engine-name literal sets marked
-          ``# repro: engine-surface <role>`` across the session, the
-          REPL, the service manager, ``examples/serve.py`` and the
-          differential fuzzer must agree with the canonical registry
-          in ``repro.core.engines`` (``# repro: engine-registry``).
 RPA105    **Mutation-version discipline.** Methods of a class that
           mutate attributes declared ``# versioned-state`` must bump
           the mutation version (``self._version``) or call an

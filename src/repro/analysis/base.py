@@ -1,13 +1,11 @@
 """Framework core: parsed files, findings, the check registry.
 
 A check is a class with a ``code`` (``RPA###``), a ``name``, and a
-``description``; it inspects :class:`ParsedFile` objects (source + AST +
-comment map) and yields :class:`Finding`\\ s. Checks run in two passes:
-
-* :meth:`Check.check_file` per analyzed file — for purely local
-  invariants;
-* :meth:`Check.finalize` once, with the whole project — for cross-file
-  invariants (protocol coverage, engine parity).
+``description``; :meth:`Check.check_file` inspects one
+:class:`ParsedFile` (source + AST + comment map) at a time and yields
+:class:`Finding`\\ s. Cross-file facts (the dataclass field table the
+protocol-coverage check compares against) come from the
+:class:`~repro.analysis.runner.Project` passed alongside.
 
 Comments are not part of Python's AST, so :class:`ParsedFile` extracts
 them with :mod:`tokenize` into a ``line -> text`` map; annotation markers
@@ -147,9 +145,6 @@ class Check:
     ) -> Iterable[Finding]:
         return ()
 
-    def finalize(self, project: "Project") -> Iterable[Finding]:
-        return ()
-
     def finding(
         self, parsed: ParsedFile, node: ast.AST | int, message: str,
         col: int | None = None,
@@ -218,19 +213,6 @@ def iter_methods(
     for node in class_node.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def string_elements(node: ast.AST) -> list[str] | None:
-    """The element strings of an all-string-literal tuple/list/set."""
-    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return None
-    out: list[str] = []
-    for element in node.elts:
-        if isinstance(element, ast.Constant) and isinstance(element.value, str):
-            out.append(element.value)
-        else:
-            return None
-    return out
 
 
 @dataclass

@@ -27,24 +27,6 @@ FROM_SUFFIX = "_from_json"
 TO_METHOD = "to_json"
 FROM_METHOD = "from_json"
 
-# --- RPA104 engine parity ---------------------------------------------
-#: On the canonical tuple assignments in ``repro/core/engines.py``.
-ENGINE_REGISTRY_MARKER = "repro: engine-registry"
-#: On each literal surface, this marker followed by a role:
-#: ``all`` | ``service`` | ``fuzzer``.
-ENGINE_SURFACE_MARKER = "repro: engine-surface"
-#: The registry module and the surfaces the repo must declare. The check
-#: only enforces *presence* of these surfaces when it can see the real
-#: registry file (named ``engines.py``), so fixture tests stay
-#: self-contained.
-ENGINE_REGISTRY_FILENAME = "engines.py"
-EXPECTED_SURFACE_ROLES = ("all", "service", "fuzzer")
-#: Repo-root-relative files consulted for surfaces even when they are
-#: outside the analyzed paths (the fuzzer lives under ``tests/``).
-ENGINE_EXTRA_SURFACE_FILES = (
-    "tests/integration/test_session_fuzz.py",
-)
-
 # --- RPA105 mutation-version discipline -------------------------------
 #: On an ``__init__`` assignment of logical graph state.
 VERSIONED_STATE_MARKER = "versioned-state"

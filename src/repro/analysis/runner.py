@@ -1,10 +1,8 @@
 """Walking targets, running checks, filtering suppressions.
 
 :class:`Project` is the cross-file context handed to every check: the
-parsed files under analysis, a project-wide class/field table (for the
-protocol-coverage check), and an on-demand loader for files *outside*
-the analyzed roots (the engine-parity check reads the fuzzer's lockstep
-list from ``tests/`` even when only ``src examples`` are being linted).
+parsed files under analysis and a project-wide class/field table (for the
+protocol-coverage check).
 """
 
 from __future__ import annotations
@@ -54,10 +52,6 @@ class Project:
 
     def __init__(self, files: Sequence[ParsedFile]) -> None:
         self.files: dict[Path, ParsedFile] = {f.path: f for f in files}
-        # Files parsed on demand by cross-file checks (e.g. the fuzzer's
-        # engine list); suppressions in them are honoured, but per-file
-        # checks do not run over them.
-        self.extra_files: dict[Path, ParsedFile] = {}
         self.classes: dict[str, ClassInfo] = {}
         for parsed in files:
             self._index_classes(parsed)
@@ -69,29 +63,6 @@ class Project:
                 # First definition wins; the repo has no intentional
                 # cross-module class-name collisions among dataclasses.
                 self.classes.setdefault(node.name, info)
-
-    def load_extra(self, path: Path) -> ParsedFile | None:
-        """Parse a file outside the analyzed roots (cached); None if it
-        is missing or unparsable."""
-        resolved = path.resolve()
-        for table in (self.files, self.extra_files):
-            for known, parsed in table.items():
-                if known.resolve() == resolved:
-                    return parsed
-        try:
-            parsed = ParsedFile(path, path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            return None
-        self.extra_files[path] = parsed
-        return parsed
-
-    def parsed_for(self, path: Path) -> ParsedFile | None:
-        resolved = path.resolve()
-        for table in (self.files, self.extra_files):
-            for known, parsed in table.items():
-                if known.resolve() == resolved:
-                    return parsed
-        return None
 
 
 def format_finding(finding: Finding) -> str:
@@ -143,11 +114,10 @@ def analyze_paths(
     for check in checks:
         for parsed in parsed_files:
             findings.extend(check.check_file(parsed, project))
-        findings.extend(check.finalize(project))
 
     survivors = []
     for finding in findings:
-        parsed = project.parsed_for(finding.file)
+        parsed = project.files.get(finding.file)
         if parsed is not None and parsed.is_suppressed(finding):
             continue
         survivors.append(finding)

@@ -339,7 +339,7 @@ class CachingExecutor:
             normalized = normalize_pattern(pattern)
             plan = self.plans.get(normalized.key, pattern)
             if plan is None:
-                plan = build_plan(pattern, self.graph, semijoin=False)
+                plan = build_plan(pattern, self.graph)
                 self.plans.put(normalized.key, plan)
             report = ExecutionReport()
             relation = execute_plan(

@@ -1,40 +1,28 @@
-"""Canonical engine-name registry (the RPA104 ground truth).
+"""The engine names, written once.
 
-Every place that accepts or enumerates engine names by string literal —
-session validation, the REPL, the service manager, the serve CLI, the
-differential fuzzer's lockstep list — is marked
-``# repro: engine-surface <role>`` and checked against these tuples by
-``python -m repro.analysis`` (check RPA104). Adding an engine means
-extending the tuple(s) here *and* every surface of the matching role,
-or lint fails; nothing imports these tuples on hot paths, they exist so
-drift is a lint error instead of a fuzzer escape.
+Every surface that accepts or enumerates engines — session validation,
+the service manager, ``examples/serve.py --engine`` and the differential
+fuzzer's lockstep table — imports these tuples instead of spelling the
+names out. Adding an engine means adding it here (and to
+:data:`SERVICE_ENGINES` if the service hosts it), then giving it a
+participant in ``tests/integration/test_session_fuzz.py``, whose
+coverage test fails until it has one.
 
-Roles:
-
-* ``all``     — surfaces offering every engine (direct session use).
-* ``service`` — surfaces restricted to the shared-cache service engines
-  (the service always routes through the caching planner, so ``naive``
-  is intentionally absent).
-* ``fuzzer``  — the lockstep list; must exercise every registered
-  engine. Entries from :data:`FUZZER_TRANSPORTS` are also
-  legal there: they are *transports*, not engines — lockstep
-  participants that drive a real engine through a different path (the
-  fleet router) — and do not count toward engine coverage.
+* :data:`ENGINES` — every engine a direct ``EtableSession`` runs.
+* :data:`SERVICE_ENGINES` — the engines the service hosts. The service
+  always routes through a shared caching planner, so ``naive`` (the
+  reference matcher) is intentionally absent.
 """
 
 from __future__ import annotations
 
-ENGINES = (  # repro: engine-registry
+ENGINES = (
     "naive",
     "planned",
     "incremental",
 )
 
-SERVICE_ENGINES = (  # repro: engine-registry
+SERVICE_ENGINES = (
     "planned",
     "incremental",
-)
-
-FUZZER_TRANSPORTS = (  # repro: engine-registry
-    "routed",
 )

@@ -12,10 +12,12 @@ Two evaluators implement the same function:
 * :func:`match` — the reference pipeline: BFS order from the primary node,
   full base-relation scans, left-deep materializing joins. Kept simple and
   obviously correct; it is the equivalence oracle for everything else.
-* :func:`match_planned` — the cost-based engine (``repro.core.planner``):
-  selectivity-ordered joins over index-probed candidate sets with semi-join
-  pruning, re-sorted afterwards into the reference order so the output is
-  identical attribute-for-attribute and tuple-for-tuple.
+* :func:`match_planned` — the one-shot cost-based engine
+  (``repro.core.planner``): selectivity-ordered joins over index-probed
+  candidate sets, re-sorted afterwards into the reference order so the
+  output is identical attribute-for-attribute and tuple-for-tuple. A
+  session runs the same planner behind ``repro.core.cache.CachingExecutor``,
+  which also reuses intermediate results across actions.
 
 The pattern is a tree, so a BFS order from the primary node guarantees each
 join connects the new node to the already-joined prefix. Selections are
@@ -40,10 +42,10 @@ def match_planned(
 ) -> GraphRelation:
     """Evaluate ``m(Q)`` through the planner; output equals :func:`match`.
 
-    Joins run in greedy selectivity order over index-backed candidate sets
-    (with Yannakakis semi-join pruning); the result is then restored to the
-    reference BFS ordering, so callers cannot tell the difference — except
-    in execution time.
+    One shot, with no reuse: build a plan, join in greedy selectivity
+    order over index-backed candidate sets, then restore the reference
+    BFS ordering, so callers cannot tell the difference — except in
+    execution time.
     """
     from repro.core.planner import (
         build_plan,

@@ -16,10 +16,6 @@ interactivity claim (Section 7) and its future-work item #2 (Section 9,
   pattern node and repeatedly joins the frontier node with the smallest
   estimated result growth, emitting an inspectable :class:`Plan` with
   per-step cost estimates (the REPL's ``plan`` command prints it);
-* **semi-join pruning** (a Yannakakis-style full reducer over the pattern
-  tree): candidate sets are reduced leaf-to-root and root-to-leaf before
-  any materializing join, so dangling tuples are never materialized —
-  matching is over an acyclic (tree) pattern, where this is exact;
 * **prefix-level reuse** hooks: every intermediate relation corresponds to
   a connected subpattern; :class:`PrefixStore` keys them canonically so a
   pattern extended by one node re-executes only the delta join (the paper's
@@ -228,7 +224,6 @@ class Plan:
 
     pattern: QueryPattern
     steps: list[PlanStep]
-    semijoin: bool = True
     node_estimates: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -239,11 +234,6 @@ class Plan:
         lines = ["Execution plan (selectivity-ordered):"]
         for number, step in enumerate(self.steps, start=1):
             lines.append(f"  {number}. {step.describe()}")
-        if self.semijoin and len(self.steps) > 1:
-            lines.append(
-                "  semi-join reduction: candidate sets pruned leaf-to-root "
-                "and root-to-leaf before materializing joins"
-            )
         return "\n".join(lines)
 
 
@@ -251,7 +241,6 @@ def build_plan(
     pattern: QueryPattern,
     graph: InstanceGraph,
     stats: GraphStatistics | None = None,
-    semijoin: bool = True,
 ) -> Plan:
     """Greedy selectivity-ordered join plan over the pattern tree.
 
@@ -331,12 +320,7 @@ def build_plan(
             )
         )
         covered.add(new_key)
-    return Plan(
-        pattern=pattern,
-        steps=steps,
-        semijoin=semijoin and len(pattern.nodes) > 1,
-        node_estimates=estimates,
-    )
+    return Plan(pattern=pattern, steps=steps, node_estimates=estimates)
 
 
 def _index_of(pattern: QueryPattern, key: str) -> int:
@@ -803,7 +787,6 @@ class ExecutionReport:
 
     reused_nodes: int = 0
     delta_joins: int = 0
-    semijoin_pruned: int = 0
 
 
 def execute_plan(
@@ -816,15 +799,15 @@ def execute_plan(
     """Run a plan; result tuples are in *engine order* (see
     :func:`restore_reference_order` for the reference ordering).
 
-    Without a ``store``: candidate sets are computed per node, reduced with
-    the Yannakakis semi-join passes (when ``plan.semijoin``), then joined in
-    plan order — the fastest single-shot strategy.
+    The start node's candidate set is scanned, then every other node is
+    joined on in plan order, probing adjacency and keeping neighbors in
+    that node's candidate set; each candidate set is computed once, when
+    its node is joined.
 
-    With a ``store``: the executor first looks for the largest cached
+    With a ``store``, the executor first looks for the largest cached
     subpattern and only executes the delta joins, recording every new
-    intermediate under its canonical subpattern key. Cross-subpattern
-    semi-join reduction is skipped so every cached intermediate stays exact
-    for its own subpattern (reusable by *any* extension).
+    intermediate under its canonical subpattern key — exact for its own
+    subpattern, so reusable by *any* extension.
     """
     pattern = plan.pattern
     report = report if report is not None else ExecutionReport()
@@ -835,34 +818,14 @@ def execute_plan(
 
     covered: frozenset[str]
     relation: GraphRelation
-    if store is not None:
-        base = find_cached_base(pattern, store)
-    else:
-        base = None
-
-    candidates: dict[str, dict[int, None]] = {}
-
-    def candidate_set(key: str) -> dict[int, None]:
-        cached = candidates.get(key)
-        if cached is None:
-            cached = dict.fromkeys(
-                candidate_ids(graph, types[key], conditions[key], memo)
-            )
-            candidates[key] = cached
-        return cached
-
+    base = find_cached_base(pattern, store) if store is not None else None
     if base is not None:
         covered, relation = base
         report.reused_nodes = len(covered)
     else:
         start_key = plan.steps[0].key
-        if store is None and plan.semijoin:
-            for key in types:
-                candidate_set(key)
-            report.semijoin_pruned = _semijoin_reduce(
-                pattern, graph, candidates, plan.steps[0].key
-            )
-        start_ids = list(candidate_set(start_key))
+        start_ids = candidate_ids(graph, types[start_key],
+                                  conditions[start_key], memo)
         relation = GraphRelation.from_columns(
             [GraphAttribute(start_key, types[start_key])], [start_ids]
         )
@@ -898,7 +861,8 @@ def execute_plan(
             traversal,
             step.key,
             types[step.key],
-            candidate_set(step.key),
+            dict.fromkeys(candidate_ids(graph, types[step.key],
+                                        conditions[step.key], memo)),
         )
         report.delta_joins += 1
         covered = covered | {step.key}
@@ -975,89 +939,6 @@ def _delta_join(
     out.append(new_column)
     attributes = list(relation.attributes) + [GraphAttribute(new_key, new_type)]
     return GraphRelation.from_columns(attributes, out)
-
-
-def _semijoin_reduce(
-    pattern: QueryPattern,
-    graph: InstanceGraph,
-    candidates: dict[str, dict[int, None]],
-    root_key: str,
-) -> int:
-    """Yannakakis-style full reduction of per-node candidate sets.
-
-    Leaf-to-root then root-to-leaf semi-join passes over the pattern tree
-    rooted at the plan's start node. After both passes, every surviving
-    candidate participates in at least one full match, so the materializing
-    joins never produce dangling tuples. Returns how many candidates were
-    pruned. Exact because the pattern is a tree (Definition 3).
-    """
-    order = _tree_order(pattern, root_key)
-    pruned = 0
-    # Leaf-to-root: parent keeps nodes with >= 1 neighbor in the child set.
-    for child_key, parent_key, edge in reversed(order):
-        pruned += _semijoin_filter(
-            pattern, graph, candidates, parent_key, child_key, edge
-        )
-    # Root-to-leaf: child keeps nodes with >= 1 neighbor in the parent set.
-    for child_key, parent_key, edge in order:
-        pruned += _semijoin_filter(
-            pattern, graph, candidates, child_key, parent_key, edge
-        )
-    return pruned
-
-
-def _tree_order(
-    pattern: QueryPattern, root_key: str
-) -> list[tuple[str, str, PatternEdge]]:
-    """BFS (child, parent, edge) triples of the pattern tree from ``root``."""
-    order: list[tuple[str, str, PatternEdge]] = []
-    seen = {root_key}
-    queue = deque([root_key])
-    while queue:
-        current = queue.popleft()
-        for edge in pattern.edges_touching(current):
-            other = (
-                edge.target_key
-                if edge.source_key == current
-                else edge.source_key
-            )
-            if other in seen:
-                continue
-            seen.add(other)
-            order.append((other, current, edge))
-            queue.append(other)
-    return order
-
-
-def _semijoin_filter(
-    pattern: QueryPattern,
-    graph: InstanceGraph,
-    candidates: dict[str, dict[int, None]],
-    keep_key: str,
-    against_key: str,
-    edge: PatternEdge,
-) -> int:
-    """Drop ``keep_key`` candidates with no ``edge`` neighbor among the
-    ``against_key`` candidates; returns the number pruned."""
-    # Traverse from the keep side toward the against side.
-    traversal = _traversal_edge_name(graph, edge, toward_key=against_key)
-    if traversal is None:
-        return 0  # direction not indexed; reduction is optional
-    keep = candidates[keep_key]
-    against = candidates[against_key]
-    adjacency = graph._adjacency
-    survivors = {
-        node_id: None
-        for node_id in keep
-        if any(
-            neighbor in against
-            for neighbor in adjacency.get((node_id, traversal), ())
-        )
-    }
-    pruned = len(keep) - len(survivors)
-    if pruned:
-        candidates[keep_key] = survivors
-    return pruned
 
 
 # ----------------------------------------------------------------------
@@ -1341,7 +1222,7 @@ def estimate_replan_cost(
     stats = stats or graph.statistics()
     cost = sum(_enumeration_cost(node, stats) for node in pattern.nodes)
     if len(pattern.nodes) > 1:
-        plan = build_plan(pattern, graph, stats=stats, semijoin=False)
+        plan = build_plan(pattern, graph, stats=stats)
         cost += sum(
             step.est_rows for step in plan.steps if step.kind == "join"
         )

@@ -106,20 +106,13 @@ class Repl:
         schema: SchemaGraph,
         graph: InstanceGraph,
         mapping=None,
-        use_cache: bool = True,
         max_rows: int = 10,
         engine: str = "planned",
     ) -> None:
         # engine="incremental" answers refinement actions from the previous
         # ETable's relation (the `plan` command then shows the chosen delta
         # kind and the session's delta-hit rate).
-        if engine not in ("naive", "planned", "incremental"):  # repro: engine-surface all
-            raise InvalidAction(
-                f"unknown engine {engine!r}; the REPL speaks 'naive', "
-                f"'planned', and 'incremental'"
-            )
-        self.session = EtableSession(schema, graph, use_cache=use_cache,
-                                     engine=engine)
+        self.session = EtableSession(schema, graph, engine=engine)
         self.mapping = mapping  # TranslationMap, enables the 'sql' command
         self.max_rows = max_rows
         self.done = False

@@ -21,6 +21,7 @@ from repro.tgm.conditions import (
 from repro.tgm.instance_graph import InstanceGraph, Node
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core import actions as user_actions
+from repro.core.engines import ENGINES, SERVICE_ENGINES
 from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
 from repro.core.query_pattern import QueryPattern
 from repro.core.transform import execute_pattern
@@ -46,15 +47,27 @@ class EtableSession:
         schema: SchemaGraph,
         graph: InstanceGraph,
         row_limit: int | None = None,
-        use_cache: bool = False,
         engine: str = "planned",
         executor: "CachingExecutor | None" = None,
     ) -> None:
-        if engine not in ("naive", "planned", "incremental"):  # repro: engine-surface all
+        if engine not in ENGINES:
             raise InvalidAction(
-                f"unknown engine {engine!r}; expected 'naive', 'planned', "
-                f"or 'incremental'"
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
+        if executor is not None:
+            if engine not in SERVICE_ENGINES:
+                # The caching executor always plans; silently serving the
+                # planner to someone who asked for the naive oracle would
+                # mask exactly the discrepancies the oracle exists to find.
+                raise InvalidAction(
+                    "a shared executor always goes through the planner; "
+                    f"it cannot serve engine={engine!r}"
+                )
+            if executor.graph is not graph:
+                raise InvalidAction(
+                    "the shared executor was built over a different "
+                    "instance graph"
+                )
         self.schema = schema
         self.graph = graph
         self.row_limit = row_limit
@@ -62,55 +75,31 @@ class EtableSession:
         self.current: ETable | None = None
         self.history: list[HistoryEntry] = []
         self._sort: tuple[str, bool] | None = None
-        # Optional reuse of intermediate results (Section 9, future work #2):
-        # with the cache on, reverts and repeated sub-queries skip matching,
-        # and incremental extensions execute only their delta joins. An
-        # explicit ``executor`` may be *shared between sessions* (the
-        # multi-user service hosts many sessions over one executor so one
-        # user's prefix work speeds up another's).
+        # Reuse of intermediate results (Section 9, future work #2): a
+        # planned session runs through a CachingExecutor, so reverts and
+        # repeated sub-queries skip matching and extensions execute only
+        # their delta joins. An explicit ``executor`` may be *shared
+        # between sessions* (the multi-user service hosts many sessions
+        # over one executor so one user's prefix work speeds up another's).
         #
         # ``engine="incremental"`` layers the per-session action-delta
-        # engine (``repro.core.cache.IncrementalExecutor``) over a caching
-        # executor: refinement actions are answered from the previous
-        # relation instead of re-matching the pattern. It implies the
-        # cache.
-        if executor is not None or use_cache or engine == "incremental":
-            if engine not in ("planned", "incremental"):  # repro: engine-surface service
-                # The caching executor always plans; silently serving the
-                # planner to someone who asked for the naive oracle would
-                # mask exactly the discrepancies the oracle exists to find.
-                raise InvalidAction(
-                    "cached execution always goes through the planner; "
-                    f"disable the cache to use engine={engine!r}"
-                )
-            if executor is not None and executor.graph is not graph:
-                raise InvalidAction(
-                    "the shared executor was built over a different "
-                    "instance graph"
-                )
-        if engine == "incremental":
+        # engine over that executor: refinement actions are answered from
+        # the previous relation instead of re-matching the pattern. The
+        # wrapper is per-session (it owns this session's result lineage).
+        self._executor: "CachingExecutor | IncrementalExecutor | None" = None
+        if engine != "naive":
             from repro.core.cache import CachingExecutor, IncrementalExecutor
 
-            base = executor
-            if base is None:
-                base = CachingExecutor(graph)
-            # The wrapper is per-session (it owns this session's result
-            # lineage); the base may be shared across sessions.
-            self._executor: "CachingExecutor | None" = IncrementalExecutor(base)
-        elif executor is not None:
-            self._executor = executor
-        elif use_cache:
-            from repro.core.cache import CachingExecutor
-
-            self._executor = CachingExecutor(graph)
-        else:
-            self._executor = None
+            base = executor if executor is not None else CachingExecutor(graph)
+            self._executor = (
+                IncrementalExecutor(base) if engine == "incremental" else base
+            )
 
     def _execute(self, pattern: QueryPattern) -> ETable:
         if self._executor is not None:
             return self._executor.execute(pattern, self.row_limit)
         return execute_pattern(pattern, self.graph, self.row_limit,
-                               engine=self.engine)
+                               engine="naive")
 
     def explain_plan(self) -> str:
         """The current pattern's execution plan (and cache stats, if any).
@@ -121,51 +110,42 @@ class EtableSession:
         from repro.core.planner import build_plan
 
         pattern = self._require_pattern()
-        # Mirror the session's actual execution mode: the caching executor
-        # plans with semijoin=False (cached intermediates must stay exact
-        # per subpattern), so the printed plan must not advertise the
-        # reduction passes that only the direct planned path runs.
-        plan = build_plan(pattern, self.graph,
-                          semijoin=self._executor is None
-                          and self.engine == "planned")
-        lines = [plan.explain()]
-        if self._executor is None and self.engine == "naive":
+        lines = [build_plan(pattern, self.graph).explain()]
+        if self._executor is None:
             lines.append(
                 "note: this session executes the naive reference matcher; "
                 "the plan above shows what the planner would do"
             )
-        if self._executor is not None:
-            from repro.core.cache import IncrementalExecutor
+            return "\n".join(lines)
+        from repro.core.cache import IncrementalExecutor
 
-            incremental = (
-                self._executor
-                if isinstance(self._executor, IncrementalExecutor) else None
-            )
-            base = incremental.base if incremental is not None else self._executor
-            stats = base.stats
+        incremental = (
+            self._executor
+            if isinstance(self._executor, IncrementalExecutor) else None
+        )
+        base = incremental.base if incremental is not None else self._executor
+        stats = base.stats
+        lines.append(
+            "reuse: intermediates cached per subpattern; extensions "
+            "re-execute only their delta joins"
+        )
+        lines.append(
+            f"cache: {stats.hits} hits / {stats.misses} misses "
+            f"({stats.hit_rate:.0%}), {stats.prefix_hits} prefix hits "
+            f"reusing {stats.reused_nodes} joined nodes, "
+            f"{stats.delta_joins} delta joins"
+        )
+        if incremental is not None:
+            istats = incremental.stats
             lines.append(
-                "reuse: intermediates cached per subpattern; extensions "
-                "re-execute only their delta joins"
+                f"incremental: {istats.delta_actions} delta-answered, "
+                f"{istats.replays} lineage replays, "
+                f"{istats.replans} replans "
+                f"(hit rate {istats.delta_hit_rate:.0%}), "
+                f"{istats.rows_touched} rows touched"
             )
-            lines.append(
-                f"cache: {stats.hits} hits / {stats.misses} misses "
-                f"({stats.hit_rate:.0%}), {stats.prefix_hits} prefix hits "
-                f"reusing {stats.reused_nodes} joined nodes, "
-                f"{stats.delta_joins} delta joins"
-            )
-            if incremental is not None:
-                istats = incremental.stats
-                lines.append(
-                    f"incremental: {istats.delta_actions} delta-answered, "
-                    f"{istats.replays} lineage replays, "
-                    f"{istats.replans} replans "
-                    f"(hit rate {istats.delta_hit_rate:.0%}), "
-                    f"{istats.rows_touched} rows touched"
-                )
-                if incremental.last_outcome:
-                    lines.append(
-                        f"  last action: {incremental.last_outcome}"
-                    )
+            if incremental.last_outcome:
+                lines.append(f"  last action: {incremental.last_outcome}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.analysis.runtime import assert_locked
 from repro.errors import (
     AuthError,
     Degraded,
+    JournalCorrupt,
     ProtocolError,
     QuotaExceeded,
     ReproError,
@@ -43,11 +44,13 @@ from repro.errors import (
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core.cache import CachingExecutor
+from repro.core.engines import SERVICE_ENGINES
 from repro.core.session import EtableSession
 from repro.service import protocol
 from repro.service.journal import (
     JOURNAL_SUFFIX,
     ActionJournal,
+    read_records,
     replay_records,
 )
 
@@ -90,10 +93,10 @@ class SessionManager:
         quota_actions: int | None = None,
         quota_window: float = 60.0,
     ) -> None:
-        if engine not in ("planned", "incremental"):  # repro: engine-surface service
+        if engine not in SERVICE_ENGINES:
             raise ServiceError(
-                f"the service executes through the caching planner; "
-                f"engine must be 'planned' or 'incremental', not {engine!r}"
+                "the service executes through the caching planner; engine "
+                f"must be one of {SERVICE_ENGINES}, not {engine!r}"
             )
         if compact_every is not None and compact_every < 1:
             raise ServiceError(
@@ -185,14 +188,22 @@ class SessionManager:
 
     def close_session(self, session_id: str, drop_journal: bool = False,
                       auth_token: str | None = None) -> None:
-        """Close a session (its journal stays unless ``drop_journal``)."""
+        """Close a session (its journal stays unless ``drop_journal``).
+
+        Under ``require_auth`` the caller needs the session's token even
+        when the session is not live (evicted, or not yet resumed after a
+        restart): its journal is dropped only if the token matches the
+        one persisted in the journal's meta record.
+        """
         with self._lock:
             managed = self._sessions.get(session_id)
-            if (
-                managed is not None
-                and managed.auth_token is not None
-                and auth_token != managed.auth_token
-            ):
+            if managed is not None:
+                expected = managed.auth_token
+            elif drop_journal and self.require_auth:
+                expected = self._journal_token(session_id)
+            else:
+                expected = None
+            if expected is not None and auth_token != expected:
                 raise AuthError(
                     f"session {session_id!r} requires a valid auth token"
                 )
@@ -665,6 +676,33 @@ class SessionManager:
                 f"'-' and '_' only, at most 64 chars)"
             )
         return self.journal_dir / f"{session_id}{JOURNAL_SUFFIX}"
+
+    def _journal_token(self, session_id: str) -> str | None:
+        """The token in a not-live session's journal meta record; None when
+        there is no journal to drop.
+
+        Reads the records without opening an ``ActionJournal``, whose
+        constructor would repair the file. A journal that cannot be read,
+        or that carries no token, raises ``AuthError``: refuse rather than
+        delete.
+        """
+        if self.journal_dir is None:
+            return None
+        path = self._journal_path(session_id)
+        if not path.exists():
+            return None
+        try:
+            records = read_records(path)
+        except (OSError, JournalCorrupt):
+            records = []
+        tokens = [str(record["auth_token"]) for record in records
+                  if record.get("type") == "meta" and record.get("auth_token")]
+        if not tokens:
+            raise AuthError(
+                f"session {session_id!r} requires a valid auth token "
+                f"(none can be read from its journal)"
+            )
+        return tokens[-1]
 
     def _evict_expired(self) -> None:  # requires-lock
         assert_locked(self._lock, "SessionManager._lock")

@@ -69,40 +69,6 @@ class TestProtocolCoverage:
         assert analyze_paths([tmp_path], select=["RPA103"]) == []
 
 
-class TestEngineParity:
-    def test_bad_fixture_fires(self):
-        findings = run("RPA104", "rpa104_bad.py")
-        texts = messages(findings)
-        assert len(findings) == 5
-        assert any("missing 'beta' from ENGINES" in t for t in texts)
-        assert any("names 'gamma'" in t and "SERVICE_ENGINES" in t
-                   for t in texts)
-        assert any(
-            "fuzzer surface names unknown engine 'alpha_delta' "
-            "(not in ENGINES or FUZZER_TRANSPORTS)" in t for t in texts
-        )
-        assert any("never exercises engine 'beta'" in t for t in texts)
-        assert any("unknown engine-surface role 'sideways'" in t
-                   for t in texts)
-
-    def test_good_fixture_silent(self):
-        assert run("RPA104", "rpa104_good.py") == []
-
-    def test_cross_file_surfaces(self, tmp_path):
-        # Registry and surface in different files: finalize() compares
-        # across the whole analyzed set, not per file.
-        (tmp_path / "registry.py").write_text(
-            'ENGINES = ("alpha", "beta")  # repro: engine-registry\n'
-        )
-        (tmp_path / "surface.py").write_text(
-            'VALID = ("alpha",)  # repro: engine-surface all\n'
-        )
-        findings = analyze_paths([tmp_path], select=["RPA104"])
-        assert len(findings) == 1
-        assert "missing 'beta'" in findings[0].message
-        assert findings[0].file.name == "surface.py"
-
-
 class TestMutationVersionDiscipline:
     def test_bad_fixture_fires(self):
         findings = run("RPA105", "rpa105_bad.py")

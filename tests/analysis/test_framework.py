@@ -90,7 +90,7 @@ class TestReporting:
             analyze_paths([FIXTURES / "rpa101_good.py"], select=["RPA999"])
 
     def test_registry_has_all_four_checks(self):
-        assert set(all_checks()) == {"RPA101", "RPA103", "RPA104", "RPA105"}
+        assert set(all_checks()) == {"RPA101", "RPA103", "RPA105"}
 
 
 class TestCli:
@@ -116,6 +116,7 @@ class TestCli:
     def test_list_checks(self):
         result = run_cli("--list-checks")
         assert result.returncode == 0
-        for code in ("RPA101", "RPA103", "RPA104", "RPA105"):
+        for code in ("RPA101", "RPA103", "RPA105"):
             assert code in result.stdout
         assert "RPA102" not in result.stdout
+        assert "RPA104" not in result.stdout

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidAction
 from repro.tgm.conditions import AttributeCompare, AttributeLike
+from repro.core.cache import CachingExecutor
 from repro.core.session import EtableSession
 
 
@@ -230,30 +231,26 @@ class TestEngineSelection:
                 EtableSession(toy.schema, toy.graph, engine=engine)
             with pytest.raises(InvalidAction):
                 EtableSession(toy.schema, toy.graph, engine=engine,
-                              use_cache=True)
+                              executor=CachingExecutor(toy.graph))
 
     def test_cache_with_naive_engine_rejected(self, toy):
         """The caching executor always plans; asking for the naive oracle
-        with the cache on must fail loudly, not silently run the planner."""
+        over a shared executor must fail loudly, not silently run the
+        planner."""
         with pytest.raises(InvalidAction):
-            EtableSession(toy.schema, toy.graph, use_cache=True, engine="naive")
+            EtableSession(toy.schema, toy.graph, engine="naive",
+                          executor=CachingExecutor(toy.graph))
 
     def test_explain_plan_matches_execution_mode(self, toy):
-        cached = EtableSession(toy.schema, toy.graph, use_cache=True)
-        cached.open("Conferences")
-        cached.pivot("Conferences->Papers")
-        text = cached.explain_plan()
-        # The cached executor skips the reduction passes (its intermediates
-        # must stay exact per subpattern), so the plan must not claim them.
-        assert "semi-join reduction" not in text
+        planned = EtableSession(toy.schema, toy.graph)
+        planned.open("Conferences")
+        planned.pivot("Conferences->Papers")
+        text = planned.explain_plan()
         assert "reuse: intermediates cached per subpattern" in text
         assert "cache:" in text
 
-        direct = EtableSession(toy.schema, toy.graph)
-        direct.open("Conferences")
-        direct.pivot("Conferences->Papers")
-        assert "semi-join reduction" in direct.explain_plan()
-
         naive = EtableSession(toy.schema, toy.graph, engine="naive")
         naive.open("Conferences")
-        assert "naive reference matcher" in naive.explain_plan()
+        text = naive.explain_plan()
+        assert "naive reference matcher" in text
+        assert "cache:" not in text

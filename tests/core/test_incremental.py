@@ -259,7 +259,7 @@ class TestSessionSurface:
 
         with pytest.raises(InvalidAction):
             EtableSession(toy.schema, toy.graph, engine="naive",
-                          use_cache=True)
+                          executor=CachingExecutor(toy.graph))
 
 
 class TestServiceSurface:

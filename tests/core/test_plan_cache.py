@@ -282,7 +282,7 @@ def test_graph_mutation_invalidates_compiled_plans():
     # And version-binding alone (no explicit invalidate) also drops them:
     cache = CompiledPlanCache(tgdb.graph)
     normalized = normalize_pattern(pattern)
-    cache.put(normalized.key, build_plan(pattern, tgdb.graph, semijoin=False))
+    cache.put(normalized.key, build_plan(pattern, tgdb.graph))
     tgdb.graph.add_node("Papers", {"title": "x", "year": 1})
     assert cache.get(normalized.key, pattern) is None
     assert cache.stats()["invalidations"] == 1
@@ -294,7 +294,7 @@ def test_plan_cache_lru_eviction(toy):
     for pattern in patterns:
         normalized = normalize_pattern(pattern)
         cache.put(normalized.key,
-                  build_plan(pattern, toy.graph, semijoin=False))
+                  build_plan(pattern, toy.graph))
     assert len(cache) == 2
     assert cache.stats()["evictions"] == 1
     oldest = normalize_pattern(patterns[0])

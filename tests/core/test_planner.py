@@ -1,8 +1,8 @@
 """Unit tests for the planning + reuse execution engine.
 
 Covers the statistics layer, the secondary indexes, plan construction
-(order, cost estimates, explain text), semi-join pruning, the prefix store,
-and the condition memo. Integration-level equivalence against the reference
+(order, cost estimates, explain text), the prefix store, and the
+condition memo. Integration-level equivalence against the reference
 matcher lives in tests/integration/test_planner_equivalence.py.
 """
 
@@ -33,7 +33,6 @@ from repro.core.planner import (
     estimate_replan_cost,
     estimate_selectivity,
     execute_delta,
-    execute_plan,
     find_cached_base,
     restore_reference_order,
     subpattern_key,
@@ -329,13 +328,11 @@ class TestPlan:
         text = plan.explain()
         for step in plan.steps:
             assert step.key in text
-        assert "semi-join" in text
 
     def test_single_node_plan(self, toy):
         pattern = initiate(toy.schema, "Papers")
         plan = build_plan(pattern, toy.graph)
         assert [step.kind for step in plan.steps] == ["scan"]
-        assert plan.semijoin is False
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +349,6 @@ class TestExecution:
         planned = match_planned(pattern, toy.graph)
         assert planned.keys == reference.keys
         assert planned.tuples == reference.tuples
-
-    def test_semijoin_never_changes_results(self, toy):
-        pattern = initiate(toy.schema, "Institutions")
-        pattern = select(pattern, AttributeLike("country", "%Korea%"))
-        pattern = add(pattern, toy.schema, "Institutions->Authors")
-        pattern = add(pattern, toy.schema, "Authors->Papers")
-        with_semijoin = build_plan(pattern, toy.graph, semijoin=True)
-        without = build_plan(pattern, toy.graph, semijoin=False)
-        a = restore_reference_order(
-            pattern, execute_plan(with_semijoin, toy.graph), toy.graph
-        )
-        b = restore_reference_order(
-            pattern, execute_plan(without, toy.graph), toy.graph
-        )
-        assert a.tuples == b.tuples == match(pattern, toy.graph).tuples
 
 
 # ----------------------------------------------------------------------

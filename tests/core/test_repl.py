@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import InvalidAction
+from repro.core.engines import ENGINES
 from repro.core.repl import Repl, build_condition, parse_command, parse_value
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 
@@ -235,3 +236,11 @@ class TestCommands:
         )
         assert outputs[-1] == "bye"  # execution stops at quit
         assert len(outputs) == 4
+
+
+class TestEngines:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_opens_a_table(self, toy, engine):
+        repl = Repl(toy.schema, toy.graph, engine=engine)
+        assert "error:" not in repl.execute_line("open Papers")
+        assert len(repl.session.current) == 7

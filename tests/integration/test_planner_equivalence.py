@@ -210,7 +210,7 @@ class TestIncrementalSessionScript:
     """Cache prefix hits over a realistic incremental browsing script."""
 
     def _drive(self, tgdb):
-        session = EtableSession(tgdb.schema, tgdb.graph, use_cache=True)
+        session = EtableSession(tgdb.schema, tgdb.graph)
         session.open("Conferences")
         sigmod = session.current.find_row_by_attribute("acronym", "SIGMOD")
         session.see_all(sigmod, "Conferences->Papers")
@@ -237,7 +237,7 @@ class TestIncrementalSessionScript:
 
     def test_script_matches_uncached_session(self, toy):
         cached = self._drive(toy)
-        plain = EtableSession(toy.schema, toy.graph, use_cache=False)
+        plain = EtableSession(toy.schema, toy.graph, engine="naive")
         plain.open("Conferences")
         sigmod = plain.current.find_row_by_attribute("acronym", "SIGMOD")
         plain.see_all(sigmod, "Conferences->Papers")

@@ -61,6 +61,7 @@ import random
 import pytest
 
 from repro.core.cache import CachingExecutor
+from repro.core.engines import ENGINES
 from repro.core.etable import ColumnKind
 from repro.core.session import EtableSession
 from repro.service import protocol
@@ -70,7 +71,20 @@ SEQUENCES = int(os.environ.get("REPRO_FUZZ_SEQUENCES", "200"))
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 MAX_ACTIONS = int(os.environ.get("REPRO_FUZZ_MAX_ACTIONS", "5"))
 
-ENGINES = ("naive", "planned", "incremental", "routed")  # repro: engine-surface fuzzer
+# The lockstep participants: every registered engine, plus the routed
+# transport. Each engine is built by its entry in ``_IN_PROCESS``.
+PARTICIPANTS = (*ENGINES, "routed")
+
+_IN_PROCESS = {
+    "naive": lambda tgdb, executor: EtableSession(
+        tgdb.schema, tgdb.graph, engine="naive"),
+    "planned": lambda tgdb, executor: EtableSession(
+        tgdb.schema, tgdb.graph, executor=executor),
+    # The incremental engine is per-session (its own result lineage) over
+    # the *shared* executor, mirroring the multi-user service.
+    "incremental": lambda tgdb, executor: EtableSession(
+        tgdb.schema, tgdb.graph, engine="incremental", executor=executor),
+}
 
 
 # ----------------------------------------------------------------------
@@ -423,15 +437,8 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
     rng = random.Random(seed)
     graph = tgdb.graph
     routed = _RoutedSession(router)
-    sessions = {
-        "naive": EtableSession(tgdb.schema, graph, engine="naive"),
-        "planned": EtableSession(tgdb.schema, graph, executor=executor),
-        # The incremental engine is per-session (its own result lineage)
-        # over the *shared* executor, mirroring the multi-user service.
-        "incremental": EtableSession(tgdb.schema, graph,
-                                     engine="incremental",
-                                     executor=executor),
-    }
+    sessions = {engine: make(tgdb, executor)
+                for engine, make in _IN_PROCESS.items()}
     driver = sessions["naive"]
     streams = _StreamClients(rng, stream_stats, sessions["incremental"])
     script: list = []
@@ -439,7 +446,7 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
         action, params = _next_action(graph, driver, rng)
         script.append((action, params))
         results = {}
-        for engine in ENGINES:
+        for engine in PARTICIPANTS:
             try:
                 if engine == "routed":
                     results[engine] = routed.apply(action, params)
@@ -453,14 +460,12 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
         # The routed participant's views crossed a JSON socket, so it is
         # compared against the wire-normalized oracle; in-process engines
         # must match the oracle exactly.
-        if any(results[engine] != results["naive"]
-               for engine in ENGINES if engine != "routed"):
+        if any(results[engine] != results["naive"] for engine in ENGINES):
             _fail(dataset, seed, script, step, "action results diverged")
         if results["routed"] != _wire(results["naive"]):
             _fail(dataset, seed, script, step, "routed action result diverged")
         payloads = {
-            engine: _etable_payload(sessions[engine])
-            for engine in ENGINES if engine != "routed"
+            engine: _etable_payload(sessions[engine]) for engine in ENGINES
         }
         if any(payloads[engine] != payloads["naive"] for engine in payloads):
             _fail(dataset, seed, script, step, "ETables diverged")
@@ -468,7 +473,7 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
             _fail(dataset, seed, script, step, "routed ETable diverged")
         histories = {
             engine: protocol.history_to_json(sessions[engine].history)
-            for engine in ENGINES if engine != "routed"
+            for engine in ENGINES
         }
         if any(histories[engine] != histories["naive"] for engine in histories):
             _fail(dataset, seed, script, step, "histories diverged")
@@ -492,6 +497,12 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
         )
     routed.close()
     return len(script)
+
+
+def test_every_engine_has_a_participant():
+    """A registered engine with no lockstep participant would escape
+    differential testing: this fails until ``_IN_PROCESS`` builds it."""
+    assert {*_IN_PROCESS, "routed"} == set(PARTICIPANTS)
 
 
 def test_fuzz_engines_bit_identical(corpus, fleet):

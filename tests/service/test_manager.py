@@ -367,6 +367,54 @@ class TestHandleRequest:
         assert response.ok and "live_sessions" in response.result
 
 
+class TestCloseAuth:
+    """Under require_auth, dropping a journal needs the session's token
+    even after the session stopped being live."""
+
+    def _evicted(self, toy, tmp_path):
+        journals = tmp_path / "j"
+        manager = _manager(toy, require_auth=True, journal_dir=journals,
+                           max_sessions=1, ttl_seconds=None)
+        alice = manager.create_session("alice")
+        token = manager.session_auth_token(alice)
+        manager.apply(alice, "open", {"type": "Papers"}, auth_token=token)
+        manager.create_session("bob")  # evicts alice (LRU)
+        assert alice not in manager.session_ids()
+        return manager, alice, token, journals / "alice.journal"
+
+    @staticmethod
+    def _drop(manager, session_id, auth_token):
+        return manager.handle_request(Request(
+            action="close_session", params={"drop_journal": True},
+            session_id=session_id, auth_token=auth_token,
+        ))
+
+    def test_journal_drop_of_evicted_session_needs_its_token(
+        self, toy, tmp_path
+    ):
+        manager, alice, token, journal = self._evicted(toy, tmp_path)
+        for forged in (None, "not-the-token"):
+            refused = self._drop(manager, alice, forged)
+            assert not refused.ok
+            assert refused.error_type == "auth_error"
+            assert journal.exists()
+        # The owner's session survived the attempts.
+        resumed = manager.apply(alice, "etable", {}, auth_token=token)
+        assert resumed["etable"]["primary_type"] == "Papers"
+        manager.create_session("carol")  # evicts alice again
+        assert alice not in manager.session_ids()
+        assert self._drop(manager, alice, token).ok
+        assert not journal.exists()
+
+    def test_unreadable_journal_is_never_dropped(self, toy, tmp_path):
+        manager, alice, token, journal = self._evicted(toy, tmp_path)
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0] + "garbage\n" + "".join(lines[1:]))
+        refused = self._drop(manager, alice, token)
+        assert refused.error_type == "auth_error"
+        assert journal.exists()
+
+
 class TestEngineSelection:
     """The service engine is validated up front."""
 

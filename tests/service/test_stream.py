@@ -62,8 +62,7 @@ def _payload(session):
 
 def _walk(toy, engine="planned"):
     """Yield (action, payload, identities) along the scripted walk."""
-    session = EtableSession(toy.schema, toy.graph, engine=engine,
-                            use_cache=(engine == "incremental"))
+    session = EtableSession(toy.schema, toy.graph, engine=engine)
     for action, params in SCRIPT:
         apply_action(session, action, params)
         executor = getattr(session, "_executor", None)
