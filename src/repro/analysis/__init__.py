@@ -29,7 +29,7 @@ RPA105    **Mutation-version discipline.** Methods of a class that
           mutate attributes declared ``# versioned-state`` must bump
           the mutation version (``self._version``) or call an
           invalidation helper — caches keyed on the version
-          (``PrefixStore``, ``GraphStatistics``, the condition memo)
+          (``PrefixStore``, ``GraphStatistics``, the plan cache)
           must never outlive the data they summarize.
 ========  ==========================================================
 

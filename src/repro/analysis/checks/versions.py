@@ -2,7 +2,7 @@
 
 ``InstanceGraph`` hands its mutation counter (``self._version``) to every
 derived structure that memoizes over the graph — attribute indexes,
-``GraphStatistics``, ``PrefixStore`` entries, the condition memo. A
+``GraphStatistics``, ``PrefixStore`` entries, the plan cache. A
 mutator that forgets to bump the version leaves those caches serving
 stale answers with no failing assertion anywhere near the bug.
 

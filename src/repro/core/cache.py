@@ -18,9 +18,9 @@ pattern verbatim).
   executes only the delta join — the future-work item realized at the
   granularity the paper asks for.
 
-A shared :class:`~repro.tgm.conditions.ConditionMemo` additionally memoizes
-per-(condition, node) verdicts, so expensive ``NeighborSatisfies`` semijoin
-conditions never re-scan a node's neighbors twice in one session.
+Candidate sets are not cached: every execution evaluates its conditions
+as sets of node ids (:func:`repro.core.planner.condition_ids`), so the
+executor's memory stays within the size budgets of the stores above.
 
 Because patterns, conditions, and the instance graph are immutable during a
 browsing session, cached graph relations stay valid; the format
@@ -35,7 +35,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.analysis.runtime import assert_locked
-from repro.tgm.conditions import ConditionMemo
 from repro.tgm.graph_relation import GraphRelation
 from repro.tgm.instance_graph import InstanceGraph
 from repro.core.etable import ETable
@@ -292,7 +291,6 @@ class CachingExecutor:
         # serves — the fleet-wide normalized plan cache of ROADMAP item 3.
         self.plans = CompiledPlanCache(graph, max_entries=max_plans)
         self.stats = CacheStats()  # guarded-by: self._lock
-        self.memo = ConditionMemo()  # guarded-by: self._lock
         # Aggregated counters of every IncrementalExecutor layered over this
         # executor (the service shares one base across all sessions, so this
         # is the fleet-wide incremental picture).
@@ -309,22 +307,10 @@ class CachingExecutor:
         self._store = PrefixStore(max_entries=max_entries,  # guarded-by: self._lock
                                   max_cells=max_cells,
                                   graph=graph)
-        self._graph_version = graph.version  # guarded-by: self._lock
         self._lock = threading.RLock()
-
-    def _check_graph_version(self) -> None:  # requires-lock
-        """Drop the condition memo after a graph mutation (caller holds the
-        lock). The relation stores self-invalidate; the memo holds
-        per-(condition, node) verdicts that mutation can flip (e.g. a
-        ``NeighborSatisfies`` after an edge was added)."""
-        assert_locked(self._lock, "CachingExecutor._lock")
-        if self._graph_version != self.graph.version:
-            self.memo.clear()
-            self._graph_version = self.graph.version
 
     def match(self, pattern: QueryPattern) -> GraphRelation:
         with self._lock:
-            self._check_graph_version()
             key = pattern_cache_key(pattern)
             cached = self._store.get(key)
             if cached is not None:
@@ -345,7 +331,6 @@ class CachingExecutor:
             relation = execute_plan(
                 plan,
                 self.graph,
-                memo=self.memo,
                 store=self.prefixes,
                 report=report,
             )
@@ -377,7 +362,6 @@ class CachingExecutor:
         lockstep, so a wrong adoption diverges immediately).
         """
         with self._lock:
-            self._check_graph_version()
             self._store.put(key or pattern_cache_key(pattern), relation)
 
     def stats_payload(self) -> dict:  # repro: noqa-RPA101 — lock-free by design, see docstring
@@ -412,7 +396,6 @@ class CachingExecutor:
         with self._lock:
             self._store.clear()
             self.prefixes.clear()
-            self.memo.clear()
             self.plans.clear()
 
 
@@ -499,8 +482,7 @@ class IncrementalExecutor:
             pattern.validate(self.graph.schema)
             assert previous is not None
             relation, report = self.planner.execute(
-                delta, previous[1], pattern,
-                memo=self.base.memo,
+                delta, previous[1], pattern
             )
             if not delta.order_preserved:
                 relation = restore_reference_order(

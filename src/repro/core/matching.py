@@ -13,9 +13,9 @@ Two evaluators implement the same function:
   full base-relation scans, left-deep materializing joins. Kept simple and
   obviously correct; it is the equivalence oracle for everything else.
 * :func:`match_planned` — the one-shot cost-based engine
-  (``repro.core.planner``): selectivity-ordered joins over index-probed
-  candidate sets, re-sorted afterwards into the reference order so the
-  output is identical attribute-for-attribute and tuple-for-tuple. A
+  (``repro.core.planner``): selectivity-ordered joins over candidate sets
+  evaluated a set at a time, re-sorted afterwards into the reference order
+  so the output is identical attribute-for-attribute and tuple-for-tuple. A
   session runs the same planner behind ``repro.core.cache.CachingExecutor``,
   which also reuses intermediate results across actions.
 
@@ -28,7 +28,7 @@ already implies).
 from __future__ import annotations
 
 from repro.errors import InvalidQueryPattern
-from repro.tgm.conditions import ConditionMemo, conjoin_conditions
+from repro.tgm.conditions import conjoin_conditions
 from repro.tgm.graph_relation import GraphRelation, base_relation, join, selection
 from repro.tgm.instance_graph import GraphStatistics, InstanceGraph
 from repro.core.query_pattern import QueryPattern
@@ -38,12 +38,12 @@ def match_planned(
     pattern: QueryPattern,
     graph: InstanceGraph,
     stats: GraphStatistics | None = None,
-    memo: ConditionMemo | None = None,
 ) -> GraphRelation:
     """Evaluate ``m(Q)`` through the planner; output equals :func:`match`.
 
     One shot, with no reuse: build a plan, join in greedy selectivity
-    order over index-backed candidate sets, then restore the reference
+    order over set-evaluated candidate sets
+    (:func:`repro.core.planner.condition_ids`), then restore the reference
     BFS ordering, so callers cannot tell the difference — except in
     execution time.
     """
@@ -55,7 +55,7 @@ def match_planned(
 
     pattern.validate(graph.schema)
     plan = build_plan(pattern, graph, stats=stats)
-    relation = execute_plan(plan, graph, memo=memo)
+    relation = execute_plan(plan, graph)
     return restore_reference_order(pattern, relation, graph)
 
 

@@ -9,9 +9,12 @@ interactivity claim (Section 7) and its future-work item #2 (Section 9,
 * **selectivity estimation** over :class:`~repro.tgm.instance_graph.GraphStatistics`
   (per-type cardinalities, per-edge degree histograms, per-attribute
   distinct counts) — the statistics layer of the engine;
-* **index-backed candidate enumeration**: equality and identity conditions
-  become hash-index probes (``InstanceGraph.attribute_index``) instead of
-  full type scans — the secondary-index layer;
+* **set-at-a-time candidate evaluation** (:func:`condition_ids`): a
+  condition becomes one set of node ids, built from the attribute-index
+  buckets (``InstanceGraph.attribute_index``, one test per distinct value),
+  reverse adjacency (a neighbor condition is the image of its inner set)
+  and set algebra (``And``/``Or``/``Not``) instead of one evaluation per
+  node — the candidate layer;
 * a **greedy join-order planner** that starts from the most selective
   pattern node and repeatedly joins the frontier node with the smallest
   estimated result growth, emitting an inspectable :class:`Plan` with
@@ -32,17 +35,17 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.errors import InvalidQueryPattern, TgmError
+from repro.relational.expressions import _compile_like
 from repro.tgm.conditions import (
     AndCondition,
     AttributeCompare,
     AttributeIn,
     AttributeLike,
     Condition,
-    ConditionMemo,
     LabelLike,
     NeighborSatisfies,
     NodeIn,
@@ -135,59 +138,144 @@ def estimate_selectivity(
 
 
 # ----------------------------------------------------------------------
-# Candidate enumeration (index probes instead of type scans)
+# Set-at-a-time condition evaluation (the candidate layer)
 # ----------------------------------------------------------------------
+def condition_ids(
+    condition: Condition, graph: InstanceGraph, type_name: str
+) -> frozenset[int]:
+    """Ids of the ``type_name`` nodes satisfying ``condition``, as one set.
+
+    Equals ``{n.node_id for n in graph.nodes_of_type(type_name) if
+    condition.matches(n, graph)}`` (``matches`` is the spec), evaluated a
+    set at a time: comparisons, ``IN`` and ``LIKE`` test each distinct
+    value of the attribute index once, with one compiled regex per call;
+    ``NeighborSatisfies`` is the reverse-adjacency image of its inner set,
+    the in-memory form of the ``EXISTS`` subquery of Section 6.1; and
+    ``And``/``Or``/``Not`` are set algebra over the type's ids.
+    """
+    if isinstance(condition, AndCondition):
+        ids: frozenset[int] | None = None
+        for operand in condition.operands:
+            operand_ids = condition_ids(operand, graph, type_name)
+            ids = operand_ids if ids is None else ids & operand_ids
+            if not ids:
+                break
+        if ids is None:  # an empty conjunction holds for every node
+            return frozenset(graph.node_ids_of_type(type_name))
+        return ids
+    if isinstance(condition, OrCondition):
+        return frozenset().union(
+            *(condition_ids(o, graph, type_name) for o in condition.operands)
+        )
+    if isinstance(condition, NotCondition):
+        return frozenset(graph.node_ids_of_type(type_name)) - condition_ids(
+            condition.operand, graph, type_name
+        )
+    if isinstance(condition, (NodeIs, NodeIn)):
+        return frozenset(
+            node_id
+            for node_id in _identity_ids(condition)
+            if graph.has_node(node_id)
+            and graph.node(node_id).type_name == type_name
+        )
+    if isinstance(condition, NeighborSatisfies):
+        return _neighbor_ids(condition, graph, type_name)
+    if isinstance(condition, LabelLike):
+        label = graph.schema.node_type(type_name).label_attribute
+        condition = AttributeLike(label, condition.pattern)
+    if isinstance(condition, AttributeLike):
+        match = _compile_like(condition.pattern).match
+        negate = condition.negate
+        return _attribute_ids(
+            graph, type_name, condition.attribute,
+            lambda value: (match(str(value)) is not None) != negate,
+            by_string=True,
+        )
+    if isinstance(condition, (AttributeCompare, AttributeIn)):
+        return _attribute_ids(
+            graph, type_name, condition.attribute, condition.accepts
+        )
+    return frozenset(
+        node.node_id
+        for node in graph.nodes_of_type(type_name)
+        if condition.matches(node, graph)
+    )
+
+
+def _attribute_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    attribute: str,
+    test: Callable[[Any], bool],
+    by_string: bool = False,
+) -> frozenset[int]:
+    """Ids of ``type_name`` nodes whose non-NULL ``attribute`` value passes
+    ``test``, tested once per attribute-index bucket.
+
+    The index merges values that compare equal (``1``, ``1.0`` and
+    ``True`` share a bucket), which comparisons treat alike but ``str``
+    does not: with ``by_string``, a bucket keyed by a non-string is tested
+    member by member. The index skips unhashable values; those nodes are
+    tested one by one.
+    """
+    index = graph.attribute_index(type_name, attribute)
+    node_of = graph.node
+    ids: list[int] = []
+    for value, bucket in index.items():
+        if by_string and type(value) is not str:
+            ids.extend(
+                node_id
+                for node_id in bucket
+                if test(node_of(node_id).attributes[attribute])
+            )
+        elif test(value):
+            ids.extend(bucket)
+    if sum(map(len, index.values())) < graph.type_counts()[type_name]:
+        indexed = {node_id for bucket in index.values() for node_id in bucket}
+        for node_id in graph.node_ids_of_type(type_name):
+            value = node_of(node_id).attributes.get(attribute)
+            if value is not None and node_id not in indexed and test(value):
+                ids.append(node_id)
+    return frozenset(ids)
+
+
+def _neighbor_ids(
+    condition: NeighborSatisfies, graph: InstanceGraph, type_name: str
+) -> frozenset[int]:
+    """The reverse-adjacency image of the inner set; an edge type without
+    a reverse twin scans the type's forward adjacency against it."""
+    edge_type = graph.schema.edge_type(condition.edge_type)
+    if edge_type.source != type_name:
+        return frozenset()  # the edge type leaves another node type
+    inner = condition_ids(condition.inner, graph, edge_type.target)
+    if edge_type.reverse_name is not None:
+        return frozenset(
+            source_id
+            for target_id in inner
+            for source_id in graph.neighbors_view(
+                target_id, edge_type.reverse_name
+            )
+        )
+    return frozenset(
+        node_id
+        for node_id in graph.node_ids_of_type(type_name)
+        if not inner.isdisjoint(
+            graph.neighbors_view(node_id, condition.edge_type)
+        )
+    )
+
+
 def candidate_ids(
     graph: InstanceGraph,
     type_name: str,
     condition: Condition | None,
-    memo: ConditionMemo | None = None,
 ) -> list[int]:
-    """Node ids of ``type_name`` satisfying ``condition``.
-
-    Identity probes (``NodeIs``/``NodeIn``) and attribute-equality probes
-    (via the graph's hash indexes) narrow the candidate pool before the
-    residual condition is evaluated, turning ``σ`` into index lookups.
-    """
+    """Node ids of ``type_name`` satisfying ``condition``, in type order
+    (ids ascend in creation order, so sorting :func:`condition_ids`'s set
+    restores it)."""
     if condition is None:
         return graph.node_ids_of_type(type_name)
-    pool: Iterable[int] | None = None
-    node_probes = condition.node_probes()
-    if node_probes is not None:
-        pool = [
-            node_id
-            for node_id in node_probes
-            if graph.has_node(node_id)
-            and graph.node(node_id).type_name == type_name
-        ]
-    else:
-        probes = condition.index_probes()
-        if probes:
-            # Use the narrowest probe; the residual filter below applies the
-            # full condition anyway, so any sound probe is safe.
-            best: list[int] | None = None
-            for attribute, values in probes:
-                ids: list[int] = []
-                for value in values:
-                    ids.extend(
-                        graph.find_ids_by_attribute(type_name, attribute, value)
-                    )
-                if best is None or len(ids) < len(best):
-                    best = ids
-            pool = sorted(set(best or ()))
-    if pool is None:
-        pool = graph.node_ids_of_type(type_name)
-    if memo is not None:
-        return [
-            node_id
-            for node_id in pool
-            if memo.matches(condition, graph.node(node_id), graph)
-        ]
-    return [
-        node_id
-        for node_id in pool
-        if condition.matches(graph.node(node_id), graph)
-    ]
+    return sorted(condition_ids(condition, graph, type_name))
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +422,47 @@ def _scan_detail(node, graph: InstanceGraph) -> str:
     condition = conjoin_conditions(node.conditions)
     if condition is None:
         return f"full {node.type_name} scan"
-    if condition.node_probes() is not None:
+    if _identity_ids(condition) is not None:
         return "identity probe"
-    probes = condition.index_probes()
-    if probes:
-        attribute = probes[0][0]
+    attribute = _equality_attribute(condition)
+    if attribute is not None:
         return f"hash-index probe on {node.type_name}.{attribute}"
     return f"filtered {node.type_name} scan"
+
+
+def _identity_ids(condition: Condition) -> frozenset[int] | None:
+    """The node ids an identity condition (``NodeIs``/``NodeIn``, or a
+    conjunction holding one) restricts matches to; None if unconstrained."""
+    if isinstance(condition, NodeIs):
+        return frozenset((condition.node_id,))
+    if isinstance(condition, NodeIn):
+        return condition.node_ids
+    if isinstance(condition, AndCondition):
+        constrained = [
+            ids
+            for ids in map(_identity_ids, condition.operands)
+            if ids is not None
+        ]
+        if constrained:
+            return frozenset.intersection(*constrained)
+    return None
+
+
+def _equality_attribute(condition: Condition) -> str | None:
+    """The attribute of the first ``=`` or ``IN`` (with a non-NULL
+    constant) that every match of ``condition`` must satisfy, or None."""
+    if isinstance(condition, AttributeCompare):
+        if condition.op == "=" and condition.value is not None:
+            return condition.attribute
+    elif isinstance(condition, AttributeIn):
+        if any(value is not None for value in condition.values):
+            return condition.attribute
+    elif isinstance(condition, AndCondition):
+        for operand in condition.operands:
+            attribute = _equality_attribute(operand)
+            if attribute is not None:
+                return attribute
+    return None
 
 
 def _traversal_edge_name(
@@ -792,7 +914,6 @@ class ExecutionReport:
 def execute_plan(
     plan: Plan,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
     store: PrefixStore | None = None,
     report: ExecutionReport | None = None,
 ) -> GraphRelation:
@@ -801,8 +922,8 @@ def execute_plan(
 
     The start node's candidate set is scanned, then every other node is
     joined on in plan order, probing adjacency and keeping neighbors in
-    that node's candidate set; each candidate set is computed once, when
-    its node is joined.
+    that node's candidate set; each candidate set is evaluated once, as a
+    whole set (:func:`candidate_ids`), when its node is joined.
 
     With a ``store``, the executor first looks for the largest cached
     subpattern and only executes the delta joins, recording every new
@@ -825,7 +946,7 @@ def execute_plan(
     else:
         start_key = plan.steps[0].key
         start_ids = candidate_ids(graph, types[start_key],
-                                  conditions[start_key], memo)
+                                  conditions[start_key])
         relation = GraphRelation.from_columns(
             [GraphAttribute(start_key, types[start_key])], [start_ids]
         )
@@ -862,7 +983,7 @@ def execute_plan(
             step.key,
             types[step.key],
             dict.fromkeys(candidate_ids(graph, types[step.key],
-                                        conditions[step.key], memo)),
+                                        conditions[step.key])),
         )
         report.delta_joins += 1
         covered = covered | {step.key}
@@ -1192,16 +1313,16 @@ def classify_delta(
 
 def _enumeration_cost(node, stats: GraphStatistics) -> float:
     """Estimated rows the full planner must touch to enumerate one node's
-    candidate set: identity probes are O(probes), index probes O(bucket),
+    candidate set: identity conditions are O(ids), equalities O(bucket),
     everything else is a full type scan."""
     condition = conjoin_conditions(node.conditions)
     cardinality = float(stats.cardinality(node.type_name))
     if condition is None:
         return cardinality
-    node_probes = condition.node_probes()
-    if node_probes is not None:
-        return float(len(node_probes))
-    if condition.index_probes():
+    identity = _identity_ids(condition)
+    if identity is not None:
+        return float(len(identity))
+    if _equality_attribute(condition) is not None:
         return max(
             1.0,
             cardinality
@@ -1256,43 +1377,26 @@ def estimate_delta_cost(
     return max(1.0, cost)
 
 
-# Condition types whose per-node evaluation is expensive enough to be worth
-# the memo's (condition, node) bookkeeping: semijoins scan neighbor lists,
-# and combinators recurse. Plain attribute predicates are a dict get plus a
-# comparison — cheaper to just evaluate than to hash into the memo.
-_MEMO_WORTHY = (NeighborSatisfies, AndCondition, OrCondition, NotCondition)
-
-
 def _delta_select(
     relation: GraphRelation,
     key: str,
     condition: Condition,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
 ) -> GraphRelation:
     """``σ`` over one attribute of a materialized relation, delta-tuned.
 
     Unlike the generic :func:`repro.tgm.graph_relation.selection` (which
-    evaluates per *row*), the condition is evaluated once per **distinct**
-    node id of the column and rows are then kept by set membership — on a
-    joined relation the same primary node appears once per join partner,
-    and re-evaluating a LIKE regex per duplicate is pure waste. Expensive
-    conditions (semijoins, combinators) go through the shared memo;
-    plain attribute predicates are evaluated directly.
+    evaluates per *row*), rows are kept by membership of their node in the
+    column type's :func:`condition_ids` set — on a joined relation the same
+    primary node appears once per join partner, and the set answers every
+    duplicate with one hash probe.
     """
     position = relation.position(key)
     columns = relation.columns_view()
     column = columns[position]
-    node_of = graph.node
-    matching: set[int] = set()
-    if memo is not None and isinstance(condition, _MEMO_WORTHY):
-        for node_id in dict.fromkeys(column):
-            if memo.matches(condition, node_of(node_id), graph):
-                matching.add(node_id)
-    else:
-        for node_id in dict.fromkeys(column):
-            if condition.matches(node_of(node_id), graph):
-                matching.add(node_id)
+    matching = condition_ids(
+        condition, graph, relation.attributes[position].type_name
+    )
     kept = [
         index for index, node_id in enumerate(column) if node_id in matching
     ]
@@ -1373,12 +1477,11 @@ def execute_delta(
     prev_relation: GraphRelation,
     pattern: QueryPattern,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
 ) -> tuple[GraphRelation, DeltaReport]:
     """Derive ``m(pattern)`` from the previous pattern's full relation.
 
-    Selections filter the relation row-wise (sharing the executor's
-    condition memo); an extension runs exactly one delta join. The output
+    Selections keep the rows whose node is in the condition's set; an
+    extension runs exactly one delta join. The output
     is in engine order unless ``delta.order_preserved``; callers restore
     the reference order exactly as the full planner does.
     """
@@ -1386,7 +1489,7 @@ def execute_delta(
     relation = prev_relation
     for key, condition in delta.selections:
         report.rows_touched += len(relation)
-        relation = _delta_select(relation, key, condition, graph, memo)
+        relation = _delta_select(relation, key, condition, graph)
     if delta.extension is not None:
         left_key, traversal, new_key = delta.extension
         node = pattern.node(new_key)
@@ -1394,7 +1497,7 @@ def execute_delta(
         candidate_set: dict[int, None] | None = None
         if condition is not None:
             candidate_set = dict.fromkeys(
-                candidate_ids(graph, node.type_name, condition, memo)
+                candidate_ids(graph, node.type_name, condition)
             )
         report.rows_touched += len(relation)
         relation = _delta_join(
@@ -1422,11 +1525,11 @@ class DeltaPlanner:
     # The replan estimate must undercut the delta estimate by this factor
     # before the planner abandons the delta: both estimates count *rows*,
     # but a replanned row is much more expensive than a delta row (fresh
-    # candidate enumeration with per-node condition evaluation, full joins,
-    # and the restoration sort, versus memoized dict probes over an
-    # already-materialized relation). The gate exists for the pathological
-    # order-of-magnitude cases — a huge previous relation against an
-    # indexed identity probe — not for coin-flip margins.
+    # candidate enumeration, full joins, and the restoration sort, versus
+    # set-membership probes over an already-materialized relation). The
+    # gate exists for the pathological order-of-magnitude cases — a huge
+    # previous relation against an indexed identity probe — not for
+    # coin-flip margins.
     REPLAN_BIAS = 4.0
 
     def __init__(self, graph: InstanceGraph) -> None:
@@ -1461,8 +1564,5 @@ class DeltaPlanner:
         delta: DeltaPlan,
         prev_relation: GraphRelation,
         pattern: QueryPattern,
-        memo: ConditionMemo | None = None,
     ) -> tuple[GraphRelation, DeltaReport]:
-        return execute_delta(
-            delta, prev_relation, pattern, self.graph, memo=memo,
-        )
+        return execute_delta(delta, prev_relation, pattern, self.graph)

@@ -15,7 +15,6 @@ from repro.tgm.conditions import (
     AttributeIn,
     AttributeLike,
     Condition,
-    ConditionMemo,
     LabelLike,
     NeighborSatisfies,
     NodeIn,
@@ -54,7 +53,6 @@ __all__ = [
     "AttributeIn",
     "AttributeLike",
     "Condition",
-    "ConditionMemo",
     "Edge",
     "EdgeTypeStats",
     "GraphStatistics",

@@ -31,31 +31,18 @@ _OPS = {
 
 
 class Condition:
-    """Base class. ``matches`` gets the node and the instance graph."""
+    """Base class. ``matches`` gets the node and the instance graph.
+
+    ``matches`` is the per-node spec. The planner evaluates conditions a
+    set at a time instead (``repro.core.planner.condition_ids``), and its
+    sets must equal the nodes ``matches`` accepts.
+    """
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def index_probes(self) -> tuple[tuple[str, tuple[Any, ...]], ...]:
-        """Attribute-equality probes this condition implies.
-
-        Each probe is ``(attribute, candidate_values)``: every matching node
-        must have ``attribute`` equal to one of ``candidate_values``, so the
-        planner can answer the selection with hash-index lookups instead of
-        a full type scan. An empty tuple means "no probe available".
-        """
-        return ()
-
-    def node_probes(self) -> tuple[int, ...] | None:
-        """Node ids this condition restricts matches to (identity probes).
-
-        ``None`` means unconstrained; a tuple means every matching node's id
-        is in the tuple (the planner starts from those ids directly).
-        """
-        return None
 
     def cache_token(self) -> str:
         """A string that distinguishes *semantically different* conditions.
@@ -68,66 +55,6 @@ class Condition:
 
     def __str__(self) -> str:
         return self.describe()
-
-
-class ConditionMemo:
-    """Memoizes per-(condition, node) results across executions.
-
-    Conditions and the instance graph are immutable during a browsing
-    session, so a condition's verdict on a node never changes. Keeping the
-    memo on the executor means an incremental session evaluates each
-    ``NeighborSatisfies`` (the expensive semijoin condition) at most once
-    per node over its whole lifetime, instead of once per user action.
-
-    Combinators (``And``/``Or``/``Not``) are evaluated *compositionally*:
-    their operands go through the memo individually, so the conjunction a
-    session accretes filter-by-filter still hits the entries of its parts —
-    the incremental pattern ``σ_A``, ``σ_A∧B``, ``σ_A∧B∧C`` evaluates each
-    base predicate once per node, total.
-
-    Conditions with unhashable payloads fall back to direct evaluation.
-    """
-
-    def __init__(self) -> None:
-        self._results: dict[tuple[Condition, int], bool] = {}
-        self.hits = 0
-        self.evaluations = 0
-
-    def matches(
-        self, condition: "Condition", node: "Node", graph: "InstanceGraph"
-    ) -> bool:
-        try:
-            key = (condition, node.node_id)
-            cached = self._results.get(key)
-        except TypeError:  # unhashable condition payload
-            return self._evaluate(condition, node, graph)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        result = self._evaluate(condition, node, graph)
-        self._results[key] = result
-        return result
-
-    def _evaluate(
-        self, condition: "Condition", node: "Node", graph: "InstanceGraph"
-    ) -> bool:
-        if isinstance(condition, AndCondition):
-            return all(
-                self.matches(operand, node, graph)
-                for operand in condition.operands
-            )
-        if isinstance(condition, OrCondition):
-            return any(
-                self.matches(operand, node, graph)
-                for operand in condition.operands
-            )
-        if isinstance(condition, NotCondition):
-            return not self.matches(condition.operand, node, graph)
-        self.evaluations += 1
-        return condition.matches(node, graph)
-
-    def clear(self) -> None:
-        self._results.clear()
 
 
 def _format_value(value: Any) -> str:
@@ -149,7 +76,11 @@ class AttributeCompare(Condition):
             raise TgmError(f"unknown comparison operator {self.op!r}")
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
-        actual = node.attributes.get(self.attribute)
+        return self.accepts(node.attributes.get(self.attribute))
+
+    def accepts(self, actual: Any) -> bool:
+        """The verdict on one attribute value, so that a distinct value
+        can be tested once for every node holding it."""
         if actual is None or self.value is None:
             return False
         if self.op in ("<", "<=", ">", ">="):
@@ -158,11 +89,6 @@ class AttributeCompare(Condition):
             except TypeError:
                 return False
         return _OPS[self.op](actual, self.value)
-
-    def index_probes(self) -> tuple[tuple[str, tuple[Any, ...]], ...]:
-        if self.op == "=" and self.value is not None:
-            return ((self.attribute, (self.value,)),)
-        return ()
 
     def describe(self) -> str:
         return f"{self.attribute} {self.op} {_format_value(self.value)}"
@@ -199,14 +125,11 @@ class AttributeIn(Condition):
     values: tuple[Any, ...]
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
-        actual = node.attributes.get(self.attribute)
-        return actual is not None and actual in self.values
+        return self.accepts(node.attributes.get(self.attribute))
 
-    def index_probes(self) -> tuple[tuple[str, tuple[Any, ...]], ...]:
-        values = tuple(v for v in self.values if v is not None)
-        if values:
-            return ((self.attribute, values),)
-        return ()
+    def accepts(self, actual: Any) -> bool:
+        """The verdict on one attribute value (see ``AttributeCompare``)."""
+        return actual is not None and actual in self.values
 
     def describe(self) -> str:
         rendered = ", ".join(_format_value(v) for v in self.values)
@@ -226,9 +149,6 @@ class NodeIs(Condition):
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         return node.node_id == self.node_id
-
-    def node_probes(self) -> tuple[int, ...] | None:
-        return (self.node_id,)
 
     def cache_token(self) -> str:
         # describe() shows the label for the history panel, but two nodes
@@ -258,9 +178,6 @@ class NodeIn(Condition):
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         return node.node_id in self.node_ids
-
-    def node_probes(self) -> tuple[int, ...] | None:
-        return tuple(sorted(self.node_ids))
 
     def describe(self) -> str:
         rendered = ", ".join(str(i) for i in sorted(self.node_ids))
@@ -314,25 +231,6 @@ class AndCondition(Condition):
 
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         return all(operand.matches(node, graph) for operand in self.operands)
-
-    def index_probes(self) -> tuple[tuple[str, tuple[Any, ...]], ...]:
-        out: list[tuple[str, tuple[Any, ...]]] = []
-        for operand in self.operands:
-            out.extend(operand.index_probes())
-        return tuple(out)
-
-    def node_probes(self) -> tuple[int, ...] | None:
-        constrained = [
-            probes
-            for probes in (op.node_probes() for op in self.operands)
-            if probes is not None
-        ]
-        if not constrained:
-            return None
-        ids = set(constrained[0])
-        for probes in constrained[1:]:
-            ids &= set(probes)
-        return tuple(sorted(ids))
 
     def cache_token(self) -> str:
         return " & ".join(operand.cache_token() for operand in self.operands)

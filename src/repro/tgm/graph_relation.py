@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import TgmError
-from repro.tgm.conditions import Condition, ConditionMemo
+from repro.tgm.conditions import Condition
 from repro.tgm.instance_graph import InstanceGraph
 
 
@@ -185,28 +185,20 @@ def selection(
     key: str,
     condition: Condition,
     graph: InstanceGraph,
-    memo: ConditionMemo | None = None,
 ) -> GraphRelation:
     """``σ_Ci(R)``: keep tuples whose ``key`` node satisfies the condition.
 
-    With a :class:`ConditionMemo`, each (condition, node) pair is evaluated
-    at most once across the memo's lifetime — repeated incremental queries
-    never re-scan the neighbors behind a ``NeighborSatisfies`` twice.
+    Evaluates ``Condition.matches`` once per row: this is the reference
+    matcher's selection, the spec that the planner's set-at-a-time
+    evaluation (``repro.core.planner.condition_ids``) must reproduce.
     """
     position = relation.position(key)
     target = relation.columns_view()[position]
-    if memo is not None:
-        kept = [
-            index
-            for index, node_id in enumerate(target)
-            if memo.matches(condition, graph.node(node_id), graph)
-        ]
-    else:
-        kept = [
-            index
-            for index, node_id in enumerate(target)
-            if condition.matches(graph.node(node_id), graph)
-        ]
+    kept = [
+        index
+        for index, node_id in enumerate(target)
+        if condition.matches(graph.node(node_id), graph)
+    ]
     columns = [
         [column[index] for index in kept] for column in relation.columns_view()
     ]

@@ -1,25 +1,30 @@
 """Unit tests for the planning + reuse execution engine.
 
-Covers the statistics layer, the secondary indexes, plan construction
-(order, cost estimates, explain text), the prefix store, and the
-condition memo. Integration-level equivalence against the reference
-matcher lives in tests/integration/test_planner_equivalence.py.
+Covers the statistics layer, the secondary indexes, set-at-a-time
+candidate evaluation, plan construction (order, cost estimates, explain
+text), and the prefix store. Integration-level equivalence against the
+reference matcher lives in tests/integration/test_planner_equivalence.py.
 """
 
 import pytest
 
 from repro.errors import TgmError
 from repro.tgm.conditions import (
+    AndCondition,
     AttributeCompare,
     AttributeIn,
     AttributeLike,
-    ConditionMemo,
+    LabelLike,
     NeighborSatisfies,
     NodeIn,
     NodeIs,
+    NotCondition,
+    OrCondition,
     conjoin_conditions,
 )
 from repro.tgm.graph_relation import GraphAttribute, GraphRelation
+from repro.tgm.instance_graph import InstanceGraph
+from repro.tgm.schema_graph import EdgeTypeCategory, NodeType, SchemaGraph
 from repro.core.cache import CachingExecutor
 from repro.core.matching import match, match_planned
 from repro.core.operators import add, initiate, select, shift
@@ -86,7 +91,7 @@ class TestGraphStatistics:
 
 
 class TestSecondaryIndexes:
-    def test_attribute_index_probes(self, toy):
+    def test_attribute_index_buckets_hold_their_value(self, toy):
         index = toy.graph.attribute_index("Papers", "year")
         for year, ids in index.items():
             for node_id in ids:
@@ -243,48 +248,106 @@ class TestEstimation:
             * estimate_selectivity(b, "Papers", stats)
         )
 
-    def test_candidate_ids_equality_probe(self, toy):
-        graph = toy.graph
-        condition = AttributeCompare("year", "=", 2012)
+
+
+# ----------------------------------------------------------------------
+# Set-at-a-time candidate evaluation
+# ----------------------------------------------------------------------
+def _mixed_graph():
+    """A graph whose ``T`` label attribute holds values the attribute
+    index merges (``1``, ``1.0``, ``True``), skips (a list, ``None``) or
+    keeps apart (the string ``"1.0"``)."""
+    schema = SchemaGraph()
+    schema.add_node_type(NodeType("T", ("value",), "value"))
+    schema.add_node_type(NodeType("U", ("name",), "name"))
+    many = EdgeTypeCategory.MANY_TO_MANY
+    schema.add_edge_type_pair("T->U", "U->T", "T", "U", many)
+    schema.add_edge_type("T=>U", "T", "U", many)  # no reverse twin
+    graph = InstanceGraph(schema)
+    ts = [
+        graph.add_node("T", {"value": value}).node_id
+        for value in (1, 1.0, True, [1, 2], None, "1.0")
+    ]
+    alpha, beta = (
+        graph.add_node("U", {"name": name}).node_id
+        for name in ("alpha", "beta")
+    )
+    for t, u in ((ts[0], alpha), (ts[3], beta), (ts[5], alpha)):
+        graph.add_edge("T->U", t, u)
+    for t, u in ((ts[1], alpha), (ts[4], beta), (ts[5], beta)):
+        graph.add_edge("T=>U", t, u)
+    return graph
+
+
+def _nth(graph, type_name, index):
+    return graph.node_ids_of_type(type_name)[index]
+
+
+# (graph, type, condition built over that graph)
+_CANDIDATE_CASES = {
+    "equality-probe": (
+        "toy", "Papers", lambda g: AttributeCompare("year", "=", 2012)),
+    "identity-probe-checks-type": (
+        "toy", "Papers",
+        lambda g: NodeIn([_nth(g, "Papers", 0), _nth(g, "Conferences", 0)])),
+    "attribute-in-probe": (
+        "toy", "Papers", lambda g: AttributeIn("year", (2011, 2012))),
+    "like-float-suffix": (
+        "mixed", "T", lambda g: AttributeLike("value", "%.0")),
+    "like-true": ("mixed", "T", lambda g: AttributeLike("value", "True")),
+    "like-list": ("mixed", "T", lambda g: AttributeLike("value", "[%")),
+    "not-like": (
+        "mixed", "T", lambda g: AttributeLike("value", "1%", negate=True)),
+    "not-equal": ("mixed", "T", lambda g: AttributeCompare("value", "!=", 5)),
+    "not-of-equality": (
+        "mixed", "T",
+        lambda g: NotCondition(AttributeCompare("value", "=", 1))),
+    "less-than-other-type": (
+        "mixed", "T", lambda g: AttributeCompare("value", "<", "a")),
+    "equal-unhashable": (
+        "mixed", "T", lambda g: AttributeCompare("value", "=", [1, 2])),
+    "in-merged-bucket": ("mixed", "T", lambda g: AttributeIn("value", (1,))),
+    "in-unhashable": (
+        "mixed", "T", lambda g: AttributeIn("value", ([1, 2], "1.0"))),
+    "node-is-other-type": ("mixed", "T", lambda g: NodeIs(_nth(g, "U", 0))),
+    "node-in-absent-id": (
+        "mixed", "T", lambda g: NodeIn([_nth(g, "T", 2), 10_000])),
+    "neighbor-edge-leaves-other-type": (
+        "mixed", "T", lambda g: NeighborSatisfies("U->T", LabelLike("%"))),
+    "neighbor-reverse-twin": (
+        "mixed", "T",
+        lambda g: NeighborSatisfies("T->U", AttributeLike("name", "a%"))),
+    "neighbor-no-twin": (
+        "mixed", "T", lambda g: NeighborSatisfies("T=>U", LabelLike("b%"))),
+    "label-like": ("mixed", "T", lambda g: LabelLike("1%")),
+    "nested-and-or-not": (
+        "mixed", "T",
+        lambda g: AndCondition((
+            OrCondition((LabelLike("%.0"), AttributeLike("value", "[%"))),
+            NotCondition(AttributeCompare("value", "=", "1.0")),
+        ))),
+    "empty-and": ("mixed", "T", lambda g: AndCondition(())),
+    "empty-or": ("mixed", "T", lambda g: OrCondition(())),
+}
+
+
+class TestCandidateIds:
+    @pytest.fixture(scope="class")
+    def graphs(self, toy):
+        return {"toy": toy.graph, "mixed": _mixed_graph()}
+
+    @pytest.mark.parametrize("case", sorted(_CANDIDATE_CASES))
+    def test_equals_matching_nodes_in_type_order(self, graphs, case):
+        """The set evaluator agrees with ``Condition.matches``, the spec."""
+        graph_name, type_name, build = _CANDIDATE_CASES[case]
+        graph = graphs[graph_name]
+        condition = build(graph)
         expected = [
             node.node_id
-            for node in graph.nodes_of_type("Papers")
+            for node in graph.nodes_of_type(type_name)
             if condition.matches(node, graph)
         ]
-        assert sorted(candidate_ids(graph, "Papers", condition)) == sorted(expected)
-
-    def test_candidate_ids_identity_probe_checks_type(self, toy):
-        graph = toy.graph
-        paper = graph.nodes_of_type("Papers")[0]
-        conference = graph.nodes_of_type("Conferences")[0]
-        condition = NodeIn([paper.node_id, conference.node_id])
-        assert candidate_ids(graph, "Papers", condition) == [paper.node_id]
-
-    def test_candidate_ids_attribute_in_probe(self, toy):
-        graph = toy.graph
-        condition = AttributeIn("year", (2011, 2012))
-        expected = {
-            node.node_id
-            for node in graph.nodes_of_type("Papers")
-            if condition.matches(node, graph)
-        }
-        assert set(candidate_ids(graph, "Papers", condition)) == expected
-
-
-class TestConditionMemo:
-    def test_memo_hits_on_repeat(self, toy):
-        memo = ConditionMemo()
-        graph = toy.graph
-        condition = NeighborSatisfies(
-            "Papers->Authors", AttributeLike("name", "%a%")
-        )
-        node = graph.nodes_of_type("Papers")[0]
-        first = memo.matches(condition, node, graph)
-        evaluations = memo.evaluations
-        second = memo.matches(condition, node, graph)
-        assert first == second
-        assert memo.evaluations == evaluations  # no re-evaluation
-        assert memo.hits == 1
+        assert candidate_ids(graph, type_name, condition) == expected
 
 
 # ----------------------------------------------------------------------

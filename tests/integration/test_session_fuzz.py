@@ -200,8 +200,40 @@ def _attribute_pool(graph, type_name, rng):
     return pool
 
 
+def _like_pattern(value, rng):
+    """A ``%fragment%`` LIKE pattern cut from ``value``'s safe characters."""
+    safe = "".join(c for c in value if c in _LIKE_SAFE)
+    if len(safe) >= 2:
+        start = rng.randrange(0, max(1, len(safe) - 1))
+        fragment = safe[start:start + rng.randint(1, 4)]
+    else:
+        fragment = safe or "%"
+    return f"%{fragment}%"
+
+
 def _condition_json(graph, type_name, rng):
-    """A random serialized condition satisfied by at least one live node."""
+    """A random serialized condition over ``type_name``.
+
+    A comparison, LIKE, IN or label LIKE built from live nodes' values,
+    sometimes negated with ``not`` or paired with a second draw under
+    ``or``/``and``: the set algebra the engines must agree on.
+    """
+    roll = rng.random()
+    if roll < 0.15:
+        operand = _condition_json(graph, type_name, rng)
+        return None if operand is None else {"kind": "not", "operand": operand}
+    if roll < 0.30:
+        operands = [_condition_json(graph, type_name, rng) for _ in range(2)]
+        if None in operands:
+            return None
+        return {"kind": rng.choice(("or", "and")), "operands": operands}
+    if roll < 0.40:
+        nodes = graph.nodes_of_type(type_name)
+        label = rng.choice(nodes).label(graph.schema) if nodes else None
+        if label is None:
+            return None
+        return {"kind": "label_like",
+                "pattern": _like_pattern(str(label), rng)}
     pool = _attribute_pool(graph, type_name, rng)
     if not pool:
         return None
@@ -214,14 +246,9 @@ def _condition_json(graph, type_name, rng):
         kinds = ["=", "!="]
     kind = rng.choice(kinds)
     if kind == "like":
-        safe = "".join(c for c in value if c in _LIKE_SAFE)
-        if len(safe) >= 2:
-            start = rng.randrange(0, max(1, len(safe) - 1))
-            fragment = safe[start:start + rng.randint(1, 4)]
-        else:
-            fragment = safe or "%"
         return {"kind": "like", "attribute": attribute,
-                "pattern": f"%{fragment}%", "negate": rng.random() < 0.2}
+                "pattern": _like_pattern(value, rng),
+                "negate": rng.random() < 0.2}
     if kind == "in":
         values = [v for a, v in pool if a == attribute][:3]
         return {"kind": "in", "attribute": attribute, "values": values}
