@@ -3,8 +3,10 @@
 The paper's system ran interactively on a 38k-paper corpus; this bench
 sweeps the generator over increasing sizes and reports the cost of (a)
 database translation, (b) the Figure 1 interactive query, and (c) its
-monolithic SQL equivalent, demonstrating laptop-scale interactivity at the
-evaluation's scale knob. The benchmark itself measures the mid-size query.
+monolithic SQL equivalent on SQLite, demonstrating laptop-scale
+interactivity at the evaluation's scale knob. Loading SQLite is reported
+on its own, outside the SQL query's time. The benchmark itself measures the
+mid-size query.
 """
 
 import time
@@ -19,6 +21,7 @@ from repro.datasets.academic import (
     default_label_overrides,
     generate_academic,
 )
+from repro.relational import SqliteDatabase
 from repro.tgm.conditions import AttributeLike, NeighborSatisfies
 from repro.translate import translate_database
 
@@ -59,20 +62,27 @@ def test_scalability_sweep(benchmark):
         graph_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        execute_monolithic(db, pattern, tgdb.schema, tgdb.mapping, tgdb.graph)
-        sql_seconds = time.perf_counter() - start
+        with SqliteDatabase(db) as engine:
+            load_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            execute_monolithic(
+                engine, pattern, tgdb.schema, tgdb.mapping, tgdb.graph
+            )
+            sql_seconds = time.perf_counter() - start
 
         rows.append([
             papers,
             f"{generate_seconds * 1000:.0f} ms",
             f"{translate_seconds * 1000:.0f} ms",
             f"{graph_seconds * 1000:.0f} ms",
+            f"{load_seconds * 1000:.0f} ms",
             f"{sql_seconds * 1000:.0f} ms",
             len(etable),
         ])
         series[papers] = {
             "translate_ms": round(translate_seconds * 1000, 1),
             "graph_query_ms": round(graph_seconds * 1000, 1),
+            "sql_load_ms": round(load_seconds * 1000, 1),
             "sql_query_ms": round(sql_seconds * 1000, 1),
         }
         if papers == SIZES[1]:
@@ -80,8 +90,8 @@ def test_scalability_sweep(benchmark):
 
     report(banner("Scalability: corpus size vs pipeline stage cost"))
     report(format_table(
-        ["papers", "generate", "translate", "graph query", "SQL query",
-         "result rows"],
+        ["papers", "generate", "translate", "graph query", "SQL load",
+         "SQL query", "result rows"],
         rows,
     ))
 

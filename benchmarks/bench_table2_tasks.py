@@ -7,6 +7,7 @@ and benchmarks solving the whole set through the session API.
 
 from repro.bench import banner, format_table, report, save_result
 from repro.core.session import EtableSession
+from repro.relational import SqliteDatabase
 from repro.study.tasks import ground_truth_for, task_set_a
 
 
@@ -21,7 +22,8 @@ def _solve_all(tgdb, tasks):
 
 def test_table2_tasks(bench_db, bench_tgdb, benchmark):
     tasks = task_set_a()
-    truths = [ground_truth_for(bench_db, task) for task in tasks]
+    with SqliteDatabase(bench_db) as engine:
+        truths = [ground_truth_for(engine, task) for task in tasks]
 
     answers = benchmark.pedantic(_solve_all, args=(bench_tgdb, tasks),
                                  rounds=3, iterations=1)

@@ -6,18 +6,14 @@ Takes several FK–PK join queries, converts each to an ETable query pattern
 conditions, GROUP BY → primary node type), executes both the original SQL
 and the pattern, and verifies they return the same entities.
 
-The translated queries run on any registered SQL backend: the default is
-the in-memory engine, ``--backend sqlite`` executes them on a real SQLite
-database instead (same SQL, adapted to the dialect, same results).
+The translated patterns' SQL runs on SQLite.
 
-Run:  python examples/sql_roundtrip.py [--backend {memory,sqlite}]
+Run:  python examples/sql_roundtrip.py
 """
-
-import argparse
 
 from repro.core import execute_monolithic, graph_result_summary, results_equal
 from repro.core.from_sql import sql_to_pattern
-from repro.relational.backends import backend_names, create_backend
+from repro.relational import SqliteDatabase
 from repro.datasets.academic import (
     AcademicConfig,
     default_categorical_attributes,
@@ -56,42 +52,29 @@ QUERIES = [
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--backend", choices=backend_names(), default="memory",
-        help="SQL engine executing the translated queries "
-             "(default: the in-memory engine)",
-    )
-    options = parser.parse_args()
-
     db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
     tgdb = translate_database(
         db,
         categorical_attributes=default_categorical_attributes(),
         label_overrides=default_label_overrides(),
     )
-    backend = create_backend(options.backend, db)
-    print(f"SQL backend: {backend.name} "
-          f"(dialect {backend.capabilities.dialect!r})")
+    with SqliteDatabase(db) as engine:
+        for name, sql in QUERIES:
+            print("=" * 70)
+            print(name)
+            print(sql)
+            pattern = sql_to_pattern(sql, db, tgdb.schema, tgdb.mapping)
+            print("\nTranslated ETable query pattern:")
+            print(pattern.to_ascii())
 
-    for name, sql in QUERIES:
-        print("=" * 70)
-        print(name)
-        print(sql)
-        pattern = sql_to_pattern(sql, db, tgdb.schema, tgdb.mapping)
-        print("\nTranslated ETable query pattern:")
-        print(pattern.to_ascii())
-
-        graph_result = graph_result_summary(pattern, tgdb.graph)
-        sql_result = execute_monolithic(
-            db, pattern, tgdb.schema, tgdb.mapping, tgdb.graph,
-            backend=backend,
-        )
-        agree = results_equal(graph_result, sql_result)
-        print(f"\nrows: {len(graph_result.primary_keys)}  "
-              f"graph == SQL execution ({backend.name}): {agree}\n")
-        assert agree
-    backend.close()
+            graph_result = graph_result_summary(pattern, tgdb.graph)
+            sql_result = execute_monolithic(
+                engine, pattern, tgdb.schema, tgdb.mapping, tgdb.graph
+            )
+            agree = results_equal(graph_result, sql_result)
+            print(f"\nrows: {len(graph_result.primary_keys)}  "
+                  f"graph == SQL execution: {agree}\n")
+            assert agree
 
 
 if __name__ == "__main__":

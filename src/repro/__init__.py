@@ -3,8 +3,9 @@ Databases" (Kahng, Navathe, Stasko, Chau — VLDB 2016).
 
 Subpackages:
 
-* :mod:`repro.relational` — in-memory relational engine (the PostgreSQL
-  substitute), with a SQL dialect including the ``ENT_LIST`` aggregate;
+* :mod:`repro.relational` — typed tables with key constraints, a SQL
+  parser, and the stdlib SQLite engine that stands in for the paper's
+  PostgreSQL, with the ``ENT_LIST`` aggregate;
 * :mod:`repro.tgm` — the typed graph model: schema/instance graphs, the
   graph relation algebra, and four-table relational storage;
 * :mod:`repro.translate` — reverse engineering of relational schemas into

@@ -22,25 +22,18 @@ Typical usage::
     session.pivot("Papers")
     print(render_etable(session.current))
 
-Backend selection — the Section 6.2 SQL strategies run on any registered
-:class:`~repro.relational.backends.SqlBackend`. The default is the
-in-memory engine; pass ``backend="sqlite"`` (or a loaded backend instance,
-cheaper when issuing many queries) to execute the very same translated SQL
-on a real DBMS::
+SQL execution — the Section 6.2 strategies run the translated SQL on a
+:class:`~repro.relational.sqlite.SqliteDatabase`. Load it once, query it
+many times, and close it::
 
-    from repro.relational.backends import SqliteBackend, create_backend
+    from repro.relational import SqliteDatabase
     from repro.core import execute_monolithic, execute_partitioned
 
-    backend = SqliteBackend(db)          # load once, query many times
-    result = execute_monolithic(
-        db, session.current.pattern, tgdb.schema, tgdb.mapping, tgdb.graph,
-        backend=backend,                 # or backend="sqlite" for one-shots
-    )
-
-Translated SQL is adapted to a backend's dialect by
-:func:`~repro.core.sql_translation.adapt_sql`; new engines only have to
-implement the backend protocol and register themselves (see
-``repro/relational/backends/base.py``).
+    with SqliteDatabase(db) as engine:
+        result = execute_monolithic(
+            engine, session.current.pattern, tgdb.schema, tgdb.mapping,
+            tgdb.graph,
+        )
 """
 
 from repro.core.actions import (
@@ -99,12 +92,7 @@ from repro.core.sql_execution import (
     graph_result_summary,
     results_equal,
 )
-from repro.core.sql_translation import (
-    SqlTranslation,
-    adapt_sql,
-    pattern_to_sql,
-    quote_identifier,
-)
+from repro.core.sql_translation import SqlTranslation, pattern_to_sql
 from repro.core.transform import duplication_factor, execute_pattern, transform
 
 __all__ = [
@@ -129,7 +117,6 @@ __all__ = [
     "action_pivot",
     "action_see_all",
     "action_single",
-    "adapt_sql",
     "add",
     "build_partitioned_queries",
     "duplication_factor",
@@ -154,7 +141,6 @@ __all__ = [
     "restore_reference_order",
     "subpattern_key",
     "pattern_to_sql",
-    "quote_identifier",
     "score_columns",
     "select_columns",
     "render_default_table_list",

@@ -33,8 +33,7 @@ from repro.relational.sql.ast_nodes import (
     OrNode,
     SelectStatement,
 )
-from repro.relational.sql.parser import parse_select
-from repro.relational.sql.planner import split_conjuncts
+from repro.relational.sql.parser import parse_select, split_conjuncts
 from repro.tgm.conditions import (
     AttributeCompare,
     AttributeIn,

@@ -39,7 +39,6 @@ from typing import Any, Callable, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.errors import InvalidQueryPattern, TgmError
-from repro.relational.expressions import _compile_like
 from repro.tgm.conditions import (
     AndCondition,
     AttributeCompare,
@@ -52,6 +51,7 @@ from repro.tgm.conditions import (
     NodeIs,
     NotCondition,
     OrCondition,
+    compile_like,
     conjoin_conditions,
 )
 from repro.tgm.graph_relation import GraphAttribute, GraphRelation
@@ -184,7 +184,7 @@ def condition_ids(
         label = graph.schema.node_type(type_name).label_attribute
         condition = AttributeLike(label, condition.pattern)
     if isinstance(condition, AttributeLike):
-        match = _compile_like(condition.pattern).match
+        match = compile_like(condition.pattern).match
         negate = condition.negate
         return _attribute_ids(
             graph, type_name, condition.attribute,

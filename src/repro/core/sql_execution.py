@@ -1,4 +1,4 @@
-"""Executing ETable queries through the relational engine (Section 6.2).
+"""Executing ETable queries as SQL on SQLite (Section 6.2).
 
 The paper's server translates a query pattern into SQL and notes: "To
 efficiently perform queries, we partition a long SQL query into multiple
@@ -19,11 +19,15 @@ Both produce a :class:`PatternSqlResult`, comparable with the pure-graph
 execution via :func:`graph_result_summary` — the cross-validation used by
 the integration tests and the ablation bench.
 
-Both strategies run on any :class:`~repro.relational.backends.SqlBackend`
-via their ``backend`` argument (an instance, or a registry name such as
-``"sqlite"``); the default is the in-memory engine, byte-compatible with
-the pre-backend behaviour. Emitted SQL is adapted to the backend's dialect
-with :func:`repro.core.sql_translation.adapt_sql`.
+Both strategies run on a :class:`~repro.relational.sqlite.SqliteDatabase`,
+the stdlib SQLite engine standing in for the paper's PostgreSQL. Load it
+once and pass it to every call: loading copies the whole database.
+
+SQLite compares values of different types through column affinity, so
+``year = '2010'`` matches the 2010 rows and ``year < 'a'`` matches every
+year, where the graph matches nothing in both cases. Every statement the
+tests, benches, examples and the study run is type-correct, so none of them
+sees this difference.
 """
 
 from __future__ import annotations
@@ -32,13 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import EtableError
-from repro.relational.backends import (
-    MemoryBackend,
-    SqlBackend,
-    backend_class,
-    create_backend,
-)
-from repro.relational.database import Database
+from repro.relational.sqlite import SqliteDatabase
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.translate.schema_translator import TranslationMap
@@ -46,45 +44,10 @@ from repro.core.etable import ColumnKind, ETable
 from repro.core.query_pattern import PatternEdge, QueryPattern
 from repro.core.sql_translation import (
     _Translator,
-    adapt_sql,
     correlate_pattern_edge,
     pattern_to_sql,
 )
 from repro.core.transform import execute_pattern
-
-BackendSpec = SqlBackend | str | None
-
-
-def _resolve_backend(backend: BackendSpec, database: Database) -> SqlBackend:
-    """Normalize the ``backend`` argument of the execution strategies.
-
-    ``None`` keeps the historical behaviour (the in-memory engine); a string
-    instantiates a registered backend and loads ``database`` into it; an
-    instance is used as-is (loading it on first use). Passing a backend
-    already loaded with a *different* database is almost certainly a bug, so
-    it is rejected rather than silently cross-queried.
-    """
-    if backend is None:
-        return MemoryBackend(database)
-    if isinstance(backend, str):
-        return create_backend(backend, database)
-    if not backend.is_loaded:
-        backend.load(database)
-    elif backend.database is not database:
-        raise EtableError(
-            f"backend {backend.name!r} is loaded with a different Database "
-            f"instance ({backend.database.name!r}); pass that database, or "
-            f"reload the backend with load({database.name!r})"
-        )
-    return backend
-
-
-def _dialect_of(backend: BackendSpec) -> str:
-    if backend is None:
-        return "memory"
-    if isinstance(backend, str):
-        return backend_class(backend).capabilities.dialect
-    return backend.capabilities.dialect
 
 
 @dataclass
@@ -108,83 +71,60 @@ class PatternSqlResult:
 
 
 def execute_monolithic(
-    database: Database,
+    engine: SqliteDatabase,
     pattern: QueryPattern,
     schema: SchemaGraph,
     mapping: TranslationMap,
     graph: InstanceGraph | None = None,
-    backend: BackendSpec = None,
 ) -> PatternSqlResult:
-    """Run the single-query strategy on ``backend`` (default: in-memory)."""
-    engine = _resolve_backend(backend, database)
-    try:
-        if not engine.capabilities.ent_list:
-            raise EtableError(
-                f"backend {engine.name!r} has no ENT_LIST aggregate; use "
-                "the partitioned strategy"
-            )
-        translation = pattern_to_sql(pattern, schema, mapping, graph)
-        sql = adapt_sql(translation.sql, engine.capabilities.dialect)
-        relation = engine.execute(sql)
-    finally:
-        if engine is not backend:  # a one-shot engine we created: clean up
-            engine.close()
-    key_position = relation.column_position(translation.primary_key_alias)
+    """Run the single-query strategy on ``engine``."""
+    translation = pattern_to_sql(pattern, schema, mapping, graph)
+    result = engine.execute(translation.sql)
+    key_position = result.column_position(translation.primary_key_alias)
     ref_positions = {
-        key: relation.column_position(output)
+        key: result.column_position(output)
         for key, output in translation.participating_aliases.items()
     }
     primary_keys: list[Any] = []
     cells: dict[Any, dict[str, frozenset]] = {}
-    for row in relation.rows:
+    for row in result.rows:
         primary = row[key_position]
         primary_keys.append(primary)
         cells[primary] = {
             key: frozenset(row[position])
             for key, position in ref_positions.items()
         }
-    return PatternSqlResult(primary_keys, cells, queries=[sql])
+    return PatternSqlResult(primary_keys, cells, queries=[translation.sql])
 
 
 def execute_partitioned(
-    database: Database,
+    engine: SqliteDatabase,
     pattern: QueryPattern,
     schema: SchemaGraph,
     mapping: TranslationMap,
     graph: InstanceGraph | None = None,
-    backend: BackendSpec = None,
 ) -> PatternSqlResult:
-    """Run the per-column strategy of Section 6.2 on ``backend``."""
-    engine = _resolve_backend(backend, database)
-    try:
-        queries = build_partitioned_queries(pattern, schema, mapping, graph,
-                                            backend=engine)
-        row_relation = engine.execute(queries.row_sql)
-        key_position = row_relation.column_position("etable_key")
-        primary_keys = [row[key_position] for row in row_relation.rows]
-        key_set = set(primary_keys)
-        cells: dict[Any, dict[str, frozenset]] = {
-            key: {} for key in primary_keys
-        }
-        executed = [queries.row_sql]
-        for participating_key, column_sql in queries.column_sql.items():
-            relation = engine.execute(column_sql)
-            primary_position = relation.column_position("etable_key")
-            ref_position = relation.column_position("ref")
-            collected: dict[Any, set] = {}
-            for row in relation.rows:
-                primary = row[primary_position]
-                if primary not in key_set:
-                    continue  # pragma: no cover - semijoins prevent this
-                collected.setdefault(primary, set()).add(row[ref_position])
-            for key in primary_keys:
-                cells[key][participating_key] = frozenset(
-                    collected.get(key, ())
-                )
-            executed.append(column_sql)
-    finally:
-        if engine is not backend:  # a one-shot engine we created: clean up
-            engine.close()
+    """Run the per-column strategy of Section 6.2 on ``engine``."""
+    queries = build_partitioned_queries(pattern, schema, mapping, graph)
+    row_result = engine.execute(queries.row_sql)
+    key_position = row_result.column_position("etable_key")
+    primary_keys = [row[key_position] for row in row_result.rows]
+    key_set = set(primary_keys)
+    cells: dict[Any, dict[str, frozenset]] = {key: {} for key in primary_keys}
+    executed = [queries.row_sql]
+    for participating_key, column_sql in queries.column_sql.items():
+        result = engine.execute(column_sql)
+        primary_position = result.column_position("etable_key")
+        ref_position = result.column_position("ref")
+        collected: dict[Any, set] = {}
+        for row in result.rows:
+            primary = row[primary_position]
+            if primary not in key_set:
+                continue  # pragma: no cover - semijoins prevent this
+            collected.setdefault(primary, set()).add(row[ref_position])
+        for key in primary_keys:
+            cells[key][participating_key] = frozenset(collected.get(key, ()))
+        executed.append(column_sql)
     return PatternSqlResult(primary_keys, cells, queries=executed)
 
 
@@ -199,15 +139,8 @@ def build_partitioned_queries(
     schema: SchemaGraph,
     mapping: TranslationMap,
     graph: InstanceGraph | None = None,
-    backend: BackendSpec = None,
 ) -> PartitionedQueries:
-    """Emit the row-set query and one query per entity-reference column.
-
-    When ``backend`` is given (instance or registry name) the emitted SQL is
-    adapted to that backend's dialect; the default is the canonical memory
-    dialect, byte-identical to what this function always produced.
-    """
-    dialect = _dialect_of(backend)
+    """Emit the row-set query and one query per entity-reference column."""
     base = _Translator(pattern, schema, mapping, graph)
     translation = base.translate()
     primary_expr = base.bindings[pattern.primary_key].key_expr
@@ -219,11 +152,11 @@ def build_partitioned_queries(
     parents = _parent_map(pattern)
     column_sql: dict[str, str] = {}
     for offset, participating_key in enumerate(pattern.participating_keys):
-        column_sql[participating_key] = adapt_sql(_column_query(
+        column_sql[participating_key] = _column_query(
             pattern, schema, mapping, graph, parents, participating_key,
             alias_offset=(offset + 1) * 200,
-        ), dialect)
-    return PartitionedQueries(adapt_sql(row_sql, dialect), column_sql)
+        )
+    return PartitionedQueries(row_sql, column_sql)
 
 
 def _parent_map(pattern: QueryPattern) -> dict[str, tuple[str, PatternEdge] | None]:

@@ -26,18 +26,17 @@ Binding rules per node-type category (the paper leaves these implicit):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import EtableError, TranslationError
-from repro.relational.backends.base import quote_identifier
 from repro.tgm.conditions import (
     AndCondition,
     AttributeCompare,
     AttributeIn,
     AttributeLike,
     Condition,
+    LabelLike,
     NeighborSatisfies,
     NodeIn,
     NodeIs,
@@ -341,6 +340,12 @@ class _Translator:
                 f"{self._attr_expr(binding, key, condition.attribute)} "
                 f"{keyword} {_literal(condition.pattern)}"
             )
+        if isinstance(condition, LabelLike):
+            node_type = self.pattern.node(key).type_name
+            label = self.schema.node_type(node_type).label_attribute
+            return self._render_condition(
+                AttributeLike(label, condition.pattern), key, binding
+            )
         if isinstance(condition, AttributeIn):
             values = ", ".join(_literal(value) for value in condition.values)
             return (
@@ -577,66 +582,3 @@ def pattern_to_sql(
 ) -> SqlTranslation:
     """Translate an ETable query pattern into the Section 8 SQL pattern."""
     return _Translator(pattern, schema, mapping, graph).translate()
-
-
-# ----------------------------------------------------------------------
-# Dialect shim
-# ----------------------------------------------------------------------
-# The translators above emit the "memory" dialect — the canonical flavour
-# understood by repro.relational.sql. Real engines differ in small,
-# mechanical ways; adapt_sql() bridges them so the same translation runs on
-# every repro.relational.backends backend. Differences NOT handled here
-# because the SQLite backend resolves them at load/registration time
-# instead: ENT_LIST (registered via create_aggregate), LIKE case folding
-# (the memory engine's matcher is installed as an override), and type
-# affinity (BOOLEAN columns fold to INTEGER when the database is loaded).
-# quote_identifier (re-exported from the backends layer) lives with the
-# backends so engine loaders share the same quoting; adapt_sql leaves
-# double-quoted spans untouched, so quoted identifiers survive rewriting.
-
-_BOOLEAN_LITERAL = re.compile(r"\b(TRUE|FALSE)\b", re.IGNORECASE)
-
-
-def adapt_sql(sql: str, dialect: str) -> str:
-    """Rewrite memory-dialect SQL for another engine's dialect.
-
-    For ``"sqlite"`` the TRUE/FALSE keyword literals become 1/0 (SQLite
-    stores booleans as integers, and versions before 3.23 do not parse the
-    keywords at all). Single-quoted string literals and double-quoted
-    identifiers are left untouched.
-    """
-    if dialect == "memory":
-        return sql
-    if dialect != "sqlite":
-        raise TranslationError(f"unknown SQL dialect {dialect!r}")
-    out: list[str] = []
-    position = 0
-    length = len(sql)
-    while position < length:
-        char = sql[position]
-        if char in ("'", '"'):
-            # Copy the quoted span verbatim; a doubled quote escapes itself.
-            end = position + 1
-            while end < length:
-                if sql[end] == char:
-                    if end + 1 < length and sql[end + 1] == char:
-                        end += 2
-                        continue
-                    break
-                end += 1
-            out.append(sql[position:end + 1])
-            position = end + 1
-            continue
-        next_single = sql.find("'", position)
-        next_double = sql.find('"', position)
-        candidates = [p for p in (next_single, next_double) if p != -1]
-        next_quote = min(candidates) if candidates else -1
-        chunk = sql[position:] if next_quote == -1 else sql[position:next_quote]
-        out.append(
-            _BOOLEAN_LITERAL.sub(
-                lambda match: "1" if match.group(1).upper() == "TRUE" else "0",
-                chunk,
-            )
-        )
-        position = length if next_quote == -1 else next_quote
-    return "".join(out)

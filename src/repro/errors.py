@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`ReproError` so
 applications can catch library failures with a single ``except`` clause while
-still being able to distinguish the layer that failed (relational engine,
+still being able to distinguish the layer that failed (relational layer,
 typed-graph model, translator, ETable core, or study simulator).
 """
 
@@ -14,7 +14,7 @@ class ReproError(Exception):
 
 
 class RelationalError(ReproError):
-    """Base class for errors raised by the relational engine."""
+    """Base class for errors raised by the relational layer."""
 
 
 class SchemaError(RelationalError):
@@ -45,14 +45,6 @@ class UnknownTable(RelationalError):
     """A query referenced a table that is not in the catalog."""
 
 
-class UnknownColumn(RelationalError):
-    """An expression referenced a column that does not exist in scope."""
-
-
-class AmbiguousColumn(RelationalError):
-    """An unqualified column name matched more than one column in scope."""
-
-
 class SqlSyntaxError(RelationalError):
     """The SQL text could not be tokenized or parsed."""
 
@@ -61,14 +53,6 @@ class SqlSyntaxError(RelationalError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-
-
-class SqlSemanticError(RelationalError):
-    """The SQL parsed but is not executable (bad grouping, bad aggregate...)."""
-
-
-class UnknownBackend(RelationalError):
-    """A SQL backend name is not in the backend registry."""
 
 
 class TgmError(ReproError):

@@ -1,16 +1,18 @@
-"""A small in-memory relational engine.
+"""The relational side: typed tables, a SQL parser, and the SQLite engine.
 
-This package is the reproduction's substitute for the PostgreSQL backend the
-paper's prototype used (Section 6.2): typed tables with primary/foreign-key
-enforcement, a relational-algebra execution layer, and a SQL dialect rich
-enough to run the queries that ETable's translation layer emits (Section 8),
-including ``ENT_LIST`` — our analogue of PostgreSQL's ``json_agg``.
+The paper's prototype stores its data in PostgreSQL (Section 6.2). Here a
+:class:`Database` of typed tables with primary/foreign-key enforcement is
+what the generators build and the Appendix A translator reads;
+:class:`SqliteDatabase` loads it into the stdlib ``sqlite3`` engine, which
+runs the SQL that ETable's translation layer emits (Section 8), including
+``ENT_LIST`` — our analogue of PostgreSQL's ``json_agg``. The parser reads
+the FK–PK join queries that :mod:`repro.core.from_sql` turns into ETable
+queries.
 
 Public entry points::
 
     from repro.relational import (
-        Column, DataType, Database, ForeignKey, TableSchema, table_schema,
-        execute_sql,
+        DataType, Database, SqliteDatabase, table_schema,
     )
 
     db = Database("demo")
@@ -18,108 +20,30 @@ Public entry points::
                                                  ("acronym", DataType.TEXT)],
                                  primary_key="id"))
     db.insert("conferences", {"id": 1, "acronym": "SIGMOD"})
-    result = execute_sql(db, "SELECT acronym FROM conferences WHERE id = 1")
+    with SqliteDatabase(db) as sql:
+        result = sql.execute("SELECT acronym FROM conferences WHERE id = 1")
 """
 
-from repro.relational.backends import (
-    BackendCapabilities,
-    MemoryBackend,
-    SqlBackend,
-    SqliteBackend,
-    backend_names,
-    create_backend,
-)
-from repro.relational.algebra import (
-    AggregateSpec,
-    Relation,
-    SortKey,
-    cross_join,
-    distinct,
-    equi_join,
-    from_table,
-    group_by,
-    limit,
-    order_by,
-    project,
-    project_columns,
-    rename,
-    select,
-    theta_join,
-)
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType, coerce, infer_type
-from repro.relational.expressions import (
-    And,
-    Arithmetic,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Not,
-    Or,
-    Scope,
-    column,
-    conjoin,
-    equals,
-)
 from repro.relational.schema import Column, ForeignKey, TableSchema, table_schema
-from repro.relational.sql.executor import execute_sql, execute_statement
 from repro.relational.sql.parser import parse, parse_select
+from repro.relational.sqlite import QueryResult, SqliteDatabase, quote_identifier
 from repro.relational.table import Table
 
 __all__ = [
-    "AggregateSpec",
-    "And",
-    "Arithmetic",
-    "BackendCapabilities",
     "Column",
-    "ColumnRef",
-    "Comparison",
     "DataType",
     "Database",
-    "Expression",
     "ForeignKey",
-    "FunctionCall",
-    "InList",
-    "IsNull",
-    "Like",
-    "Literal",
-    "MemoryBackend",
-    "Not",
-    "Or",
-    "Relation",
-    "Scope",
-    "SortKey",
-    "SqlBackend",
-    "SqliteBackend",
+    "QueryResult",
+    "SqliteDatabase",
     "Table",
     "TableSchema",
-    "backend_names",
     "coerce",
-    "column",
-    "conjoin",
-    "create_backend",
-    "cross_join",
-    "distinct",
-    "equals",
-    "equi_join",
-    "execute_sql",
-    "execute_statement",
-    "from_table",
-    "group_by",
     "infer_type",
-    "limit",
-    "order_by",
     "parse",
     "parse_select",
-    "project",
-    "project_columns",
-    "rename",
-    "select",
+    "quote_identifier",
     "table_schema",
-    "theta_join",
 ]

@@ -1,8 +1,8 @@
 """The database catalog: a set of named tables plus cross-table integrity.
 
-This is the substitute for the paper's PostgreSQL backend (Section 6.2).
 It owns table creation, foreign-key enforcement on insert, and convenience
-bulk-loading. SQL entry points live in :mod:`repro.relational.sql`.
+bulk-loading. :class:`repro.relational.sqlite.SqliteDatabase` loads it into
+SQLite to run SQL (Section 6.2).
 """
 
 from __future__ import annotations

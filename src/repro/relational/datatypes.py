@@ -1,6 +1,6 @@
-"""Column data types for the relational engine.
+"""Column data types for the relational catalog.
 
-The engine supports a deliberately small set of scalar types — the same set
+The catalog supports a deliberately small set of scalar types — the same set
 needed by the paper's academic database (Figure 3) and by the four-table TGDB
 storage layout (Section 6.2): integers, floats, text, and booleans. ``NULL``
 is represented by Python ``None`` and is a member of every type's domain
@@ -16,7 +16,7 @@ from repro.errors import TypeMismatch
 
 
 class DataType(enum.Enum):
-    """Scalar column types understood by the engine."""
+    """Scalar column types understood by the catalog."""
 
     INTEGER = "INTEGER"
     REAL = "REAL"
@@ -119,19 +119,3 @@ def infer_type(value: Any) -> DataType:
     if isinstance(value, float):
         return DataType.REAL
     return DataType.TEXT
-
-
-def is_comparable(left: Any, right: Any) -> bool:
-    """Return True when ``left < right`` is well defined for the engine.
-
-    Numbers compare with numbers, strings with strings, booleans with
-    booleans. NULL never compares (SQL three-valued logic is handled by
-    the expression evaluator, not here).
-    """
-    if left is None or right is None:
-        return False
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool)
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return True
-    return isinstance(left, str) and isinstance(right, str)

@@ -1,10 +1,8 @@
-"""Abstract syntax tree for the SQL dialect.
+"""Abstract syntax tree for the SQL grammar the parser reads.
 
-Parser output. These nodes are deliberately separate from the runtime
-expression trees in :mod:`repro.relational.expressions` because SQL syntax
-admits constructs (aggregate calls, ``EXISTS`` subqueries, ``*`` items) that
-only make sense in specific clause positions; the planner performs that
-lowering and rejects misuse.
+Parser output, consumed by :mod:`repro.core.from_sql`, which turns FK–PK
+join queries into ETable query patterns and rejects what it cannot
+translate.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Tokenizer for the engine's SQL dialect.
+"""Tokenizer for the SQL grammar the parser reads.
 
-The dialect covers what the ETable translation layer emits (Section 8 of the
-paper) plus what the study's simulated SQL users type: SELECT queries with
-joins, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT, aggregate calls, LIKE,
+The grammar covers what the ETable translation layer emits (Section 8 of
+the paper) plus what the study's simulated SQL users type: SELECT queries
+with joins, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT, aggregate calls, LIKE,
 IN, EXISTS, and literals. Keywords are case-insensitive; identifiers keep
 their case.
 """

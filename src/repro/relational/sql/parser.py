@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the SQL dialect.
+"""Recursive-descent parser for the SQL that :mod:`repro.core.from_sql` reads.
 
 Grammar (simplified):
 
@@ -61,6 +61,18 @@ def parse_select(sql: str) -> SelectStatement:
     if not isinstance(statement, SelectStatement):
         raise SqlSyntaxError("expected a plain SELECT statement, found UNION")
     return statement
+
+
+def split_conjuncts(node: ExprNode | None) -> list[ExprNode]:
+    """Flatten a WHERE tree into top-level AND conjuncts."""
+    if node is None:
+        return []
+    if isinstance(node, AndNode):
+        out: list[ExprNode] = []
+        for operand in node.operands:
+            out.extend(split_conjuncts(operand))
+        return out
+    return [node]
 
 
 class _Parser:
@@ -238,7 +250,7 @@ class _Parser:
             self.expect_keyword("join")
         elif self.accept_keyword("left"):
             self.accept_keyword("outer")
-            raise SqlSyntaxError("LEFT JOIN is not supported by this engine")
+            raise SqlSyntaxError("LEFT JOIN is not supported by this parser")
         else:
             self.expect_keyword("join")
         table = self._parse_table_ref()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StudyError
 from repro.relational.database import Database
+from repro.relational.sqlite import SqliteDatabase
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core.session import EtableSession
@@ -98,30 +99,35 @@ def prepare_tasks(
     schema: SchemaGraph,
     graph: InstanceGraph,
 ) -> dict[str, list[PreparedTask]]:
-    """Resolve ground truths and validate every ETable script, per task set."""
+    """Resolve ground truths and validate every ETable script, per task set.
+
+    The database is loaded into SQLite once for all 24 statements.
+    """
     prepared: dict[str, list[PreparedTask]] = {}
-    for set_name, tasks in (("A", task_set_a()), ("B", task_set_b())):
-        bundle: list[PreparedTask] = []
-        for task in tasks:
-            truth = ground_truth_for(database, task)
-            session = EtableSession(schema, graph)
-            answer, steps = task.etable_script(session)
-            if answer != truth:
-                raise StudyError(
-                    f"task {task.task_id}{task.task_set}: the ETable script "
-                    f"answer {sorted(map(str, answer))[:5]!r} does not match "
-                    f"ground truth {sorted(map(str, truth))[:5]!r}"
+    with SqliteDatabase(database) as engine:
+        for set_name, tasks in (("A", task_set_a()), ("B", task_set_b())):
+            bundle: list[PreparedTask] = []
+            for task in tasks:
+                truth = ground_truth_for(engine, task)
+                session = EtableSession(schema, graph)
+                answer, steps = task.etable_script(session)
+                if answer != truth:
+                    raise StudyError(
+                        f"task {task.task_id}{task.task_set}: the ETable "
+                        f"script answer {sorted(map(str, answer))[:5]!r} does "
+                        f"not match ground truth "
+                        f"{sorted(map(str, truth))[:5]!r}"
+                    )
+                bundle.append(
+                    PreparedTask(
+                        spec=task,
+                        ground_truth=truth,
+                        etable_answer=answer,
+                        etable_steps=steps,
+                        flat_rows=task.flat_result_rows(engine),
+                    )
                 )
-            bundle.append(
-                PreparedTask(
-                    spec=task,
-                    ground_truth=truth,
-                    etable_answer=answer,
-                    etable_steps=steps,
-                    flat_rows=task.flat_result_rows(database),
-                )
-            )
-        prepared[set_name] = bundle
+            prepared[set_name] = bundle
     return prepared
 
 

@@ -2,7 +2,7 @@
 
 Each task carries everything both simulated conditions need:
 
-* a ground-truth SQL query (run on the relational engine);
+* a ground-truth SQL query (run on the SQLite engine);
 * an ETable *solution script* — the action sequence a trained participant
   performs, which is executed against a real session and must produce the
   ground-truth answer (this is how the reproduction proves the tasks are
@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import TaskDefinitionError
-from repro.relational.database import Database
-from repro.relational.sql.executor import execute_sql
+from repro.relational.sqlite import SqliteDatabase
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 from repro.core.session import EtableSession
 
@@ -54,9 +53,9 @@ class TaskSpec:
     # max-over-count, the hardest SQL concept in the study (Task 5).
     superlative: bool = False
 
-    def ground_truth(self, database: Database) -> frozenset:
-        relation = execute_sql(database, self.ground_truth_sql)
-        answer = frozenset(row[0] for row in relation.rows)
+    def ground_truth(self, engine: SqliteDatabase) -> frozenset:
+        result = engine.execute(self.ground_truth_sql)
+        answer = frozenset(row[0] for row in result.rows)
         if not answer:
             raise TaskDefinitionError(
                 f"task {self.task_id}{self.task_set} has an empty ground "
@@ -64,10 +63,10 @@ class TaskSpec:
             )
         return answer
 
-    def flat_result_rows(self, database: Database) -> int:
+    def flat_result_rows(self, engine: SqliteDatabase) -> int:
         """Row count of the flat join — drives result-interpretation time
         (duplicated rows are the paper's core usability complaint)."""
-        return len(execute_sql(database, self.flat_sql).rows)
+        return len(engine.execute(self.flat_sql).rows)
 
 
 # ----------------------------------------------------------------------
@@ -377,18 +376,18 @@ def task_set_b() -> list[TaskSpec]:
     ]
 
 
-def top3_ground_truth(database: Database, task: TaskSpec) -> frozenset:
+def top3_ground_truth(engine: SqliteDatabase, task: TaskSpec) -> frozenset:
     """Ground truth for task 6: everyone at or above the third-highest count."""
-    relation = execute_sql(database, task.ground_truth_sql)
-    if not relation.rows:
+    result = engine.execute(task.ground_truth_sql)
+    if not result.rows:
         raise TaskDefinitionError("task 6 has no qualifying researchers")
-    counts = [row[1] for row in relation.rows]
+    counts = [row[1] for row in result.rows]
     threshold = counts[min(2, len(counts) - 1)]
-    return frozenset(row[0] for row in relation.rows if row[1] >= threshold)
+    return frozenset(row[0] for row in result.rows if row[1] >= threshold)
 
 
-def ground_truth_for(database: Database, task: TaskSpec) -> frozenset:
+def ground_truth_for(engine: SqliteDatabase, task: TaskSpec) -> frozenset:
     """Dispatch: task 6 needs the tie-aware top-3 rule."""
     if task.task_id == 6:
-        return top3_ground_truth(database, task)
-    return task.ground_truth(database)
+        return top3_ground_truth(engine, task)
+    return task.ground_truth(engine)

@@ -11,6 +11,7 @@ history view shows those strings (e.g. ``acronym = 'SIGMOD'``).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
@@ -55,6 +56,26 @@ class Condition:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+@functools.lru_cache(maxsize=1024)
+def compile_like(pattern: str) -> re.Pattern[str]:
+    """Compile a LIKE pattern: ``%`` matches any run, ``_`` one character.
+
+    Matching is case-insensitive for every character (PostgreSQL's ILIKE,
+    because the ETable UI filters by case-insensitive contains, as in the
+    paper's ``country like '%Korea%'``) and crosses newlines. The SQL engine
+    installs this matcher as its ``LIKE``, so SQL and the graph agree.
+    """
+    parts: list[str] = []
+    for char in pattern:
+        if char == "%":
+            parts.append(".*")
+        elif char == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(char))
+    return re.compile("^" + "".join(parts) + "$", re.IGNORECASE | re.DOTALL)
 
 
 def _format_value(value: Any) -> str:
@@ -102,16 +123,11 @@ class AttributeLike(Condition):
     pattern: str
     negate: bool = False
 
-    def _regex(self) -> re.Pattern[str]:
-        from repro.relational.expressions import _compile_like
-
-        return _compile_like(self.pattern)
-
     def matches(self, node: "Node", graph: "InstanceGraph") -> bool:
         actual = node.attributes.get(self.attribute)
         if actual is None:
             return False
-        matched = bool(self._regex().match(str(actual)))
+        matched = bool(compile_like(self.pattern).match(str(actual)))
         return not matched if self.negate else matched
 
     def describe(self) -> str:
@@ -194,7 +210,7 @@ class LabelLike(Condition):
         label = node.label(graph.schema)
         if label is None:
             return False
-        return AttributeLike("_", self.pattern)._regex().match(str(label)) is not None
+        return compile_like(self.pattern).match(str(label)) is not None
 
     def describe(self) -> str:
         return f"label like {_format_value(self.pattern)}"

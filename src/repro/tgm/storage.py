@@ -2,8 +2,8 @@
 
 The paper's prototype "stores TGDB schema and instance graphs in four
 relational tables: nodes, edges, node types, and edge types". We reproduce
-that layout on our own relational engine. Node attribute values are
-serialized into a JSON text column (the paper does not specify the physical
+that layout as a :class:`~repro.relational.Database`. Node attribute values
+are serialized into a JSON text column (the paper does not specify the physical
 attribute encoding; JSON-in-a-column matches the PostgreSQL-era idiom and
 keeps the table count at exactly four).
 """

@@ -5,7 +5,7 @@ Besides the schema graph itself, translation produces a
 relational machinery it came from (tables, key columns, junction tables).
 The ETable SQL-translation layer (Section 8) consumes this map to emit SQL
 over the *original* relational schema, which is what lets us cross-validate
-graph execution against the relational engine.
+graph execution against SQL run on SQLite.
 """
 
 from __future__ import annotations

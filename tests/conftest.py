@@ -1,8 +1,9 @@
-"""Shared fixtures: generated databases and their TGDB translations.
+"""Shared fixtures: generated databases, their TGDB translations, and
+each database loaded into SQLite.
 
-Session-scoped because generation and translation are deterministic and the
-tests only read from them. Tests that need to mutate state build their own
-objects.
+Session-scoped because generation, translation and loading are
+deterministic and the tests only read from them. Tests that need to mutate
+state build their own objects.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.datasets.movies import (
     movies_label_overrides,
 )
 from repro.datasets.toy import generate_toy
+from repro.relational import SqliteDatabase
 from repro.translate import translate_database
 
 
@@ -68,3 +70,21 @@ def movies(movies_db):
         categorical_attributes=movies_categorical_attributes(),
         label_overrides=movies_label_overrides(),
     )
+
+
+@pytest.fixture(scope="session")
+def academic_sql(academic_db):
+    with SqliteDatabase(academic_db) as engine:
+        yield engine
+
+
+@pytest.fixture(scope="session")
+def toy_sql(toy_db):
+    with SqliteDatabase(toy_db) as engine:
+        yield engine
+
+
+@pytest.fixture(scope="session")
+def movies_sql(movies_db):
+    with SqliteDatabase(movies_db) as engine:
+        yield engine

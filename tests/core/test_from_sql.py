@@ -78,7 +78,7 @@ class TestBasicTranslation:
 
 
 class TestRoundTrip:
-    def test_full_round_trip_equivalence(self, toy, toy_db):
+    def test_full_round_trip_equivalence(self, toy, toy_db, toy_sql):
         """SQL → pattern → (graph execution == monolithic SQL execution)."""
         sql = (
             "SELECT a.name FROM Conferences c, Papers p, Paper_Authors pa, "
@@ -91,7 +91,7 @@ class TestRoundTrip:
         pattern = sql_to_pattern(sql, toy_db, toy.schema, toy.mapping)
         graph = graph_result_summary(pattern, toy.graph)
         mono = execute_monolithic(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         assert results_equal(graph, mono)
         names = {

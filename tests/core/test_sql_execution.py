@@ -24,18 +24,18 @@ def korea_pattern(tgdb):
 
 
 class TestStrategies:
-    def test_monolithic_matches_graph(self, toy, toy_db):
+    def test_monolithic_matches_graph(self, toy, toy_sql):
         pattern = korea_pattern(toy)
         mono = execute_monolithic(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         graph = graph_result_summary(pattern, toy.graph)
         assert results_equal(mono, graph)
 
-    def test_partitioned_matches_graph(self, toy, toy_db):
+    def test_partitioned_matches_graph(self, toy, toy_sql):
         pattern = korea_pattern(toy)
         part = execute_partitioned(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         graph = graph_result_summary(pattern, toy.graph)
         assert results_equal(part, graph)
@@ -60,7 +60,7 @@ class TestStrategies:
         assert "Conferences" not in from_clause
         assert "EXISTS" in institutions_sql
 
-    def test_semijoin_preserves_deep_constraints(self, toy, toy_db):
+    def test_semijoin_preserves_deep_constraints(self, toy, toy_sql):
         # Primary = Papers with the Korea constraint hanging two hops away:
         # partitioned per-column query for Authors must NOT include authors
         # from non-Korean institutions.
@@ -71,7 +71,7 @@ class TestStrategies:
         pattern = select(pattern, AttributeLike("country", "%Korea%"))
         pattern = shift(pattern, "Papers")
         part = execute_partitioned(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         graph = graph_result_summary(pattern, toy.graph)
         assert results_equal(part, graph)
@@ -79,26 +79,26 @@ class TestStrategies:
         # paper 1 only Bob (not Ann of Michigan) may appear.
         assert part.cells[1]["Authors"] == frozenset({1})
 
-    def test_queries_recorded(self, toy, toy_db):
+    def test_queries_recorded(self, toy, toy_sql):
         pattern = korea_pattern(toy)
         mono = execute_monolithic(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         part = execute_partitioned(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         assert len(mono.queries) == 1
         assert len(part.queries) == 4
 
-    def test_single_node_pattern(self, toy, toy_db):
+    def test_single_node_pattern(self, toy, toy_sql):
         pattern = initiate(toy.schema, "Conferences")
         part = execute_partitioned(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         graph = graph_result_summary(pattern, toy.graph)
         assert results_equal(part, graph)
 
-    def test_mv_value_node_mid_path_regression(self, toy, toy_db):
+    def test_mv_value_node_mid_path_regression(self, toy, toy_sql):
         """Regression (hypothesis-found): keyword node between two Papers
         occurrences. The EXISTS subtree rooted at the keyword node must not
         reuse its attribute-table row for both the internal join and the
@@ -127,15 +127,15 @@ class TestStrategies:
         )
         graph = graph_result_summary(pattern, toy.graph)
         part = execute_partitioned(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         mono = execute_monolithic(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph
+            toy_sql, pattern, toy.schema, toy.mapping, toy.graph
         )
         assert results_equal(graph, mono)
         assert results_equal(graph, part)
 
-    def test_equivalence_on_academic_data(self, academic, academic_db):
+    def test_equivalence_on_academic_data(self, academic, academic_sql):
         schema = academic.schema
         pattern = initiate(schema, "Conferences")
         pattern = select(pattern, AttributeCompare("acronym", "=", "SIGMOD"))
@@ -143,10 +143,10 @@ class TestStrategies:
         pattern = add(pattern, schema, "Papers->Paper_Keywords")
         pattern = shift(pattern, "Papers")
         mono = execute_monolithic(
-            academic_db, pattern, schema, academic.mapping, academic.graph
+            academic_sql, pattern, schema, academic.mapping, academic.graph
         )
         part = execute_partitioned(
-            academic_db, pattern, schema, academic.mapping, academic.graph
+            academic_sql, pattern, schema, academic.mapping, academic.graph
         )
         graph = graph_result_summary(pattern, academic.graph)
         assert results_equal(mono, graph)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TranslationError
-from repro.relational.sql.executor import execute_sql
 from repro.tgm.conditions import (
     AttributeCompare,
     AttributeLike,
@@ -16,12 +15,12 @@ from repro.core.sql_translation import pattern_to_sql
 
 
 class TestGeneralPattern:
-    def test_single_node_shape(self, toy, toy_db):
+    def test_single_node_shape(self, toy, toy_sql):
         pattern = initiate(toy.schema, "Papers")
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping)
         assert "GROUP BY" in translation.sql
         assert "etable_key" in translation.sql
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         assert len(result.rows) == 7
 
     def test_ent_list_per_participating_node(self, toy):
@@ -68,13 +67,13 @@ class TestGeneralPattern:
         tables = [table for table, _ in translation.from_items]
         assert tables.count("Papers") == 2
 
-    def test_categorical_primary(self, toy, toy_db):
+    def test_categorical_primary(self, toy, toy_db, toy_sql):
         # Initiate on a categorical node type, then add its entities.
         pattern = initiate(toy.schema, "Papers: year")
         pattern = add(pattern, toy.schema, "Papers: year->Papers")
         pattern = shift(pattern, "Papers: year")
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping)
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         # One row per distinct publication year.
         assert len(result.rows) == len(
             toy_db.table("Papers").distinct_values("year")
@@ -90,7 +89,7 @@ class TestConditions:
         assert any("year > 2005" in c for c in translation.conditions)
         assert any("LIKE '%join%'" in c for c in translation.conditions)
 
-    def test_or_condition(self, toy, toy_db):
+    def test_or_condition(self, toy, toy_sql):
         pattern = initiate(toy.schema, "Papers")
         pattern = select(
             pattern,
@@ -100,7 +99,7 @@ class TestConditions:
             )),
         )
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping)
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         assert len(result.rows) == 2
 
     def test_node_is_needs_graph(self, toy):
@@ -109,14 +108,14 @@ class TestConditions:
         with pytest.raises(TranslationError):
             pattern_to_sql(pattern, toy.schema, toy.mapping, graph=None)
 
-    def test_node_is_uses_source_key(self, toy, toy_db):
+    def test_node_is_uses_source_key(self, toy, toy_sql):
         paper = toy.graph.find_by_label(
             "Papers", "Enriched tables for entity browsing"
         )
         pattern = initiate(toy.schema, "Papers")
         pattern = select(pattern, NodeIs(paper.node_id))
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping, toy.graph)
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         assert len(result.rows) == 1
 
     def test_string_literal_escaped(self, toy):
@@ -125,7 +124,7 @@ class TestConditions:
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping)
         assert "'O''Hara'" in translation.sql
 
-    def test_neighbor_filter_becomes_exists(self, toy, toy_db):
+    def test_neighbor_filter_becomes_exists(self, toy, toy_sql):
         pattern = initiate(toy.schema, "Papers")
         pattern = select(
             pattern,
@@ -135,11 +134,11 @@ class TestConditions:
         )
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping, toy.graph)
         assert "EXISTS" in translation.sql
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         keys = {row[0] for row in result.rows}
         assert keys == {1, 4, 5, 8}
 
-    def test_mv_neighbor_filter_exists(self, toy, toy_db):
+    def test_mv_neighbor_filter_exists(self, toy, toy_sql):
         pattern = initiate(toy.schema, "Papers")
         pattern = select(
             pattern,
@@ -149,6 +148,6 @@ class TestConditions:
             ),
         )
         translation = pattern_to_sql(pattern, toy.schema, toy.mapping, toy.graph)
-        result = execute_sql(toy_db, translation.sql)
+        result = toy_sql.execute(translation.sql)
         keys = {row[0] for row in result.rows}
         assert keys == {1, 4}

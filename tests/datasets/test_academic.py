@@ -7,7 +7,6 @@ from repro.datasets.academic import (
     generate_academic,
     paper_scale_config,
 )
-from repro.relational.sql.executor import execute_sql
 
 
 class TestSchema:
@@ -65,17 +64,15 @@ class TestGeneration:
 
 
 class TestAnchors:
-    def test_anchor_paper_exists(self, academic_db):
-        result = execute_sql(
-            academic_db,
+    def test_anchor_paper_exists(self, academic_sql):
+        result = academic_sql.execute(
             "SELECT p.year FROM Papers p "
             "WHERE p.title = 'Making database systems usable'",
         )
         assert result.rows == [(2007,)]
 
-    def test_anchor_paper_keywords(self, academic_db):
-        result = execute_sql(
-            academic_db,
+    def test_anchor_paper_keywords(self, academic_sql):
+        result = academic_sql.execute(
             "SELECT k.keyword FROM Papers p, Paper_Keywords k "
             "WHERE k.paper_id = p.id "
             "AND p.title = 'Making database systems usable'",
@@ -87,9 +84,8 @@ class TestAnchors:
         for name, _institution in ANCHOR_AUTHORS:
             assert academic.graph.find_by_label("Authors", name) is not None
 
-    def test_korea_unique_maximum(self, academic_db):
-        result = execute_sql(
-            academic_db,
+    def test_korea_unique_maximum(self, academic_sql):
+        result = academic_sql.execute(
             "SELECT i.name, COUNT(a.id) AS n FROM Institutions i, Authors a "
             "WHERE a.institution_id = i.id AND i.country = 'South Korea' "
             "GROUP BY i.id ORDER BY n DESC",
@@ -97,9 +93,8 @@ class TestAnchors:
         assert result.rows[0][0] == "KAIST"
         assert result.rows[0][1] > result.rows[1][1]  # strict maximum
 
-    def test_germany_unique_maximum(self, academic_db):
-        result = execute_sql(
-            academic_db,
+    def test_germany_unique_maximum(self, academic_sql):
+        result = academic_sql.execute(
             "SELECT i.name, COUNT(a.id) AS n FROM Institutions i, Authors a "
             "WHERE a.institution_id = i.id AND i.country = 'Germany' "
             "GROUP BY i.id ORDER BY n DESC",
@@ -107,9 +102,8 @@ class TestAnchors:
         assert result.rows[0][0] == "Technical University of Munich"
         assert result.rows[0][1] > result.rows[1][1]
 
-    def test_madden_has_recent_papers(self, academic_db):
-        result = execute_sql(
-            academic_db,
+    def test_madden_has_recent_papers(self, academic_sql):
+        result = academic_sql.execute(
             "SELECT p.title FROM Papers p, Paper_Authors pa, Authors a "
             "WHERE pa.paper_id = p.id AND pa.author_id = a.id "
             "AND a.name = 'Samuel Madden' AND p.year >= 2013",

@@ -1,16 +1,14 @@
-"""Cross-engine equivalence: graph execution vs SQL strategies vs backends.
+"""Cross-engine equivalence: graph execution vs the SQL strategies.
 
 These are the reproduction's strongest correctness checks: every task query
 and a family of generated patterns must produce identical results through
 (1) the pure typed-graph pipeline, (2) the monolithic Section 8 SQL over the
-original relational schema, and (3) the partitioned Section 6.2 strategy —
-and, since the backend layer, through every registered SQL backend
-(in-memory engine and real SQLite) for both strategies on every dataset.
+original relational schema, and (3) the partitioned Section 6.2 strategy,
+both run on SQLite, on every dataset.
 """
 
 import pytest
 
-from repro.relational.backends import create_backend
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 from repro.core.from_sql import sql_to_pattern
 from repro.core.operators import add, initiate, select, shift
@@ -22,7 +20,6 @@ from repro.core.sql_execution import (
 )
 from repro.study.tasks import ground_truth_for, task_set_a, task_set_b
 
-BACKENDS = ["memory", "sqlite"]
 STRATEGIES = {
     "monolithic": execute_monolithic,
     "partitioned": execute_partitioned,
@@ -117,68 +114,23 @@ _PATTERN_FAMILIES = {
 }
 
 
-@pytest.fixture(scope="session")
-def loaded_backends(academic_db, movies_db, toy_db):
-    """One loaded backend per (dataset, engine) — shared by the matrix."""
-    databases = {"academic": academic_db, "movies": movies_db, "toy": toy_db}
-    backends = {
-        (dataset, name): create_backend(name, database)
-        for dataset, database in databases.items()
-        for name in BACKENDS
-    }
-    yield backends
-    for backend in backends.values():
-        backend.close()
-
-
-class TestThreeWayEquivalence:
-    @pytest.mark.parametrize("name_index", range(7))
-    def test_pattern_family(self, academic, academic_db, name_index):
-        name, pattern = _patterns(academic)[name_index]
-        graph = graph_result_summary(pattern, academic.graph)
-        mono = execute_monolithic(
-            academic_db, pattern, academic.schema, academic.mapping,
-            academic.graph,
-        )
-        assert results_equal(graph, mono), f"monolithic mismatch: {name}"
-        part = execute_partitioned(
-            academic_db, pattern, academic.schema, academic.mapping,
-            academic.graph,
-        )
-        assert results_equal(graph, part), f"partitioned mismatch: {name}"
-
-
-class TestBackendStrategyMatrix:
-    """Graph execution == every backend × strategy, on every dataset."""
+class TestStrategyMatrix:
+    """Graph execution == every strategy, on every dataset."""
 
     @pytest.mark.parametrize("dataset", sorted(_PATTERN_FAMILIES))
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-    def test_matrix(self, request, loaded_backends, dataset, backend_name,
-                    strategy):
+    def test_matrix(self, request, dataset, strategy):
         tgdb = request.getfixturevalue(dataset)
-        database = request.getfixturevalue(f"{dataset}_db")
-        backend = loaded_backends[dataset, backend_name]
+        engine = request.getfixturevalue(f"{dataset}_sql")
         execute = STRATEGIES[strategy]
         for name, pattern in _PATTERN_FAMILIES[dataset](tgdb):
             graph = graph_result_summary(pattern, tgdb.graph)
             result = execute(
-                database, pattern, tgdb.schema, tgdb.mapping, tgdb.graph,
-                backend=backend,
+                engine, pattern, tgdb.schema, tgdb.mapping, tgdb.graph
             )
             assert results_equal(graph, result), (
-                f"{dataset}/{backend_name}/{strategy} mismatch: {name}"
+                f"{dataset}/{strategy} mismatch: {name}"
             )
-
-    def test_backend_by_name_one_shot(self, toy, toy_db):
-        """Passing the registry name builds and loads a fresh backend."""
-        _name, pattern = _patterns(toy)[2]
-        graph = graph_result_summary(pattern, toy.graph)
-        result = execute_monolithic(
-            toy_db, pattern, toy.schema, toy.mapping, toy.graph,
-            backend="sqlite",
-        )
-        assert results_equal(graph, result)
 
 
 class TestTasksEndToEnd:
@@ -187,10 +139,10 @@ class TestTasksEndToEnd:
 
     @pytest.mark.parametrize("task_index", range(6))
     @pytest.mark.parametrize("set_name", ["A", "B"])
-    def test_task(self, academic, academic_db, task_index, set_name):
+    def test_task(self, academic, academic_sql, task_index, set_name):
         tasks = task_set_a() if set_name == "A" else task_set_b()
         task = tasks[task_index]
-        truth = ground_truth_for(academic_db, task)
+        truth = ground_truth_for(academic_sql, task)
         from repro.core.session import EtableSession
 
         session = EtableSession(academic.schema, academic.graph)
@@ -199,7 +151,8 @@ class TestTasksEndToEnd:
 
 
 class TestFromSqlRoundTrip:
-    def test_task4_sql_translates_and_matches(self, academic, academic_db):
+    def test_task4_sql_translates_and_matches(self, academic, academic_db,
+                                              academic_sql):
         task = task_set_a()[3]
         # The ground-truth SQL (minus DISTINCT/top-level projection quirks)
         # in the general FK-PK join form:
@@ -218,4 +171,4 @@ class TestFromSqlRoundTrip:
             academic.graph.node_by_source_key("Papers", key).attributes["title"]
             for key in graph.primary_keys
         }
-        assert titles == ground_truth_for(academic_db, task)
+        assert titles == ground_truth_for(academic_sql, task)

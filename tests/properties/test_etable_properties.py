@@ -7,7 +7,8 @@ user can reach through the interface. Invariants:
 * every reachable pattern validates as a tree;
 * ETable rows are distinct primary nodes, equal to Π_τa(m(Q));
 * reference counts match the matched graph relation;
-* graph execution == monolithic SQL == partitioned SQL (three-way);
+* graph execution == monolithic SQL == partitioned SQL (three-way), for
+  every condition kind the SQL translator renders;
 * replaying the same walk is deterministic.
 """
 
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 from repro.datasets.academic import default_label_overrides
 from repro.datasets.toy import generate_toy
-from repro.tgm.conditions import AttributeCompare, AttributeLike
+from repro.tgm.conditions import (
+    AndCondition,
+    AttributeCompare,
+    AttributeIn,
+    AttributeLike,
+    LabelLike,
+    NodeIn,
+    NotCondition,
+)
 from repro.translate import translate_database
 from repro.core.matching import match
 from repro.core.operators import add, initiate, select, shift
@@ -42,13 +51,38 @@ _CONDITIONS = {
         AttributeCompare("year", ">", 2005),
         AttributeCompare("year", "<", 2013),
         AttributeLike("title", "%data%"),
+        AttributeLike("title", "%data%", negate=True),
+        AttributeIn("year", (2006, 2012, 2014)),
+        LabelLike("%tion%"),
+        NodeIn(
+            _TGDB.graph.node_by_source_key("Papers", key).node_id
+            for key in (1, 5, 11)
+        ),
     ],
-    "Conferences": [AttributeCompare("acronym", "=", "SIGMOD")],
-    "Institutions": [AttributeLike("country", "%Korea%")],
-    "Authors": [AttributeLike("name", "%a%")],
-    "Papers: year": [AttributeCompare("year", "=", 2012)],
-    "Paper_Keywords: keyword": [AttributeLike("keyword", "%user%")],
-    "Institutions: country": [],
+    "Conferences": [
+        AttributeCompare("acronym", "=", "SIGMOD"),
+        LabelLike("k%"),
+    ],
+    "Institutions": [
+        AttributeLike("country", "%Korea%"),
+        NotCondition(AttributeIn("country", ("USA", "China"))),
+    ],
+    "Authors": [
+        AttributeLike("name", "%a%"),
+        AndCondition((
+            AttributeLike("name", "%a%"),
+            NotCondition(AttributeCompare("name", "=", "Ann")),
+        )),
+    ],
+    "Papers: year": [
+        AttributeCompare("year", "=", 2012),
+        NotCondition(AttributeCompare("year", "<", 2010)),
+    ],
+    "Paper_Keywords: keyword": [
+        AttributeLike("keyword", "%user%"),
+        LabelLike("%graph%"),
+    ],
+    "Institutions: country": [AttributeIn("country", ("USA", "Japan"))],
 }
 
 _ENTITY_TYPES = ["Conferences", "Institutions", "Authors", "Papers"]
@@ -114,15 +148,15 @@ def test_participating_cells_match_matched_tuples(pattern):
 
 
 @settings(max_examples=30, deadline=None)
-@given(random_patterns())
-def test_three_way_execution_equivalence(pattern):
+@given(pattern=random_patterns())
+def test_three_way_execution_equivalence(toy_sql, pattern):
     graph_result = graph_result_summary(pattern, _TGDB.graph)
     mono = execute_monolithic(
-        _DB, pattern, _TGDB.schema, _TGDB.mapping, _TGDB.graph
+        toy_sql, pattern, _TGDB.schema, _TGDB.mapping, _TGDB.graph
     )
     assert results_equal(graph_result, mono)
     part = execute_partitioned(
-        _DB, pattern, _TGDB.schema, _TGDB.mapping, _TGDB.graph
+        toy_sql, pattern, _TGDB.schema, _TGDB.mapping, _TGDB.graph
     )
     assert results_equal(graph_result, part)
 

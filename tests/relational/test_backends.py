@@ -1,20 +1,20 @@
-"""Unit tests for the pluggable SQL backend layer."""
+"""Unit tests for the SQLite engine (:class:`SqliteDatabase`)."""
+
+import sqlite3
 
 import pytest
 
-from repro.errors import EtableError, TranslationError, UnknownBackend
-from repro.relational import DataType, Database, ForeignKey, table_schema
-from repro.relational.backends import (
-    MemoryBackend,
-    SqliteBackend,
-    backend_class,
-    backend_names,
-    create_backend,
+from repro.relational import (
+    DataType,
+    Database,
+    ForeignKey,
+    SqliteDatabase,
+    quote_identifier,
+    table_schema,
 )
-from repro.core.sql_translation import adapt_sql, quote_identifier
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def small_db():
     db = Database("small")
     db.create_table(table_schema(
@@ -38,134 +38,78 @@ def small_db():
     return db
 
 
-class TestRegistry:
-    def test_names(self):
-        assert "memory" in backend_names()
-        assert "sqlite" in backend_names()
-
-    def test_unknown_backend(self):
-        with pytest.raises(UnknownBackend):
-            create_backend("postgres")
-
-    def test_backend_class_capabilities(self):
-        assert backend_class("memory").capabilities.dialect == "memory"
-        assert backend_class("sqlite").capabilities.dialect == "sqlite"
-        assert not backend_class("sqlite").capabilities.preserves_booleans
+@pytest.fixture(scope="module")
+def small_sql(small_db):
+    with SqliteDatabase(small_db) as engine:
+        yield engine
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("name", ["memory", "sqlite"])
-    def test_execute_before_load_raises(self, name):
-        backend = create_backend(name)
-        assert not backend.is_loaded
-        with pytest.raises(EtableError):
-            backend.execute("SELECT 1")
-
     def test_context_manager_closes(self, small_db):
-        with SqliteBackend(small_db) as backend:
-            assert backend.connection is not None
-        assert backend.connection is None
-
-    def test_reload_replaces_content(self, small_db):
-        backend = SqliteBackend(small_db)
-        other = Database("other")
-        other.create_table(table_schema(
-            "bands", [("id", DataType.INTEGER)], primary_key="id"))
-        other.insert("bands", (99,))
-        backend.load(other)
-        result = backend.execute("SELECT id FROM bands")
-        assert result.rows == [(99,)]
-        assert backend.database is other
-        backend.close()
+        with SqliteDatabase(small_db) as engine:
+            assert engine.execute("SELECT COUNT(*) FROM bands").rows == [(2,)]
+        with pytest.raises(sqlite3.ProgrammingError):
+            engine.execute("SELECT 1")
 
 
 class TestParity:
-    """The two engines agree on the query shapes the translators emit."""
+    """The query shapes the translators emit return the rows SQL defines."""
 
-    QUERIES = [
-        "SELECT id, name FROM bands",
+    QUERIES = {
+        "SELECT id, name FROM bands":
+            [(1, "Unicode Band"), (2, "ascii band")],
         "SELECT b.name, a.title FROM bands b, albums a "
-        "WHERE a.band_id = b.id AND a.rating >= 4.0",
+        "WHERE a.band_id = b.id AND a.rating >= 4.0":
+            [("Unicode Band", "First")],
         "SELECT DISTINCT b.id AS etable_key FROM bands b, albums a "
-        "WHERE a.band_id = b.id",
+        "WHERE a.band_id = b.id":
+            [(1,), (2,)],
         "SELECT b.name FROM bands b WHERE EXISTS "
-        "(SELECT 1 FROM albums a WHERE a.band_id = b.id AND a.rating > 4.0)",
-        "SELECT b.name FROM bands b WHERE b.name LIKE '%band%'",
-    ]
+        "(SELECT 1 FROM albums a WHERE a.band_id = b.id AND a.rating > 4.0)":
+            [("Unicode Band",)],
+        "SELECT b.name FROM bands b WHERE b.name LIKE '%band%'":
+            [("Unicode Band",), ("ascii band",)],
+    }
 
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_same_rows(self, small_db, sql):
-        memory = MemoryBackend(small_db)
-        with SqliteBackend(small_db) as sqlite:
-            expected = memory.execute(sql)
-            actual = sqlite.execute(adapt_sql(sql, "sqlite"))
-        assert sorted(map(repr, actual.rows)) == sorted(map(repr, expected.rows))
+    @pytest.mark.parametrize("sql", list(QUERIES))
+    def test_same_rows(self, small_sql, sql):
+        actual = small_sql.execute(sql)
+        assert sorted(actual.rows) == self.QUERIES[sql]
 
-    def test_like_case_insensitive_beyond_ascii(self, small_db):
-        # SQLite's built-in LIKE folds only ASCII; the backend installs the
-        # memory engine's matcher, so accented characters fold too.
+    def test_like_case_insensitive_beyond_ascii(self, small_sql):
+        # SQLite's built-in LIKE folds only ASCII; the engine installs the
+        # graph conditions' matcher, so accented characters fold too.
         sql = "SELECT title FROM albums WHERE title LIKE 'dé%'"
-        with SqliteBackend(small_db) as sqlite:
-            assert sqlite.execute(sql).rows == [("Début",)]
+        assert small_sql.execute(sql).rows == [("Début",)]
 
-    def test_ent_list_aggregate(self, small_db):
-        sql = (
+    def test_not_like(self, small_sql):
+        sql = "SELECT title FROM albums WHERE title NOT LIKE '%IR%' ORDER BY id"
+        assert small_sql.execute(sql).rows == [("Second",), ("Début",)]
+
+    def test_like_null_is_unknown(self, small_sql):
+        assert small_sql.execute("SELECT NULL LIKE '%a%'").rows == [(None,)]
+
+    def test_ent_list_aggregate(self, small_sql):
+        result = small_sql.execute(
             "SELECT b.id AS etable_key, ENT_LIST(a.title) AS refs_1 "
             "FROM bands b, albums a WHERE a.band_id = b.id GROUP BY b.id"
         )
-        memory = MemoryBackend(small_db).execute(sql)
-        with SqliteBackend(small_db) as sqlite:
-            real = sqlite.execute(sql)
-        as_map = lambda rel: {  # noqa: E731 - tiny local shorthand
-            row[rel.column_position("etable_key")]:
-                tuple(row[rel.column_position("refs_1")])
-            for row in rel.rows
+        key = result.column_position("etable_key")
+        refs = result.column_position("refs_1")
+        assert {row[key]: row[refs] for row in result.rows} == {
+            1: ("First", "Second"),
+            2: ("Début",),
         }
-        assert as_map(real) == as_map(memory)
-        assert as_map(real)[1] == ("First", "Second")
 
-    def test_boolean_affinity_folds_to_integer(self, small_db):
-        with SqliteBackend(small_db) as sqlite:
-            rows = sqlite.execute(
-                adapt_sql("SELECT active FROM bands WHERE active = TRUE",
-                          "sqlite")
+    def test_boolean_affinity_folds_to_integer(self, small_sql):
+        # SQLite 3.23+ parses TRUE/FALSE as 1/0, matching the folded column.
+        for literal, expected in (("TRUE", [(1, 1)]), ("FALSE", [(2, 0)])):
+            rows = small_sql.execute(
+                f"SELECT id, active FROM bands WHERE active = {literal}"
             ).rows
-        assert rows == [(1,)]
+            assert rows == expected
 
 
-class TestDialectShim:
-    def test_memory_dialect_is_identity(self):
-        sql = "SELECT * FROM t WHERE flag = TRUE"
-        assert adapt_sql(sql, "memory") is sql
-
-    def test_boolean_literals_rewritten(self):
-        adapted = adapt_sql(
-            "SELECT a FROM t WHERE x = TRUE AND y = false", "sqlite")
-        assert adapted == "SELECT a FROM t WHERE x = 1 AND y = 0"
-
-    def test_string_literals_untouched(self):
-        sql = "SELECT a FROM t WHERE x = 'TRUE' AND y = 'it''s FALSE' AND z = FALSE"
-        adapted = adapt_sql(sql, "sqlite")
-        assert "'TRUE'" in adapted
-        assert "'it''s FALSE'" in adapted
-        assert adapted.endswith("z = 0")
-
-    def test_quoted_identifiers_untouched(self):
-        # quote_identifier output must survive adaptation unmodified.
-        sql = 'SELECT "TRUE" FROM "false" WHERE "TRUE" = TRUE'
-        assert adapt_sql(sql, "sqlite") == \
-            'SELECT "TRUE" FROM "false" WHERE "TRUE" = 1'
-
-    def test_identifier_substrings_untouched(self):
-        # TRUE inside a longer identifier must not be rewritten.
-        sql = "SELECT trueness FROM t WHERE construed = TRUE"
-        assert adapt_sql(sql, "sqlite") == \
-            "SELECT trueness FROM t WHERE construed = 1"
-
-    def test_unknown_dialect(self):
-        with pytest.raises(TranslationError):
-            adapt_sql("SELECT 1", "oracle")
-
-    def test_quote_identifier(self):
-        assert quote_identifier("References") == '"References"'
-        assert quote_identifier('odd"name') == '"odd""name"'
+def test_quote_identifier():
+    assert quote_identifier("References") == '"References"'
+    assert quote_identifier('odd"name') == '"odd""name"'

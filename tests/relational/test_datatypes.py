@@ -1,9 +1,11 @@
 """Unit tests for column types and coercion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TypeMismatch
-from repro.relational.datatypes import DataType, coerce, infer_type, is_comparable
+from repro.relational.datatypes import DataType, coerce, infer_type
 
 
 class TestCoerceInteger:
@@ -109,20 +111,18 @@ class TestInferType:
         assert infer_type(None) is DataType.TEXT
 
 
-class TestIsComparable:
-    def test_numbers(self):
-        assert is_comparable(1, 2.5)
-
-    def test_strings(self):
-        assert is_comparable("a", "b")
-
-    def test_mixed_rejected(self):
-        assert not is_comparable(1, "a")
-
-    def test_null_never_compares(self):
-        assert not is_comparable(None, 1)
-        assert not is_comparable("x", None)
-
-    def test_bools_compare_with_bools_only(self):
-        assert is_comparable(True, False)
-        assert not is_comparable(True, 1)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.text(alphabet="abcde", max_size=4),
+        st.none(),
+    ),
+    st.sampled_from(list(DataType)),
+)
+def test_coercion_idempotent(value, dtype):
+    try:
+        once = coerce(value, dtype)
+    except Exception:
+        return  # rejection is fine; idempotence only for accepted values
+    assert coerce(once, dtype) == once

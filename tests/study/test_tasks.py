@@ -49,30 +49,30 @@ class TestTaskDefinitions:
 
 class TestGroundTruths:
     @pytest.mark.parametrize("set_name", ["A", "B"])
-    def test_all_ground_truths_nonempty(self, academic_db, set_name):
+    def test_all_ground_truths_nonempty(self, academic_sql, set_name):
         tasks = task_set_a() if set_name == "A" else task_set_b()
         for task in tasks:
-            truth = ground_truth_for(academic_db, task)
+            truth = ground_truth_for(academic_sql, task)
             assert truth, f"task {task.task_id}{set_name} has empty truth"
 
-    def test_task1_answer(self, academic_db):
-        truth = ground_truth_for(academic_db, task_set_a()[0])
+    def test_task1_answer(self, academic_sql):
+        truth = ground_truth_for(academic_sql, task_set_a()[0])
         assert truth == frozenset({2007})
 
-    def test_task5_answer(self, academic_db):
-        truth = ground_truth_for(academic_db, task_set_a()[4])
+    def test_task5_answer(self, academic_sql):
+        truth = ground_truth_for(academic_sql, task_set_a()[4])
         assert truth == frozenset({"KAIST"})
 
-    def test_task6_tie_aware(self, academic_db):
-        truth = ground_truth_for(academic_db, task_set_a()[5])
+    def test_task6_tie_aware(self, academic_sql):
+        truth = ground_truth_for(academic_sql, task_set_a()[5])
         assert len(truth) >= 3
 
 
 class TestEtableScripts:
     @pytest.mark.parametrize("index", range(6))
-    def test_script_matches_ground_truth_set_a(self, academic, academic_db, index):
+    def test_script_matches_ground_truth_set_a(self, academic, academic_sql, index):
         task = task_set_a()[index]
-        truth = ground_truth_for(academic_db, task)
+        truth = ground_truth_for(academic_sql, task)
         session = EtableSession(academic.schema, academic.graph)
         answer, steps = task.etable_script(session)
         assert answer == truth
@@ -80,16 +80,16 @@ class TestEtableScripts:
         assert steps[-1].kind == "read"
 
     @pytest.mark.parametrize("index", range(6))
-    def test_script_matches_ground_truth_set_b(self, academic, academic_db, index):
+    def test_script_matches_ground_truth_set_b(self, academic, academic_sql, index):
         task = task_set_b()[index]
-        truth = ground_truth_for(academic_db, task)
+        truth = ground_truth_for(academic_sql, task)
         session = EtableSession(academic.schema, academic.graph)
         answer, _steps = task.etable_script(session)
         assert answer == truth
 
-    def test_flat_results_inflated_by_joins(self, academic_db):
+    def test_flat_results_inflated_by_joins(self, academic_sql):
         """The flat join of task 6 has (author, paper) duplication."""
         task = task_set_a()[5]
-        flat_rows = task.flat_result_rows(academic_db)
-        distinct_authors = len(ground_truth_for(academic_db, task))
+        flat_rows = task.flat_result_rows(academic_sql)
+        distinct_authors = len(ground_truth_for(academic_sql, task))
         assert flat_rows > distinct_authors

@@ -1,6 +1,8 @@
 """Unit tests for node selection conditions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TgmError
 from repro.tgm.conditions import (
@@ -13,6 +15,7 @@ from repro.tgm.conditions import (
     NodeIs,
     NotCondition,
     OrCondition,
+    compile_like,
     conjoin_conditions,
 )
 from repro.tgm.instance_graph import InstanceGraph
@@ -83,6 +86,45 @@ class TestAttributeLike:
     def test_describe(self):
         condition = AttributeLike("country", "%Korea%")
         assert condition.describe() == "country like '%Korea%'"
+
+
+class TestCompileLike:
+    def test_contains(self):
+        assert compile_like("%user%").match("user interface")
+
+    def test_case_insensitive(self):
+        assert compile_like("%korea%").match("South Korea")
+
+    def test_underscore(self):
+        assert compile_like("c_t").match("cat")
+        assert not compile_like("c_t").match("cart")
+
+    def test_anchored(self):
+        assert compile_like("data%").match("database")
+        assert not compile_like("data%").match("metadata")
+
+    def test_regex_chars_escaped(self):
+        assert compile_like("a.b").match("a.b")
+        assert not compile_like("a.b").match("axb")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="ab%", max_size=6), st.text(alphabet="ab", max_size=6))
+def test_like_matches_reference(pattern, text):
+    matched = compile_like(pattern).match(text) is not None
+    assert matched == _reference_like(pattern, text)
+
+
+def _reference_like(pattern: str, text: str) -> bool:
+    """Simple recursive LIKE reference (case differences don't arise here)."""
+    if not pattern:
+        return not text
+    head, rest = pattern[0], pattern[1:]
+    if head == "%":
+        return any(
+            _reference_like(rest, text[i:]) for i in range(len(text) + 1)
+        )
+    return bool(text) and text[0] == head and _reference_like(rest, text[1:])
 
 
 class TestOtherConditions:

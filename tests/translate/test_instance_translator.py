@@ -62,10 +62,9 @@ class TestEdgeCounts:
 
 
 class TestSemantics:
-    def test_neighbor_lookup_matches_relational_join(self, academic, academic_db):
+    def test_neighbor_lookup_matches_relational_join(self, academic,
+                                                     academic_sql):
         # Authors of the anchor paper, via graph adjacency vs via SQL.
-        from repro.relational.sql.executor import execute_sql
-
         paper = academic.graph.find_by_label(
             "Papers", "Making database systems usable"
         )
@@ -73,13 +72,12 @@ class TestSemantics:
             node.attributes["name"]
             for node in academic.graph.neighbors(paper.node_id, "Papers->Authors")
         }
-        relation = execute_sql(
-            academic_db,
+        result = academic_sql.execute(
             "SELECT a.name FROM Authors a, Paper_Authors pa "
             "WHERE pa.author_id = a.id AND pa.paper_id = "
             f"{paper.attributes['id']}",
         )
-        sql_names = {row[0] for row in relation.rows}
+        sql_names = {row[0] for row in result.rows}
         assert graph_names == sql_names
 
     def test_reverse_adjacency(self, academic):
