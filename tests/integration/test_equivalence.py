@@ -114,6 +114,25 @@ _PATTERN_FAMILIES = {
 }
 
 
+class TestThreeWayEquivalence:
+    """Graph == monolithic == partitioned, one test per academic pattern."""
+
+    @pytest.mark.parametrize("name_index", range(7))
+    def test_pattern_family(self, academic, academic_sql, name_index):
+        name, pattern = _patterns(academic)[name_index]
+        graph = graph_result_summary(pattern, academic.graph)
+        mono = execute_monolithic(
+            academic_sql, pattern, academic.schema, academic.mapping,
+            academic.graph,
+        )
+        assert results_equal(graph, mono), f"monolithic mismatch: {name}"
+        part = execute_partitioned(
+            academic_sql, pattern, academic.schema, academic.mapping,
+            academic.graph,
+        )
+        assert results_equal(graph, part), f"partitioned mismatch: {name}"
+
+
 class TestStrategyMatrix:
     """Graph execution == every strategy, on every dataset."""
 

@@ -1,63 +1,64 @@
-"""Property-based tests for the relational engine (hypothesis)."""
+"""Property-based tests for the SQL engine (hypothesis).
+
+Each example loads random relations into :class:`SqliteDatabase` and checks
+a law of relational algebra on the SQL it runs. Column ``i`` is the row's
+position, so a selection's result can be compared in input order.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.algebra import (
-    Relation,
-    SortKey,
-    distinct,
-    equi_join,
-    order_by,
-    select,
-)
-from repro.relational.datatypes import DataType, coerce
-from repro.relational.expressions import (
-    And,
-    ColumnRef,
-    Comparison,
-    Like,
-    Literal,
-    Scope,
-    column,
-)
+from repro.relational import DataType, Database, SqliteDatabase, table_schema
+
+_COLUMNS = [
+    ("i", DataType.INTEGER),
+    ("k", DataType.INTEGER),
+    ("s", DataType.TEXT),
+    ("v", DataType.INTEGER),
+]
+
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-values = st.one_of(
-    st.integers(min_value=-50, max_value=50),
-    st.text(alphabet="abcde", max_size=4),
-    st.none(),
-)
-
-
 @st.composite
 def relations(draw, min_rows=0, max_rows=12):
     n_rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
-    rows = [
+    return [
         (draw(st.integers(min_value=0, max_value=9)),
          draw(st.text(alphabet="abc", max_size=3)),
          draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5))))
         for _ in range(n_rows)
     ]
-    return Relation([("t", "k"), ("t", "s"), ("t", "v")], rows)
 
 
 predicates = st.one_of(
-    st.integers(min_value=0, max_value=9).map(
-        lambda n: Comparison("=", column("k"), Literal(n))
-    ),
-    st.integers(min_value=0, max_value=9).map(
-        lambda n: Comparison("<", column("k"), Literal(n))
-    ),
-    st.integers(min_value=0, max_value=5).map(
-        lambda n: Comparison(">=", column("v"), Literal(n))
-    ),
+    st.integers(min_value=0, max_value=9).map(lambda n: f"k = {n}"),
+    st.integers(min_value=0, max_value=9).map(lambda n: f"k < {n}"),
+    st.integers(min_value=0, max_value=5).map(lambda n: f"v >= {n}"),
     st.text(alphabet="abc", min_size=1, max_size=2).map(
-        lambda s: Like(column("s"), f"%{s}%")
+        lambda s: f"s LIKE '%{s}%'"
     ),
 )
+
+
+def _relation(name, rows):
+    """Table ``name`` of ``(i, k, s, v)`` rows, ``i`` the row's position."""
+    return name, _COLUMNS, [(i, *row) for i, row in enumerate(rows)]
+
+
+def _engine(*tables) -> SqliteDatabase:
+    """Load each ``(name, columns, rows)`` table into one engine."""
+    database = Database("props")
+    for name, columns, rows in tables:
+        database.create_table(table_schema(name, columns))
+        database.insert_many(name, rows)
+    return SqliteDatabase(database)
+
+
+def _rows(relation, sql):
+    with _engine(_relation("t", relation)) as engine:
+        return engine.execute(sql).rows
 
 
 # ----------------------------------------------------------------------
@@ -66,31 +67,44 @@ predicates = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(relations(), predicates, predicates)
 def test_selection_commutes(relation, p, q):
-    left = select(select(relation, p), q)
-    right = select(select(relation, q), p)
+    with _engine(_relation("t", relation)) as engine:
+        left = engine.execute(
+            f"SELECT * FROM (SELECT * FROM t WHERE {p}) WHERE {q} ORDER BY i"
+        )
+        right = engine.execute(
+            f"SELECT * FROM (SELECT * FROM t WHERE {q}) WHERE {p} ORDER BY i"
+        )
     assert left.rows == right.rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations(), predicates, predicates)
 def test_selection_cascade_equals_conjunction(relation, p, q):
-    cascaded = select(select(relation, p), q)
-    conjoined = select(relation, And((p, q)))
+    with _engine(_relation("t", relation)) as engine:
+        cascaded = engine.execute(
+            f"SELECT * FROM (SELECT * FROM t WHERE {p}) WHERE {q} ORDER BY i"
+        )
+        conjoined = engine.execute(
+            f"SELECT * FROM t WHERE ({p}) AND ({q}) ORDER BY i"
+        )
     assert cascaded.rows == conjoined.rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations(), predicates)
 def test_selection_idempotent(relation, p):
-    once = select(relation, p)
-    twice = select(once, p)
+    with _engine(_relation("t", relation)) as engine:
+        once = engine.execute(f"SELECT * FROM t WHERE {p} ORDER BY i")
+        twice = engine.execute(
+            f"SELECT * FROM (SELECT * FROM t WHERE {p}) WHERE {p} ORDER BY i"
+        )
     assert once.rows == twice.rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations(), predicates)
 def test_selection_shrinks(relation, p):
-    assert len(select(relation, p)) <= len(relation)
+    assert len(_rows(relation, f"SELECT * FROM t WHERE {p}")) <= len(relation)
 
 
 # ----------------------------------------------------------------------
@@ -99,23 +113,30 @@ def test_selection_shrinks(relation, p):
 @settings(max_examples=60, deadline=None)
 @given(relations())
 def test_distinct_idempotent(relation):
-    once = distinct(relation)
-    assert distinct(once).rows == once.rows
-    assert len(set(once.rows)) == len(once.rows)
+    with _engine(_relation("t", relation)) as engine:
+        once = engine.execute(
+            "SELECT DISTINCT k, s, v FROM t ORDER BY k, s, v"
+        ).rows
+        twice = engine.execute(
+            "SELECT DISTINCT * FROM (SELECT DISTINCT k, s, v FROM t) "
+            "ORDER BY k, s, v"
+        ).rows
+    assert twice == once
+    assert len(set(once)) == len(once)
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations())
 def test_order_by_preserves_multiset(relation):
-    ordered = order_by(relation, [SortKey(column("k"))])
-    assert sorted(map(repr, ordered.rows)) == sorted(map(repr, relation.rows))
+    ordered = _rows(relation, "SELECT k, s, v FROM t ORDER BY k")
+    assert sorted(map(repr, ordered)) == sorted(map(repr, relation))
 
 
 @settings(max_examples=60, deadline=None)
 @given(relations())
 def test_order_by_sorts(relation):
-    ordered = order_by(relation, [SortKey(column("k"))])
-    keys = [row[0] for row in ordered.rows]
+    ordered = _rows(relation, "SELECT k, s, v FROM t ORDER BY k")
+    keys = [row[0] for row in ordered]
     assert keys == sorted(keys)
 
 
@@ -125,20 +146,24 @@ def test_order_by_sorts(relation):
 @settings(max_examples=40, deadline=None)
 @given(relations(max_rows=8), relations(max_rows=8))
 def test_join_symmetric_up_to_column_order(left, right):
-    right = Relation([("u", "k"), ("u", "s"), ("u", "v")], right.rows)
-    ab = equi_join(left, right, [(("t", "k"), ("u", "k"))])
-    ba = equi_join(right, left, [(("u", "k"), ("t", "k"))])
+    with _engine(_relation("t", left), _relation("u", right)) as engine:
+        ab = engine.execute(
+            "SELECT t.k, t.s, t.v, u.k, u.s, u.v FROM t JOIN u ON t.k = u.k"
+        ).rows
+        ba = engine.execute(
+            "SELECT u.k, u.s, u.v, t.k, t.s, t.v FROM u JOIN t ON u.k = t.k"
+        ).rows
     # Same multiset of (left-row, right-row) pairs.
-    pairs_ab = sorted(repr((row[:3], row[3:])) for row in ab.rows)
-    pairs_ba = sorted(repr((row[3:], row[:3])) for row in ba.rows)
+    pairs_ab = sorted(repr((row[:3], row[3:])) for row in ab)
+    pairs_ba = sorted(repr((row[3:], row[:3])) for row in ba)
     assert pairs_ab == pairs_ba
 
 
 @settings(max_examples=40, deadline=None)
 @given(relations(max_rows=8), relations(max_rows=8))
 def test_join_size_bounded_by_product(left, right):
-    right = Relation([("u", "k"), ("u", "s"), ("u", "v")], right.rows)
-    joined = equi_join(left, right, [(("t", "k"), ("u", "k"))])
+    with _engine(_relation("t", left), _relation("u", right)) as engine:
+        joined = engine.execute("SELECT * FROM t JOIN u ON t.k = u.k").rows
     assert len(joined) <= len(left) * len(right)
 
 
@@ -146,48 +171,15 @@ def test_join_size_bounded_by_product(left, right):
 @given(relations(max_rows=8), predicates)
 def test_selection_pushes_through_join(left, p):
     """σ_p(R ⋈ S) == σ_p(R) ⋈ S when p references only R's columns."""
-    right = Relation(
-        [("u", "k2")], [(i,) for i in range(5)]
+    keys = ("w", [("k2", DataType.INTEGER)], [(i,) for i in range(5)])
+    with _engine(_relation("t", left), keys) as engine:
+        filtered_after = engine.execute(
+            f"SELECT * FROM t JOIN w ON t.k = w.k2 WHERE {p}"
+        ).rows
+        filtered_before = engine.execute(
+            f"SELECT * FROM (SELECT * FROM t WHERE {p}) AS t "
+            "JOIN w ON t.k = w.k2"
+        ).rows
+    assert sorted(map(repr, filtered_after)) == sorted(
+        map(repr, filtered_before)
     )
-    pairs = [(("t", "k"), ("u", "k2"))]
-    filtered_after = select(equi_join(left, right, pairs), p)
-    filtered_before = equi_join(select(left, p), right, pairs)
-    assert sorted(map(repr, filtered_after.rows)) == sorted(
-        map(repr, filtered_before.rows)
-    )
-
-
-# ----------------------------------------------------------------------
-# Type coercion
-# ----------------------------------------------------------------------
-@settings(max_examples=100, deadline=None)
-@given(values, st.sampled_from(list(DataType)))
-def test_coercion_idempotent(value, dtype):
-    try:
-        once = coerce(value, dtype)
-    except Exception:
-        return  # rejection is fine; idempotence only for accepted values
-    assert coerce(once, dtype) == once
-
-
-# ----------------------------------------------------------------------
-# LIKE against a reference implementation
-# ----------------------------------------------------------------------
-@settings(max_examples=100, deadline=None)
-@given(st.text(alphabet="ab%", max_size=6), st.text(alphabet="ab", max_size=6))
-def test_like_matches_reference(pattern, text):
-    expr = Like(Literal(text), pattern)
-    actual = expr.evaluate(Scope([], []))
-    assert actual == _reference_like(pattern, text)
-
-
-def _reference_like(pattern: str, text: str) -> bool:
-    """Simple recursive LIKE reference (case differences don't arise here)."""
-    if not pattern:
-        return not text
-    head, rest = pattern[0], pattern[1:]
-    if head == "%":
-        return any(
-            _reference_like(rest, text[i:]) for i in range(len(text) + 1)
-        )
-    return bool(text) and text[0] == head and _reference_like(rest, text[1:])

@@ -1,16 +1,20 @@
-"""Unit tests for SQL execution against the engine."""
+"""Unit tests for SQL execution against the engine (:class:`SqliteDatabase`)."""
+
+import sqlite3
 
 import pytest
 
-from repro.errors import SqlSemanticError, UnknownTable
-from repro.relational.database import Database
-from repro.relational.datatypes import DataType
-from repro.relational.schema import ForeignKey, table_schema
-from repro.relational.sql.executor import execute_sql
+from repro.relational import (
+    DataType,
+    Database,
+    ForeignKey,
+    SqliteDatabase,
+    table_schema,
+)
 
 
-@pytest.fixture
-def db() -> Database:
+@pytest.fixture(scope="module")
+def db():
     database = Database("sqltest")
     database.create_table(
         table_schema(
@@ -41,38 +45,39 @@ def db() -> Database:
     ]
     for row in rows:
         database.insert("papers", row)
-    return database
+    with SqliteDatabase(database) as engine:
+        yield engine
 
 
 def rows(db, sql):
-    return execute_sql(db, sql).rows
+    return db.execute(sql).rows
 
 
 class TestProjection:
     def test_star(self, db):
-        result = execute_sql(db, "SELECT * FROM confs")
+        result = db.execute("SELECT * FROM confs")
         assert len(result.rows) == 3 and len(result.columns) == 2
 
     def test_qualified_star(self, db):
-        result = execute_sql(db, "SELECT c.* FROM confs c, papers p")
+        result = db.execute("SELECT c.* FROM confs c, papers p")
         assert len(result.columns) == 2
 
     def test_expression_item(self, db):
-        result = execute_sql(db, "SELECT year + 1 AS next FROM papers WHERE id = 1")
+        result = db.execute("SELECT year + 1 AS next FROM papers WHERE id = 1")
         assert result.rows == [(2008,)]
-        assert result.columns == [(None, "next")]
+        assert result.columns == ("next",)
 
     def test_output_names(self, db):
-        result = execute_sql(db, "SELECT title, COUNT(*) FROM papers GROUP BY title")
-        assert result.column_names == ["title", "count"]
+        result = db.execute("SELECT title, COUNT(*) FROM papers GROUP BY title")
+        assert result.columns == ("title", "COUNT(*)")
 
     def test_unknown_table(self, db):
-        with pytest.raises(UnknownTable):
-            execute_sql(db, "SELECT * FROM missing")
+        with pytest.raises(sqlite3.OperationalError, match="no such table"):
+            db.execute("SELECT * FROM missing")
 
     def test_duplicate_alias_rejected(self, db):
-        with pytest.raises(SqlSemanticError):
-            execute_sql(db, "SELECT * FROM papers p, confs p")
+        with pytest.raises(sqlite3.OperationalError, match="ambiguous column"):
+            db.execute("SELECT * FROM papers p, confs p")
 
 
 class TestFilterJoin:
@@ -130,7 +135,6 @@ class TestFilterJoin:
         assert rows(db, "SELECT id FROM papers WHERE year IS NULL") == [(6,)]
 
     def test_triangle_join_order(self, db):
-        # Three-way join where the greedy planner must chain correctly.
         result = rows(
             db,
             "SELECT DISTINCT c.acronym FROM confs c, papers p, papers q "
@@ -158,10 +162,9 @@ class TestAggregation:
         assert result[0] == ("SIGMOD", 3)
 
     def test_group_by_select_star(self, db):
-        result = execute_sql(
-            db,
+        result = db.execute(
             "SELECT c.*, COUNT(*) FROM confs c, papers p "
-            "WHERE p.conf_id = c.id GROUP BY c.id",
+            "WHERE p.conf_id = c.id GROUP BY c.id"
         )
         assert len(result.columns) == 3
 
@@ -196,8 +199,8 @@ class TestAggregation:
         assert rows(db, "SELECT COUNT(*) FROM papers WHERE year = 1900") == [(0,)]
 
     def test_aggregate_in_where_rejected(self, db):
-        with pytest.raises(SqlSemanticError):
-            execute_sql(db, "SELECT id FROM papers WHERE COUNT(*) > 1")
+        with pytest.raises(sqlite3.OperationalError, match="misuse of aggregate"):
+            db.execute("SELECT id FROM papers WHERE COUNT(*) > 1")
 
     def test_order_by_aggregate(self, db):
         result = rows(
@@ -234,10 +237,9 @@ class TestSubqueries:
         assert sorted(r[0] for r in result) == ["KDD", "SIGMOD"]
 
     def test_in_subquery_arity_checked(self, db):
-        with pytest.raises(SqlSemanticError):
-            execute_sql(
-                db,
-                "SELECT id FROM confs WHERE id IN (SELECT id, acronym FROM confs)",
+        with pytest.raises(sqlite3.OperationalError, match="sub-select returns 2"):
+            db.execute(
+                "SELECT id FROM confs WHERE id IN (SELECT id, acronym FROM confs)"
             )
 
 
@@ -259,8 +261,8 @@ class TestOrderDistinctLimitUnion:
         assert result[0] == ("Usable databases",)
 
     def test_order_by_bad_ordinal(self, db):
-        with pytest.raises(SqlSemanticError):
-            execute_sql(db, "SELECT id FROM papers ORDER BY 9")
+        with pytest.raises(sqlite3.OperationalError, match="out of range"):
+            db.execute("SELECT id FROM papers ORDER BY 9")
 
     def test_distinct(self, db):
         assert len(rows(db, "SELECT DISTINCT conf_id FROM papers")) == 3
@@ -286,8 +288,5 @@ class TestOrderDistinctLimitUnion:
         assert result == [("SIGMOD",), ("SIGMOD",)]
 
     def test_union_arity_mismatch(self, db):
-        with pytest.raises(SqlSemanticError):
-            execute_sql(
-                db,
-                "SELECT id FROM confs UNION SELECT id, acronym FROM confs",
-            )
+        with pytest.raises(sqlite3.OperationalError, match="same number of result columns"):
+            db.execute("SELECT id FROM confs UNION SELECT id, acronym FROM confs")
