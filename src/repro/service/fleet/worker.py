@@ -135,9 +135,12 @@ class FleetWorker:
         # Reply cache for exactly-once application: the router reuses one
         # request_id across retries, so a retry whose original was applied
         # (but whose reply was lost) replays the recorded Response instead
-        # of re-executing the action.
+        # of re-executing the action. A retry can also arrive while its
+        # original is still applying (the router gave up on the reply
+        # early); it waits on the original's event in ``_inflight``.
         self._dedup_lock = threading.Lock()
         self._dedup: dict[str, protocol.Response] = {}  # guarded-by: self._dedup_lock
+        self._inflight: dict[str, threading.Event] = {}  # guarded-by: self._dedup_lock
         self._stats_lock = threading.Lock()
         self.client_disconnects = 0  # guarded-by: self._stats_lock
         self.dedup_hits = 0  # guarded-by: self._stats_lock
@@ -194,30 +197,51 @@ class FleetWorker:
             )
         request_id = (payload.get("request_id")
                       if isinstance(payload, dict) else None)
-        if isinstance(request_id, str) and request_id:
+        if not (isinstance(request_id, str) and request_id):
+            return self._serve_payload(payload)
+        cached = self._claim(request_id)
+        if cached is not None:
+            with self._stats_lock:
+                self.dedup_hits += 1
+            return cached
+        response = None
+        try:
+            response = self._serve_payload(payload)
+        finally:
+            with self._dedup_lock:
+                if response is not None:
+                    self._dedup[request_id] = response
+                    while len(self._dedup) > _DEDUP_CAPACITY:
+                        # dicts iterate in insertion order: drop the oldest.
+                        self._dedup.pop(next(iter(self._dedup)))
+                self._inflight.pop(request_id).set()
+        return response
+
+    def _claim(self, request_id: str) -> protocol.Response | None:
+        """The recorded reply for ``request_id``, or ``None`` once this
+        thread owns its delivery. A duplicate that arrives while another
+        thread is applying the same request waits for that reply."""
+        while True:
             with self._dedup_lock:
                 cached = self._dedup.get(request_id)
-            if cached is not None:
-                with self._stats_lock:
-                    self.dedup_hits += 1
-                return cached
+                if cached is not None:
+                    return cached
+                applying = self._inflight.get(request_id)
+                if applying is None:
+                    self._inflight[request_id] = threading.Event()
+                    return None
+            applying.wait()
+
+    def _serve_payload(self, payload: Any) -> protocol.Response:
         try:
             if isinstance(payload, dict) and "control" in payload:
                 control = protocol.WorkerControl.from_json(payload)
-                response = self._serve_control(control)
-            else:
-                response = self.manager.handle_request(
-                    protocol.Request.from_json(payload)
-                )
+                return self._serve_control(control)
+            return self.manager.handle_request(
+                protocol.Request.from_json(payload)
+            )
         except Exception as error:  # noqa: BLE001 - worker must answer
-            response = protocol.Response.failure(error)
-        if isinstance(request_id, str) and request_id:
-            with self._dedup_lock:
-                self._dedup[request_id] = response
-                while len(self._dedup) > _DEDUP_CAPACITY:
-                    # dicts iterate in insertion order: drop the oldest.
-                    self._dedup.pop(next(iter(self._dedup)))
-        return response
+            return protocol.Response.failure(error)
 
     # ------------------------------------------------------------------
     def _serve_control(self, control: protocol.WorkerControl

@@ -11,13 +11,21 @@ tail, router restart) plus the quota-migration regression this PR fixes.
 import contextlib
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro.datasets.academic import default_label_overrides
 from repro.datasets.toy import generate_toy
 from repro.errors import QuotaExceeded, ServiceError
-from repro.service.fleet import FleetRouter, HashRing, journaled_sessions
+from repro.service import protocol
+from repro.service.fleet import (
+    FleetRouter,
+    FleetWorker,
+    HashRing,
+    journaled_sessions,
+)
 from repro.service.journal import JOURNAL_SUFFIX
 from repro.translate import translate_database
 
@@ -145,6 +153,61 @@ class TestCrashFailover:
             router.kill_worker("worker-0")
             with pytest.raises(ServiceError):
                 router.apply(sid, "etable", {})
+
+
+class TestWorkerDedup:
+    def test_retry_during_apply_replays_the_original_reply(self, tmp_path):
+        """A retry that reaches the worker while its original is still
+        applying (the router gave up on the reply early) must replay the
+        original's reply, not apply the action a second time."""
+        worker = FleetWorker({"name": "worker-0", "factory": _FACTORY,
+                              "journal_dir": str(tmp_path / "j")})
+        try:
+            def serve(action, params, request_id=None):
+                request = protocol.Request(action=action, params=params,
+                                           session_id="s",
+                                           request_id=request_id)
+                line = json.dumps(request.to_json()).encode("utf-8")
+                return worker._serve_line(line)
+
+            serve("create_session", {"session_id": "s"})
+            serve("open", {"type": "Authors"})
+
+            handle = worker.manager.handle_request
+            applying, release = threading.Event(), threading.Event()
+            applied = []
+
+            def slow_handle(request):
+                applied.append(request.action)
+                applying.set()
+                release.wait(5)
+                return handle(request)
+
+            worker.manager.handle_request = slow_handle
+            replies = {}
+
+            def deliver(name):
+                replies[name] = serve(
+                    "pivot", {"column": "Authors->Institutions"}, "r-1"
+                )
+
+            original = threading.Thread(target=deliver, args=("original",))
+            retry = threading.Thread(target=deliver, args=("retry",))
+            original.start()
+            assert applying.wait(5)
+            retry.start()
+            time.sleep(0.05)  # let the retry reach the worker
+            release.set()
+            original.join(5)
+            retry.join(5)
+
+            assert applied == ["pivot"]
+            assert replies["original"].ok
+            assert replies["retry"] == replies["original"]
+            assert worker.dedup_hits == 1
+        finally:
+            worker._server.close()
+            worker.manager.shutdown()
 
 
 class TestRouterRestart:
