@@ -109,8 +109,6 @@ def test_fleet_worker_scaling():
             router = FleetRouter({
                 "factory": factory,
                 "journal_dir": journal_dir,
-                # One statistics scan for the whole sweep, not per worker.
-                "stats_path": os.path.join(tmp, "statistics.json"),
                 "engine": "planned",
             }, workers=workers)
             try:

@@ -25,11 +25,17 @@ Then, from any HTTP client::
 mutating actions per session. SIGTERM (and Ctrl-C) shuts down gracefully:
 in-flight requests drain, then journals flush.
 
+Sessions journaled under ``--journal-dir`` survive a restart: nothing is
+replayed at boot, and each session is rebuilt from its journal on its
+first request.
+
 ``--self-test`` boots on an ephemeral port, drives a full scripted session
 end-to-end over localhost (open → filter → pivot → sort → revert — with
-a lockstep client folding the session's SSE stream), kills the service,
-restarts it on the same journal directory, and verifies the replayed
-session is identical — the CI smoke path.
+a lockstep client folding the session's SSE stream), stops the service,
+restarts it on the same journal directory, and verifies that the session
+comes back on its first request, identical and with its original token —
+the CI smoke path. ``--self-test --fleet N`` does the same through a
+worker fleet, after killing and (``--rolling-restart``) replacing workers.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.error
 import urllib.request
 
 
@@ -101,6 +108,27 @@ def _http(url: str, method: str = "GET", body: dict | None = None,
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def _status(url: str, token: str) -> int:
+    """The HTTP status of a GET with a bearer token (errors included)."""
+    request = urllib.request.Request(
+        url, headers={"Authorization": f"Bearer {token}"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        error.close()
+        return error.code
+
+
+def _assert_token_survived(base: str, session_id: str, token: str) -> None:
+    """The token the client got at create time still opens the session,
+    and a wrong one is refused — auth as a client sees it."""
+    url = f"{base}/v1/sessions/{session_id}/history"
+    assert _status(url, token) == 200, "original auth token refused"
+    assert _status(url, token + "0") == 401, "wrong auth token accepted"
 
 
 class SseClient:
@@ -232,7 +260,6 @@ def _build_fleet(args: argparse.Namespace, journal_dir: str):
         "factory": f"{os.path.abspath(__file__)}:build_tgdb",
         "factory_kwargs": {"dataset": args.dataset, "papers": args.papers},
         "journal_dir": journal_dir,
-        "stats_path": os.path.join(journal_dir, "statistics.json"),
         "engine": args.engine,
         "row_limit": args.row_limit,
         "require_auth": args.require_auth,
@@ -263,7 +290,10 @@ def fleet_self_test(args: argparse.Namespace) -> int:
     the scripted session, the next request must transparently resurrect
     it on another worker from its journal — ETable cells, history, and
     auth token all bit-identical. ``--rolling-restart`` additionally
-    restarts every worker one at a time and re-verifies.
+    restarts every worker one at a time and re-verifies. Last, the whole
+    fleet stops and a new one boots on the same journal directory: it
+    holds no live session until the session's first request, which must
+    answer with the same table, history and token.
     """
     args.require_auth = True  # the fleet smoke always proves token survival
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="etable-fleet-")
@@ -321,9 +351,7 @@ def fleet_self_test(args: argparse.Namespace) -> int:
     )["result"]["lines"]
     assert before_history == after_history, (before_history, after_history)
     assert before_table == after_table, "migrated session not bit-identical"
-    assert router.session_auth_token(session_id) == token, (
-        "auth token must survive migration"
-    )
+    _assert_token_survived(base, session_id, token)
     new_owner = router.owner_of(session_id)
     fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
     assert fleet_stats["migrations"] >= 1, fleet_stats
@@ -340,7 +368,7 @@ def fleet_self_test(args: argparse.Namespace) -> int:
         assert rolled_table == before_table, (
             "session not bit-identical after rolling restart"
         )
-        assert router.session_auth_token(session_id) == token
+        _assert_token_survived(base, session_id, token)
         fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
         assert fleet_stats["worker_restarts"] >= 1, fleet_stats
         print(f"  rolling  -> every worker restarted, session intact "
@@ -365,6 +393,41 @@ def fleet_self_test(args: argparse.Namespace) -> int:
         print(f"  chaos    -> survived with faults fired={fired}, "
               f"retries={fleet_stats['retries']}, "
               f"breaker_opens={fleet_stats['breaker_opens']}")
+    final_table = _http(
+        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
+        token=token,
+    )["result"]
+    final_history = _http(
+        f"{base}/v1/sessions/{session_id}/history", token=token
+    )["result"]["lines"]
+
+    # Full fleet restart on the same journal directory: the new workers
+    # replay nothing at boot; the session comes back on its ring owner at
+    # its first request.
+    server.shutdown()
+    router.shutdown()
+    router = _build_fleet(args, journal_dir)
+    server = _build_server(args, router, "127.0.0.1", 0).start()
+    base = server.url
+    health = _http(f"{base}/healthz")["result"]
+    assert health["live_sessions"] == 0, health
+    restarted_table = _http(
+        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
+        token=token,
+    )["result"]
+    restarted_history = _http(
+        f"{base}/v1/sessions/{session_id}/history", token=token
+    )["result"]["lines"]
+    assert restarted_history == final_history, (final_history,
+                                                restarted_history)
+    assert restarted_table == final_table, (
+        "session not bit-identical after a fleet restart"
+    )
+    _assert_token_survived(base, session_id, token)
+    resumed = _http(f"{base}/v1/stats")["result"]["resumed"]
+    assert resumed == 1, resumed
+    print(f"  restart  -> new fleet resumed {session_id} on its first "
+          f"request, bit-identical with its original token")
     server.shutdown()
     router.shutdown()
     print("self-test: OK (fleet)")
@@ -427,32 +490,33 @@ def self_test(args: argparse.Namespace) -> int:
     server.shutdown()
     manager.shutdown()
     manager2 = _build_manager(args, tgdb, journal_dir)
-    resumed = manager2.recover_all()
-    assert session_id in resumed, (session_id, resumed)
     server2 = _build_server(args, manager2, "127.0.0.1", 0).start()
     base2 = server2.url
-    token2 = manager2.session_auth_token(session_id) if args.require_auth else None
-    if args.require_auth:
-        assert token2 == token, "auth token must survive restart"
+    # Nothing is replayed at boot: the session comes back on its first
+    # request, with the token its client already holds.
+    health = _http(f"{base2}/healthz")["result"]
+    assert health["live_sessions"] == 0, health
     after_table = _http(
         f"{base2}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token2,
+        token=token,
     )["result"]
     after_history = _http(
-        f"{base2}/v1/sessions/{session_id}/history", token=token2
+        f"{base2}/v1/sessions/{session_id}/history", token=token
     )["result"]["lines"]
     assert before_history == after_history, (before_history, after_history)
     assert before_table == after_table
+    if args.require_auth:
+        _assert_token_survived(base2, session_id, token)
     # The restarted service must stream the resumed session too.
-    sse2 = SseClient(server2.host, server2.port, session_id, token=token2)
+    sse2 = SseClient(server2.host, server2.port, session_id, token=token)
     sse2.wait_frames(1)  # the subscribe-time snapshot
     result = _http(f"{base2}/v1/sessions/{session_id}/actions", "POST",
                    {"action": "sort", "params": {"column": "year"}},
-                   token=token2)
+                   token=token)
     assert result["ok"], result
     folded = sse2.wait_folded(1)
     fetched = _http(f"{base2}/v1/sessions/{session_id}/etable",
-                    token=token2)["result"]["etable"]
+                    token=token)["result"]["etable"]
     assert folded == fetched
     stream_stats = _http(f"{base2}/v1/stats")["result"]["stream"]
     assert stream_stats["frames"] >= 2, stream_stats
@@ -460,8 +524,10 @@ def self_test(args: argparse.Namespace) -> int:
           f"({stream_stats})")
     sse2.close()
     stats = _http(f"{base2}/v1/stats")["result"]
+    assert stats["resumed"] == 1, stats["resumed"]
     print(f"  restart  -> replayed {len(after_history)} history steps "
-          f"bit-identically (cache hits: {stats['cache']['hits']})")
+          f"bit-identically on the first request "
+          f"(cache hits: {stats['cache']['hits']})")
     server2.shutdown()
     manager2.shutdown()
     print("self-test: OK")
@@ -489,7 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--row-limit", type=int, default=50,
                         help="presented rows per table (pagination)")
     parser.add_argument("--journal-dir", default=None,
-                        help="directory for durable session journals")
+                        help="directory for durable session journals "
+                             "(a session journaled there resumes on its "
+                             "first request after a restart)")
     parser.add_argument("--max-sessions", type=int, default=256)
     parser.add_argument("--ttl", type=float, default=1800.0,
                         help="idle session TTL in seconds")
@@ -551,21 +619,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"booting a fleet of {args.fleet} workers "
               f"(each generating the {args.dataset} corpus)...")
         manager = _build_fleet(args, journal_dir)
-        if args.journal_dir:
-            resumed = manager.recover_all()
-            if resumed:
-                print(f"resumed {len(resumed)} journaled session(s) "
-                      f"across the fleet")
     else:
         print(f"generating {args.dataset} corpus...")
         tgdb = build_tgdb(args.dataset, args.papers)
         manager = _build_manager(args, tgdb, args.journal_dir,
                                  max_sessions=args.max_sessions,
                                  ttl_seconds=args.ttl)
-        if args.journal_dir:
-            resumed = manager.recover_all()
-            if resumed:
-                print(f"resumed {len(resumed)} journaled session(s)")
     server = _build_server(args, manager, args.host, args.port).start()
     print(f"serving ETable navigation API at {server.url} "
           "(Ctrl-C or SIGTERM to stop)")

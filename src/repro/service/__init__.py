@@ -3,9 +3,10 @@
 The reproduction's client–server layer: many concurrent
 :class:`~repro.core.session.EtableSession` s hosted over one shared graph
 and one shared plan-and-reuse cache, a versioned JSON wire protocol, a
-durable per-session action journal, and a stdlib asyncio HTTP frontend
-that answers requests and streams ETable delta frames to subscribed
-clients over SSE.
+durable per-session action journal (an evicted or restarted session is
+replayed from it on its first request), and a stdlib asyncio HTTP
+frontend that answers requests and streams ETable delta frames to
+subscribed clients over SSE.
 
     from repro.service import AsyncNavigationServer, SessionManager
 
@@ -17,7 +18,7 @@ from repro.service import faults
 from repro.service.async_server import AsyncNavigationServer
 from repro.service.faults import FaultInjector, FaultRule, InjectedFault
 from repro.service.fleet import FleetRouter, FleetWorker, HashRing
-from repro.service.journal import ActionJournal, read_records, replay_journal
+from repro.service.journal import ActionJournal, read_records
 from repro.service.manager import ManagedSession, SessionManager
 from repro.service.resilience import (
     AdmissionControl,
@@ -97,5 +98,4 @@ __all__ = [
     "pattern_to_json",
     "payload_bytes",
     "read_records",
-    "replay_journal",
 ]

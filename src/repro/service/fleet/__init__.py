@@ -10,7 +10,8 @@
 
 The router duck-types :class:`~repro.service.manager.SessionManager`, so
 the HTTP frontend needs no changes; session migration between workers is
-journal handoff (see :mod:`repro.service.fleet.router`).
+journal handoff, and after any move or restart a session resumes on its
+ring owner at its first request (see :mod:`repro.service.fleet.router`).
 """
 
 from repro.service.fleet.hashring import HashRing
@@ -18,7 +19,6 @@ from repro.service.fleet.router import FleetRouter
 from repro.service.fleet.worker import (
     FleetWorker,
     fleet_worker_main,
-    journaled_sessions,
     resolve_factory,
 )
 
@@ -27,6 +27,5 @@ __all__ = [
     "FleetWorker",
     "HashRing",
     "fleet_worker_main",
-    "journaled_sessions",
     "resolve_factory",
 ]

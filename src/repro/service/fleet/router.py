@@ -6,14 +6,15 @@ workers own *state* (the sessions themselves, each durably journaled in
 the fleet-shared journal directory). The router duck-types the
 :class:`~repro.service.manager.SessionManager` surface the frontend
 uses — ``handle_request``, ``close_session``, ``stats``,
-``session_auth_token``, ``recover_all``, ``shutdown`` — so the HTTP
-server sits in front of a fleet unchanged.
+``with_session``, the two observer hooks and ``shutdown`` — so the HTTP
+server sits in front of a fleet unchanged. A client learns its session's
+bearer token from the ``create_session`` reply, as in one process.
 
 Migration is journal handoff, not state transfer. Because every worker
 journals into the same directory, moving a session is: reassign the hash
 slot, then let the new owner resurrect it from the journal through the
-prefix-reuse cache on the next request. That one mechanism serves all
-three lifecycle events:
+prefix-reuse cache on the next request. That one mechanism serves every
+lifecycle event:
 
 * **drain / rolling restart** — the departing worker releases its
   sessions (flushing quota bookkeeping), the ring reroutes, the new
@@ -23,7 +24,11 @@ three lifecycle events:
 * **crash** — nothing to flush: the journal already holds every accepted
   action, so the router just removes the dead member and retries on the
   new owner, which replays to the exact pre-crash state (history, ETable
-  cells, and auth token are all journal-derived — bit-identical).
+  cells, and auth token are all journal-derived — bit-identical);
+* **fleet restart** — restarting the front process restarts its
+  workers; the new fleet starts with no live sessions over the same
+  journal directory, and each session comes back on its ring owner at
+  its first request.
 
 SSE streaming is *not* proxied across the process boundary yet: the
 stream hub needs a live in-process session. A fleet therefore serves the
@@ -42,18 +47,24 @@ import time
 import uuid
 from typing import Any, Callable
 
-from repro.errors import ServiceError, UnknownSession, WorkerFailure
+from repro.errors import ServiceError, WorkerFailure
 from repro.service import faults, protocol
 from repro.service.fleet.hashring import HashRing
-from repro.service.fleet.worker import fleet_worker_main, journaled_sessions
+from repro.service.fleet.worker import fleet_worker_main
 from repro.service.resilience import CircuitBreaker, HealthProbe, RetryPolicy
+
+# Every routed request and control round trip, retries included, finishes
+# within this budget.
+_REQUEST_TIMEOUT_S = 60.0
+# Consecutive failures that open a worker's circuit breaker.
+_BREAKER_THRESHOLD = 5
 
 
 class _WorkerHandle:
     """Router-side view of one worker: process + pooled connections."""
 
     def __init__(self, name: str, spec: dict[str, Any],
-                 process: multiprocessing.process.BaseProcess | None,
+                 process: multiprocessing.process.BaseProcess,
                  port: int) -> None:
         self.name = name
         self.spec = spec
@@ -63,7 +74,7 @@ class _WorkerHandle:
         self._pool_lock = threading.Lock()
 
     def alive(self) -> bool:
-        return self.process is None or self.process.is_alive()
+        return self.process.is_alive()
 
     # -- pooled newline-JSON round trip --------------------------------
     def call(self, payload: dict[str, Any], timeout: float) -> dict[str, Any]:
@@ -143,10 +154,7 @@ class FleetRouter:
     """N worker processes behind one SessionManager-shaped facade."""
 
     def __init__(self, worker_spec: dict[str, Any], workers: int = 2,
-                 request_timeout: float = 60.0,
-                 start_method: str | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 breaker_threshold: int = 5,
                  breaker_reset: float = 5.0,
                  probe_interval: float | None = 5.0) -> None:
         if workers < 1:
@@ -156,14 +164,10 @@ class FleetRouter:
                 "fleet workers need a shared journal_dir: migration is "
                 "journal handoff, there is no other state channel"
             )
-        self.journal_dir = worker_spec["journal_dir"]
-        self.request_timeout = request_timeout
-        self._context = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
         self._workers: dict[str, _WorkerHandle] = {}  # guarded-by: self._lock
         self._ring = HashRing()  # guarded-by: self._lock
         self.retry_policy = retry_policy or RetryPolicy()
-        self._breaker_threshold = breaker_threshold
         self._breaker_reset = breaker_reset
         self._breakers: dict[str, CircuitBreaker] = {}  # guarded-by: self._lock
         self.migrations = 0  # guarded-by: self._lock
@@ -172,13 +176,19 @@ class FleetRouter:
         self.retries = 0  # guarded-by: self._lock
         self.breaker_opens = 0  # guarded-by: self._lock
         self.rebalance_failures = 0  # guarded-by: self._lock
-        for index in range(workers):
-            name = f"worker-{index}"
-            handle = self._spawn(dict(worker_spec, name=name))
-            with self._lock:
-                self._workers[name] = handle
-                self._ring.add(name)
         self._probe: HealthProbe | None = None
+        try:
+            for index in range(workers):
+                name = f"worker-{index}"
+                handle = self._spawn(dict(worker_spec, name=name))
+                with self._lock:
+                    self._workers[name] = handle
+                    self._ring.add(name)
+        except BaseException:
+            # A worker that never booted must not strand the ones that did:
+            # each holds a port and a manager over the shared journals.
+            self.shutdown()
+            raise
         if probe_interval is not None:
             self._probe = HealthProbe(self._probe_once,
                                       interval=probe_interval)
@@ -202,8 +212,8 @@ class FleetRouter:
         raise last_error
 
     def _spawn_once(self, spec: dict[str, Any]) -> _WorkerHandle:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
             target=fleet_worker_main, args=(spec, child_conn),
             name=f"fleet-{spec['name']}", daemon=True,
         )
@@ -221,97 +231,6 @@ class FleetRouter:
             )
         return _WorkerHandle(spec["name"], spec, process, boot["port"])
 
-    @classmethod
-    def attach(cls, endpoints: dict[str, int], journal_dir: str,
-               request_timeout: float = 60.0,
-               retry_policy: RetryPolicy | None = None,
-               breaker_threshold: int = 5,
-               breaker_reset: float = 5.0,
-               probe_interval: float | None = None) -> "FleetRouter":
-        """A router over *already running* workers (router-restart path).
-
-        ``endpoints`` maps worker name -> loopback port. The attached
-        router cannot respawn what it did not spawn (``process`` is
-        unknown), but routing, draining, and rebalancing all work — which
-        is exactly what a restarted front process needs. Endpoints that
-        fail the attach-time ping are dropped from the ring (their
-        sessions are served by the survivors via journal handoff); only
-        an entirely dead endpoint map is an error.
-        """
-        router = cls.__new__(cls)
-        router.journal_dir = journal_dir
-        router.request_timeout = request_timeout
-        router._context = multiprocessing.get_context()
-        router._lock = threading.Lock()
-        router._workers = {}
-        router._ring = HashRing()
-        router.retry_policy = retry_policy or RetryPolicy()
-        router._breaker_threshold = breaker_threshold
-        router._breaker_reset = breaker_reset
-        router._breakers = {}
-        router.migrations = 0
-        router.worker_restarts = 0
-        router.routed_requests = 0
-        router.retries = 0
-        router.breaker_opens = 0
-        router.rebalance_failures = 0
-        router._probe = None
-        for name, port in endpoints.items():
-            handle = _WorkerHandle(name, {"name": name}, None, port)
-            router._workers[name] = handle
-            router._ring.add(name)
-        dead: list[str] = []
-        try:
-            for name, handle in sorted(router._workers.items()):
-                try:
-                    router._control(handle, "ping", attempts=1)
-                except (OSError, ServiceError):
-                    dead.append(name)
-        except BaseException:
-            router.detach()
-            raise
-        if len(dead) == len(router._workers):
-            router.detach()
-            raise ServiceError(
-                f"no live workers among endpoints {dict(endpoints)!r}"
-            )
-        stale: list[_WorkerHandle] = []
-        with router._lock:
-            for name in dead:
-                handle = router._workers.pop(name, None)
-                router._ring.remove(name)
-                if handle is not None:
-                    stale.append(handle)
-        for handle in stale:
-            handle.close_pool()
-        if probe_interval is not None:
-            router._probe = HealthProbe(router._probe_once,
-                                        interval=probe_interval)
-            router._probe.start()
-        return router
-
-    def detach(self) -> None:
-        """Drop this router's sockets without touching the workers.
-
-        The counterpart of :meth:`attach` for a front process going away:
-        :meth:`shutdown` would stop the fleet, which an attached router
-        does not own.
-        """
-        if self._probe is not None:
-            self._probe.stop()
-            self._probe = None
-        with self._lock:
-            handles, self._workers = dict(self._workers), {}
-            self._ring = HashRing()
-        for handle in handles.values():
-            handle.close_pool()
-
-    def endpoints(self) -> dict[str, int]:
-        """Worker name -> port (what :meth:`attach` needs to rebuild)."""
-        with self._lock:
-            return {name: handle.port
-                    for name, handle in self._workers.items()}
-
     def worker_names(self) -> list[str]:
         with self._lock:
             return sorted(self._workers)
@@ -324,8 +243,8 @@ class FleetRouter:
         """SIGKILL a worker (failure injection: tests, self-test)."""
         with self._lock:
             handle = self._workers.get(name)
-        if handle is None or handle.process is None:
-            raise ServiceError(f"no spawned worker named {name!r}")
+        if handle is None:
+            raise ServiceError(f"no worker named {name!r}")
         handle.process.kill()
         handle.process.join(timeout=10.0)
 
@@ -343,11 +262,6 @@ class FleetRouter:
             handle = self._workers.get(name)
             if handle is None:
                 raise ServiceError(f"no worker named {name!r}")
-            if handle.process is None:
-                raise ServiceError(
-                    f"worker {name!r} was attached, not spawned; "
-                    f"restart it from its owning process"
-                )
             self._ring.remove(name)
         try:
             if handle.alive():
@@ -407,7 +321,7 @@ class FleetRouter:
                                          request_id=uuid.uuid4().hex)
         policy = self.retry_policy
         max_attempts = policy.max_attempts if attempts is None else attempts
-        deadline = time.monotonic() + self.request_timeout
+        deadline = time.monotonic() + _REQUEST_TIMEOUT_S
         attempt = 0
         while True:
             remaining = deadline - time.monotonic()
@@ -474,7 +388,7 @@ class FleetRouter:
           the new owner is healthy);
         * **transport flake, worker alive** — bounded retries with
           exponential backoff + full jitter *to the same owner*, inside
-          a deadline budget that never exceeds ``request_timeout``;
+          a deadline budget that never exceeds ``_REQUEST_TIMEOUT_S``;
         * **worker flapping** — its breaker opens after consecutive
           failures and requests fail fast (typed ``WorkerFailure``)
           until the half-open probe heals it. An open breaker never
@@ -490,7 +404,7 @@ class FleetRouter:
             request = dataclasses.replace(request,
                                           request_id=uuid.uuid4().hex)
         policy = self.retry_policy
-        deadline = time.monotonic() + self.request_timeout
+        deadline = time.monotonic() + _REQUEST_TIMEOUT_S
         attempt = 0
         while True:
             with self._lock:
@@ -500,7 +414,7 @@ class FleetRouter:
                 breaker = self._breakers.setdefault(
                     owner,
                     CircuitBreaker(
-                        failure_threshold=self._breaker_threshold,
+                        failure_threshold=_BREAKER_THRESHOLD,
                         reset_timeout=self._breaker_reset,
                     ),
                 )
@@ -508,7 +422,7 @@ class FleetRouter:
             if remaining <= 0:
                 raise WorkerFailure(
                     f"request for session {session_id!r} ran out of its "
-                    f"{self.request_timeout:g}s budget retrying worker "
+                    f"{_REQUEST_TIMEOUT_S:g}s budget retrying worker "
                     f"{owner!r}"
                 )
             # allow() may hand out the one half-open trial, so after this
@@ -567,7 +481,7 @@ class FleetRouter:
             breaker = self._breakers.get(name)
             if breaker is None:
                 breaker = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
+                    failure_threshold=_BREAKER_THRESHOLD,
                     reset_timeout=self._breaker_reset,
                 )
                 self._breakers[name] = breaker
@@ -603,7 +517,7 @@ class FleetRouter:
         last_error: Exception | None = None
         for handle in handles:
             try:
-                payload = handle.call(request.to_json(), self.request_timeout)
+                payload = handle.call(request.to_json(), _REQUEST_TIMEOUT_S)
                 return protocol.Response.from_json(payload)
             except WorkerFailure as error:
                 last_error = error
@@ -643,31 +557,6 @@ class FleetRouter:
         ))
         if not response.ok:
             raise protocol.exception_from_response(response)
-
-    def session_auth_token(self, session_id: str) -> str | None:
-        with self._lock:
-            owner = self._ring.owner(session_id)
-            handle = self._workers[owner]
-        return self._control(
-            handle, "token", {"session_id": session_id}
-        ).get("auth_token")
-
-    def recover_all(self) -> list[str]:
-        """Warm-start: every journaled session resumed on its ring owner."""
-        by_owner: dict[str, list[str]] = {}
-        for session_id in journaled_sessions(self.journal_dir):
-            by_owner.setdefault(self.owner_of(session_id), []).append(
-                session_id
-            )
-        resumed: list[str] = []
-        for owner, ids in sorted(by_owner.items()):
-            with self._lock:
-                handle = self._workers[owner]
-            resumed.extend(
-                self._control(handle, "resume", {"session_ids": ids})
-                .get("resumed", [])
-            )
-        return resumed
 
     def add_action_observer(self, observer: Callable[..., Any]) -> None:
         """Accepted for SessionManager duck-typing; fleet workers live in
@@ -738,8 +627,6 @@ class FleetRouter:
                 pass  # already dead; journals hold its sessions
             handle.close_pool()
         for handle in handles.values():
-            if handle.process is None:
-                continue
             handle.process.join(timeout=30.0)
             if handle.process.is_alive():  # pragma: no cover - stuck worker
                 handle.process.kill()

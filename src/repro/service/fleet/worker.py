@@ -10,19 +10,19 @@ same socket, discriminated by the ``"control"`` key:
 * :class:`~repro.service.protocol.Request` — user traffic, answered by
   ``manager.handle_request`` exactly as the HTTP frontend would;
 * :class:`~repro.service.protocol.WorkerControl` — router control plane
-  (drain, rebalance, resume, shutdown), answered with the same
+  (ping, stats, rebalance, drain, shutdown), answered with the same
   :class:`~repro.service.protocol.Response` envelope.
 
 The worker never knows the whole fleet: rebalance hands it the member
 list and it keeps only the sessions the ring maps to itself, releasing
-the rest (journals intact) for their new owners to resurrect.
+the rest (journals intact) for their new owners to resurrect on their
+next request.
 
 The graph is *built inside the worker* from a ``"module:callable"`` (or
 ``"path.py:callable"``) factory named in the picklable spec dict — the
-spec crosses the process boundary, the graph never does. Statistics do
-cross, as JSON: the first worker to boot writes the graph's
-``GraphStatistics.to_payload()`` snapshot next to the journals, later
-workers ``install_statistics`` from it instead of re-scanning.
+spec crosses the process boundary, the graph never does. Neither do the
+planner's statistics: each worker computes them from its own graph on
+first use. The worker reads the spec keys it knows and ignores the rest.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ import json
 import os
 import socket
 import threading
-from pathlib import Path
 from typing import Any
 
 from repro.errors import ProtocolError, ServiceError
 from repro.service import faults, protocol
-from repro.service.journal import JOURNAL_SUFFIX
 from repro.service.manager import SessionManager
 from repro.service.fleet.hashring import HashRing
 
@@ -47,6 +45,13 @@ from repro.service.fleet.hashring import HashRing
 # remember history — the router pools a handful of connections, so a few
 # hundred entries is orders of magnitude past what retries can reference.
 _DEDUP_CAPACITY = 512
+
+# Requests whose replies the cache keeps: exactly-once matters only for
+# the ones that change state. Reads (etable, history, plan, tables, stats)
+# and control ops (ping and stats read; rebalance, drain and shutdown are
+# idempotent) simply run again when the router retries them.
+_DEDUPED_ACTIONS = protocol.MUTATING_ACTIONS | {"create_session",
+                                                "close_session"}
 
 
 def resolve_factory(factory: str):
@@ -71,42 +76,6 @@ def resolve_factory(factory: str):
     return fn
 
 
-def _load_or_snapshot_statistics(graph, stats_path: str | None) -> None:
-    """Share one statistics scan across the fleet via a JSON snapshot.
-
-    First worker up computes and atomically publishes the snapshot; every
-    later worker installs it instead of re-scanning the graph. A corrupt
-    or torn snapshot (crash mid-publish cannot happen — ``os.replace`` is
-    atomic — but a stale partial ``.tmp`` can linger) falls back to a
-    local scan; the fleet never fails to boot over warm-up state.
-    """
-    if stats_path is None:
-        return
-    path = Path(stats_path)
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            from repro.tgm.instance_graph import GraphStatistics
-
-            graph.install_statistics(
-                GraphStatistics.from_payload(graph, payload)
-            )
-            return
-        except Exception:
-            pass  # unreadable snapshot: scan locally, leave file alone
-    statistics = graph.statistics()
-    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(
-            json.dumps(statistics.to_payload(), default=str),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
-    except OSError:  # pragma: no cover - disk trouble must not kill boot
-        tmp.unlink(missing_ok=True)
-
-
 class FleetWorker:
     """The in-process half of one worker: socket loop over a manager."""
 
@@ -114,7 +83,6 @@ class FleetWorker:
         self.name = str(spec["name"])
         faults.fire("worker.boot")
         tgdb = resolve_factory(spec["factory"])(**spec.get("factory_kwargs", {}))
-        _load_or_snapshot_statistics(tgdb.graph, spec.get("stats_path"))
         self.manager = SessionManager(
             tgdb.schema, tgdb.graph,
             row_limit=spec.get("row_limit"),
@@ -132,10 +100,11 @@ class FleetWorker:
         self._server.settimeout(0.2)
         self.port = self._server.getsockname()[1]
         self._stop = threading.Event()
-        # Reply cache for exactly-once application: the router reuses one
-        # request_id across retries, so a retry whose original was applied
-        # (but whose reply was lost) replays the recorded Response instead
-        # of re-executing the action. A retry can also arrive while its
+        # Reply cache for exactly-once application of state-changing
+        # requests (``_DEDUPED_ACTIONS``): the router reuses one request_id
+        # across retries, so a retry whose original was applied (but whose
+        # reply was lost) replays the recorded Response instead of
+        # re-executing the action. A retry can also arrive while its
         # original is still applying (the router gave up on the reply
         # early); it waits on the original's event in ``_inflight``.
         self._dedup_lock = threading.Lock()
@@ -195,9 +164,8 @@ class FleetWorker:
             return protocol.Response.failure(
                 ProtocolError(f"worker request is not JSON: {error}")
             )
-        request_id = (payload.get("request_id")
-                      if isinstance(payload, dict) else None)
-        if not (isinstance(request_id, str) and request_id):
+        request_id = _dedup_key(payload)
+        if request_id is None:
             return self._serve_payload(payload)
         cached = self._claim(request_id)
         if cached is not None:
@@ -258,20 +226,6 @@ class FleetWorker:
                 result["dedup_hits"] = self.dedup_hits
             if (injector := faults.active()) is not None:
                 result["faults"] = injector.stats()
-        elif op == "token":
-            result = {"auth_token": self._session_token(args.get("session_id"))}
-        elif op == "resume":
-            resumed = []
-            for session_id in args.get("session_ids", []):
-                self.manager.resume_session(str(session_id))
-                resumed.append(str(session_id))
-            result = {"resumed": resumed}
-        elif op == "release":
-            ids = args.get("session_ids")
-            released = self.manager.release_sessions(
-                [str(s) for s in ids] if ids is not None else None
-            )
-            result = {"released": released}
         elif op == "rebalance":
             result = {"released": self._rebalance(args.get("members", []))}
         elif op == "drain":
@@ -287,22 +241,6 @@ class FleetWorker:
         # so the reply needs no request-id correlation.
         return protocol.Response.success(result)
 
-    def _session_token(self, session_id: Any) -> str | None:
-        if not session_id:
-            raise ProtocolError("token control needs a session_id")
-        token = self.manager.session_auth_token(str(session_id))
-        if token is None:
-            # Not live here (yet): resurrect, then read the journal-kept
-            # token — the router asks the *owner*, so resuming is correct.
-            from repro.errors import UnknownSession
-
-            try:
-                self.manager.resume_session(str(session_id))
-            except UnknownSession:
-                return None
-            token = self.manager.session_auth_token(str(session_id))
-        return token
-
     def _rebalance(self, members: list[str]) -> list[str]:
         """Keep only sessions the new ring maps here; release the rest."""
         if not members or self.name not in members:
@@ -313,6 +251,18 @@ class FleetWorker:
             if ring.owner(session_id) != self.name
         ]
         return self.manager.release_sessions(strays)
+
+
+def _dedup_key(payload: Any) -> str | None:
+    """The request id a reply is cached under, or ``None`` when running
+    the request again is harmless (a read, a control op, or no id)."""
+    if not isinstance(payload, dict):
+        return None
+    action, request_id = payload.get("action"), payload.get("request_id")
+    if (isinstance(action, str) and action in _DEDUPED_ACTIONS
+            and isinstance(request_id, str) and request_id):
+        return request_id
+    return None
 
 
 def fleet_worker_main(spec: dict[str, Any], conn) -> None:
@@ -343,11 +293,3 @@ def fleet_worker_main(spec: dict[str, Any], conn) -> None:
     conn.send({"port": worker.port})
     conn.close()
     worker.serve_forever()
-
-
-def journaled_sessions(journal_dir: str | Path) -> list[str]:
-    """Session ids with a journal on disk (the router's recovery scan)."""
-    return sorted(
-        path.name[: -len(JOURNAL_SUFFIX)]
-        for path in Path(journal_dir).glob(f"*{JOURNAL_SUFFIX}")
-    )

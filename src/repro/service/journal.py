@@ -3,7 +3,8 @@
 Browsing sessions are state machines driven by small, deterministic
 actions; persisting the *actions* (not the results) makes session state
 durable at almost no cost. Each accepted mutating action is appended to an
-append-only JSON-lines file; on restart the manager replays the file
+append-only JSON-lines file; on the session's first request after an
+eviction, a crash, a migration or a restart, the manager replays the file
 through the same :func:`repro.service.protocol.apply_action` dispatch that
 served it live, and every re-executed pattern rides the shared prefix-reuse
 cache — recovery is a sequence of cache hits plus delta joins, not a cold
@@ -57,7 +58,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.errors import JournalCorrupt
 from repro.core.session import EtableSession
@@ -313,7 +314,7 @@ def _scan(
     when an invalid line is *followed by* decodable content (real
     mid-file damage, not a crash artifact) — a ``(line_number, reason)``
     pair describing it. The lenient recovery path (``ActionJournal``)
-    quarantines and continues; the strict readers raise.
+    quarantines and continues; :func:`read_records` raises.
     """
     faults.fire("journal.read")
     raw = Path(path).read_bytes()
@@ -355,30 +356,18 @@ def _scan(
     return records, durable_length, max_seq, corruption
 
 
-def scan_journal(path: Path | str) -> tuple[list[dict[str, Any]], int, int]:
-    """Strict scan: mid-file damage raises :class:`JournalCorrupt`.
-
-    Returns ``(records, durable_byte_length, max_seq)`` exactly like the
-    pre-checksum format did; a torn/garbled *tail* is still tolerated
-    (that is the expected crash signature, not corruption).
-    """
-    records, durable_length, max_seq, corruption = _scan(path)
-    if corruption is not None:
-        raise JournalCorrupt(f"{path}: {corruption[1]}")
-    return records, durable_length, max_seq
-
-
-def read_records(path: Path | str, strict: bool = False) -> list[dict[str, Any]]:
+def read_records(path: Path | str) -> list[dict[str, Any]]:
     """All decodable records, stopping at a torn tail.
 
     A truncated or garbled trailing line is the expected signature of a
-    crash mid-write and is silently dropped (``strict=True`` raises for it
-    instead); garbage *before* later records means real corruption and
-    always raises :class:`JournalCorrupt`.
+    crash mid-write and is silently dropped; garbage *before* later
+    records means real corruption and raises :class:`JournalCorrupt`.
+    Reading never repairs the file (opening an :class:`ActionJournal`
+    does).
     """
-    records, durable_length, _ = scan_journal(path)
-    if strict and durable_length < Path(path).stat().st_size:
-        raise JournalCorrupt(f"{path}: torn tail after byte {durable_length}")
+    records, _durable_length, _max_seq, corruption = _scan(path)
+    if corruption is not None:
+        raise JournalCorrupt(f"{path}: {corruption[1]}")
     return records
 
 
@@ -410,11 +399,3 @@ def replay_records(session: EtableSession,
         else:
             raise JournalCorrupt(f"unknown journal record type {kind!r}")
     return applied
-
-
-def replay_journal(path: Path | str,
-                   make_session: Callable[[], EtableSession]) -> EtableSession:
-    """Rebuild a session from its journal file."""
-    session = make_session()
-    replay_records(session, read_records(path))
-    return session

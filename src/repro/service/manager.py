@@ -231,8 +231,8 @@ class SessionManager:
     def shutdown(self) -> None:
         """Flush and close every hosted session's journal (graceful stop).
 
-        Journaled sessions remain resumable: `recover_all` on a new
-        manager over the same journal directory replays them verbatim.
+        Journaled sessions remain resumable: a new manager over the same
+        journal directory replays each one verbatim on its first request.
         """
         with self._lock:
             drained = list(self._sessions.values())
@@ -499,7 +499,12 @@ class SessionManager:
     # Recovery
     # ------------------------------------------------------------------
     def resume_session(self, session_id: str) -> str:
-        """Rebuild an evicted/crashed session from its journal."""
+        """Rebuild an evicted/crashed session from its journal.
+
+        The only way a session comes back: :meth:`_checkout` calls it on
+        the session's first request after an eviction, a crash, a fleet
+        migration or a restart.
+        """
         with self._lock:
             if session_id in self._sessions:
                 return session_id
@@ -540,26 +545,6 @@ class SessionManager:
             self.resumed += 1
             self._evict_over_capacity(protect=session_id)
         return session_id
-
-    def recoverable_sessions(self) -> list[str]:
-        """Session ids with a journal on disk (live ones included)."""
-        if self.journal_dir is None:
-            return []
-        return sorted(
-            path.name[: -len(JOURNAL_SUFFIX)]
-            for path in self.journal_dir.glob(f"*{JOURNAL_SUFFIX}")
-        )
-
-    def recover_all(self) -> list[str]:
-        """Resume every journaled session (service restart warm-up)."""
-        resumed = []
-        for session_id in self.recoverable_sessions():
-            with self._lock:
-                live = session_id in self._sessions
-            if not live:
-                self.resume_session(session_id)
-                resumed.append(session_id)
-        return resumed
 
     # ------------------------------------------------------------------
     # Introspection

@@ -286,17 +286,16 @@ def exception_from_response(response: Response) -> Exception:
 # Fleet worker-control envelopes
 # ----------------------------------------------------------------------
 # The fleet router and its worker processes share the session wire
-# protocol for user traffic; control-plane traffic (drain, rebalance,
-# resume, shutdown) rides this second envelope on the same socket. The
-# discriminator is the "control" key: a line with it is a WorkerControl,
-# any other line is a Request. Replies are ordinary Response envelopes.
+# protocol for user traffic; control-plane traffic (ping, stats,
+# rebalance, drain, shutdown) rides this second envelope on the same
+# socket. The discriminator is the "control" key: a line with it is a
+# WorkerControl, any other line is a Request. Replies are ordinary
+# Response envelopes. Sessions are never resumed by a control op: a
+# session comes back on its owner at its first request.
 
 CONTROL_OPS = (
     "ping",       # liveness + identity
     "stats",      # the worker manager's stats payload
-    "token",      # a session's bearer token (resuming it if needed)
-    "resume",     # eagerly resurrect the listed sessions from journals
-    "release",    # close the listed sessions (journals kept: handoff)
     "rebalance",  # close every session that no longer hashes here
     "drain",      # close all sessions, flush journals (pre-restart)
     "shutdown",   # drain, then exit the worker process
@@ -310,7 +309,7 @@ class WorkerControl:
     """One router->worker control request.
 
     ``op`` names the operation (one of :data:`CONTROL_OPS`); ``args``
-    carries its JSON parameters (session id lists, ring membership).
+    carries its JSON parameters (ring membership for ``rebalance``).
     These envelopes never leave the loopback sockets between the router
     and its workers — they are not part of the public HTTP surface.
     """

@@ -88,7 +88,9 @@ class GraphStatistics:
 
     Built once per graph version (the graph drops its cached statistics on
     mutation); all lookups afterwards are dictionary probes. The planner
-    uses these for selectivity estimation, never for correctness.
+    uses these for selectivity estimation and sizes the reference-order
+    sort key by ``max_degree``, so they are always computed from the graph
+    they describe, on first use, and never persisted.
     """
 
     def __init__(self, graph: "InstanceGraph") -> None:
@@ -188,66 +190,6 @@ class GraphStatistics:
             for degree, count in stats.histogram.items()
         ) / stats.sources
         return 1.0 - p_no_match
-
-    # ------------------------------------------------------------------
-    # Persistence (ROADMAP: cross-session statistics persistence)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """A JSON-able snapshot of every computed statistic.
-
-        Persisted alongside the Section 6.2 four-table storage so a
-        restarted service keeps its selectivity model warm instead of
-        re-scanning the graph (see ``repro.tgm.storage.save_statistics``).
-        Histogram keys become strings (JSON objects key on strings);
-        lazily-computed distinct counts are exported as-is — whatever this
-        process has already paid for, the next one inherits.
-        """
-        return {
-            "type_cardinalities": dict(self.type_cardinalities),
-            "edge_stats": {
-                name: {
-                    "pairs": stats.pairs,
-                    "sources": stats.sources,
-                    "max_degree": stats.max_degree,
-                    "histogram": {
-                        str(degree): count
-                        for degree, count in stats.histogram.items()
-                    },
-                }
-                for name, stats in self.edge_stats.items()
-            },
-            "distinct_counts": [
-                [type_name, attribute, count]
-                for (type_name, attribute), count
-                in self._distinct_counts.items()
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, graph: "InstanceGraph",
-                     payload: dict) -> "GraphStatistics":
-        """Rebuild statistics from a persisted payload without scanning
-        ``graph`` — the whole point of persisting them."""
-        stats = cls.__new__(cls)
-        stats.graph = graph
-        stats.type_cardinalities = dict(payload["type_cardinalities"])
-        stats.edge_stats = {
-            name: EdgeTypeStats(
-                pairs=entry["pairs"],
-                sources=entry["sources"],
-                max_degree=entry["max_degree"],
-                histogram={
-                    int(degree): count
-                    for degree, count in entry["histogram"].items()
-                },
-            )
-            for name, entry in payload["edge_stats"].items()
-        }
-        stats._distinct_counts = {
-            (type_name, attribute): count
-            for type_name, attribute, count in payload["distinct_counts"]
-        }
-        return stats
 
 
 class InstanceGraph:
@@ -496,18 +438,6 @@ class InstanceGraph:
         if self._statistics is None:
             self._statistics = GraphStatistics(self)
         return self._statistics
-
-    def install_statistics(self, statistics: GraphStatistics) -> None:
-        """Adopt persisted statistics instead of scanning the graph.
-
-        The caller asserts the statistics describe *this* graph's current
-        contents (the storage layer loads them from the same database the
-        graph came from). Like the lazily-built version, they are dropped
-        on the next mutation.
-        """
-        if statistics.graph is not self:
-            statistics.graph = self
-        self._statistics = statistics
 
     @property
     def node_count(self) -> int:

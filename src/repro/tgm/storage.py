@@ -17,7 +17,7 @@ from repro.errors import TgmError
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, table_schema
-from repro.tgm.instance_graph import GraphStatistics, InstanceGraph
+from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import (
     EdgeTypeCategory,
     NodeType,
@@ -29,11 +29,6 @@ NODE_TYPES_TABLE = "node_types"
 EDGE_TYPES_TABLE = "edge_types"
 NODES_TABLE = "nodes"
 EDGES_TABLE = "edges"
-# Optional fifth table, created on demand *alongside* the paper's four-table
-# layout: persisted planner statistics (ROADMAP item "cross-session
-# statistics persistence"), so a restarted service keeps its selectivity
-# model warm without re-scanning the graph.
-STATISTICS_TABLE = "graph_statistics"
 
 
 def storage_database(name: str = "tgdb_storage") -> Database:
@@ -103,57 +98,12 @@ def storage_database(name: str = "tgdb_storage") -> Database:
     return db
 
 
-def save_statistics(db: Database, graph: InstanceGraph) -> None:
-    """Persist ``graph.statistics()`` into ``db`` (creating the table).
-
-    Everything the statistics layer has computed — type cardinalities,
-    per-edge degree histograms, and whatever distinct counts the planner
-    already paid for — is serialized as one JSON payload, so the next
-    process starts with the selectivity model this one ended with.
-    """
-    if db.has_table(STATISTICS_TABLE):
-        db.drop_table(STATISTICS_TABLE)
-    db.create_table(
-        table_schema(
-            STATISTICS_TABLE,
-            [("key", DataType.TEXT), ("payload", DataType.TEXT)],
-            primary_key="key",
-        )
-    )
-    db.insert(
-        STATISTICS_TABLE,
-        {
-            "key": "statistics",
-            "payload": json.dumps(graph.statistics().to_payload()),
-        },
-    )
-
-
-def load_statistics(db: Database, graph: InstanceGraph) -> GraphStatistics | None:
-    """Install persisted statistics into ``graph``, if ``db`` has any."""
-    if not db.has_table(STATISTICS_TABLE):
-        return None
-    for row in db.table(STATISTICS_TABLE).as_dicts():
-        if row["key"] == "statistics":
-            statistics = GraphStatistics.from_payload(
-                graph, json.loads(row["payload"])
-            )
-            graph.install_statistics(statistics)
-            return statistics
-    return None
-
-
 def save_graph(
     schema: SchemaGraph,
     graph: InstanceGraph,
     name: str = "tgdb_storage",
-    include_statistics: bool = False,
 ) -> Database:
-    """Persist a schema + instance graph into a four-table database.
-
-    With ``include_statistics=True`` the planner's statistics ride along in
-    a fifth ``graph_statistics`` table (see :func:`save_statistics`).
-    """
+    """Persist a schema + instance graph into a four-table database."""
     db = storage_database(name)
     for node_type in schema.node_types:
         db.insert(
@@ -202,8 +152,6 @@ def save_graph(
                 "attributes": json.dumps(dict(edge.attributes)),
             },
         )
-    if include_statistics:
-        save_statistics(db, graph)
     return db
 
 
@@ -211,9 +159,9 @@ def load_graph(db: Database) -> tuple[SchemaGraph, InstanceGraph]:
     """Rebuild (schema graph, instance graph) from a four-table database.
 
     Node ids are preserved so entity references serialized elsewhere stay
-    valid across a save/load round trip. If the database carries a
-    ``graph_statistics`` table (see :func:`save_statistics`), the persisted
-    statistics are installed so the planner's selectivity model starts warm.
+    valid across a save/load round trip. The planner's statistics are not
+    stored: the loaded graph computes them from its own contents on first
+    use.
     """
     schema = SchemaGraph(db.name)
     for row in db.table(NODE_TYPES_TABLE).as_dicts():
@@ -282,7 +230,6 @@ def load_graph(db: Database) -> tuple[SchemaGraph, InstanceGraph]:
             id_mapping[row["target_id"]],
             json.loads(row["attributes"]),
         )
-    load_statistics(db, graph)
     return schema, graph
 
 

@@ -73,7 +73,6 @@ def chaos_fleet():
         {
             "factory": f"{os.path.abspath(__file__)}:build_chaos_tgdb",
             "journal_dir": journal_dir,
-            "stats_path": os.path.join(journal_dir, "statistics.json"),
             "engine": "planned",
             "faults": WORKER_FAULTS,
             "faults_seed": CHAOS_SEED,

@@ -165,7 +165,6 @@ def fleet(corpus):
             "factory": f"{os.path.abspath(__file__)}:"
                        f"{_BUILDERS[dataset].__name__}",
             "journal_dir": journal_dir,
-            "stats_path": os.path.join(journal_dir, "statistics.json"),
             "engine": "planned",
         },
         workers=2,

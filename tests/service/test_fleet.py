@@ -1,31 +1,35 @@
-"""Fleet failure modes: crash failover, torn handoff, router restart.
+"""Fleet failure modes: crash failover, torn handoff, fleet restarts.
 
 The fleet contract under failure is *bit-identical resumption*: every
 accepted action is journaled before the reply, so killing a worker and
 letting the ring reroute must reproduce the session exactly — history,
 ETable cells, and the auth token — on the new owner. These tests inject
-the three failures the router is built for (worker crash, torn journal
-tail, router restart) plus the quota-migration regression this PR fixes.
+the failures the router is built for (worker crash, torn journal tail, a
+rolling restart, a restart of the whole fleet, a worker that never
+boots) and check that a session only ever comes back lazily, on its
+first request.
 """
 
 import contextlib
 import json
+import multiprocessing
 import os
 import threading
 import time
 
 import pytest
 
-from repro.datasets.academic import default_label_overrides
-from repro.datasets.toy import generate_toy
-from repro.errors import QuotaExceeded, ServiceError
-from repro.service import protocol
-from repro.service.fleet import (
-    FleetRouter,
-    FleetWorker,
-    HashRing,
-    journaled_sessions,
+from repro.core.session import EtableSession
+from repro.datasets.academic import (
+    AcademicConfig,
+    default_categorical_attributes,
+    default_label_overrides,
+    generate_academic,
 )
+from repro.datasets.toy import generate_toy
+from repro.errors import AuthError, QuotaExceeded, ServiceError
+from repro.service import protocol
+from repro.service.fleet import FleetRouter, FleetWorker, HashRing
 from repro.service.journal import JOURNAL_SUFFIX
 from repro.translate import translate_database
 
@@ -46,12 +50,28 @@ def build_toy_tgdb():
     )
 
 
+def build_toy_tgdb_once(marker):
+    """Boots one worker: every later call (other workers, boot retries)
+    finds ``marker`` and raises ``FileExistsError``."""
+    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    return build_toy_tgdb()
+
+
+def build_academic_tgdb(papers):
+    """The academic corpus (seed 7) that serve.py and the e2e bench host."""
+    db, _report = generate_academic(AcademicConfig(papers=papers, seed=7))
+    return translate_database(
+        db,
+        categorical_attributes=default_categorical_attributes(),
+        label_overrides=default_label_overrides(),
+    )
+
+
 @contextlib.contextmanager
 def _fleet(journal_dir, workers=2, **spec_overrides):
     spec = {
         "factory": _FACTORY,
         "journal_dir": str(journal_dir),
-        "stats_path": str(journal_dir / "statistics.json"),
         "engine": "planned",
     }
     spec.update(spec_overrides)
@@ -60,6 +80,20 @@ def _fleet(journal_dir, workers=2, **spec_overrides):
         yield router
     finally:
         router.shutdown()
+
+
+def _create(router):
+    """A new session's id and bearer token, as a client receives them."""
+    response = router.handle_request(protocol.Request(action="create_session"))
+    assert response.ok, response
+    return response.result["session_id"], response.result.get("auth_token")
+
+
+def _serve(worker, action, params, request_id=None):
+    """One user request for session "s", through the worker's line path."""
+    request = protocol.Request(action=action, params=params, session_id="s",
+                               request_id=request_id)
+    return worker._serve_line(json.dumps(request.to_json()).encode("utf-8"))
 
 
 class TestHashRing:
@@ -98,8 +132,7 @@ class TestHashRing:
 class TestCrashFailover:
     def test_kill_worker_mid_session_resumes_bit_identical(self, tmp_path):
         with _fleet(tmp_path / "j", require_auth=True) as router:
-            sid = router.create_session()
-            token = router.session_auth_token(sid)
+            sid, token = _create(router)
             router.apply(sid, "open", {"type": "Papers"}, auth_token=token)
             router.apply(sid, "filter", FILTER, auth_token=token)
             router.apply(sid, "sort", {"column": "year", "descending": True},
@@ -116,7 +149,10 @@ class TestCrashFailover:
                                          auth_token=token)
             assert after_table == before_table
             assert after_history == before_history
-            assert router.session_auth_token(sid) == token
+            # The original token opened the resumed session above; a
+            # wrong one is refused.
+            with pytest.raises(AuthError):
+                router.apply(sid, "history", {}, auth_token=token + "0")
             assert router.owner_of(sid) != owner
             stats = router.stats()
             assert stats["fleet"]["migrations"] == 1
@@ -164,11 +200,7 @@ class TestWorkerDedup:
                               "journal_dir": str(tmp_path / "j")})
         try:
             def serve(action, params, request_id=None):
-                request = protocol.Request(action=action, params=params,
-                                           session_id="s",
-                                           request_id=request_id)
-                line = json.dumps(request.to_json()).encode("utf-8")
-                return worker._serve_line(line)
+                return _serve(worker, action, params, request_id)
 
             serve("create_session", {"session_id": "s"})
             serve("open", {"type": "Authors"})
@@ -209,65 +241,99 @@ class TestWorkerDedup:
             worker._server.close()
             worker.manager.shutdown()
 
+    def test_only_state_changing_replies_are_cached(self, tmp_path):
+        """Reads and control ops run again on a retry, so their replies
+        (an ETable page can weigh hundreds of KiB) are never kept."""
+        worker = FleetWorker({"name": "worker-0", "factory": _FACTORY,
+                              "journal_dir": str(tmp_path / "j")})
+        try:
+            assert _serve(worker, "create_session", {"session_id": "s"}).ok
+            assert _serve(worker, "open", {"type": "Papers"}).ok
+            for index, action in enumerate(
+                    ("etable", "history", "plan", "tables", "stats")):
+                assert _serve(worker, action, {}, f"r-read-{index}").ok
+            ping = protocol.WorkerControl(op="ping", request_id="r-ping")
+            assert worker._serve_line(
+                json.dumps(ping.to_json()).encode("utf-8")
+            ).ok
+            assert worker._dedup == {}
+
+            assert _serve(worker, "filter", FILTER, "r-filter").ok
+            assert _serve(worker, "close_session", {}, "r-close").ok
+            assert list(worker._dedup) == ["r-filter", "r-close"]
+            assert worker._inflight == {}
+        finally:
+            worker._server.close()
+            worker.manager.shutdown()
+
+
+class TestWorkerStatistics:
+    def test_stale_statistics_file_cannot_reorder_cells(self, tmp_path):
+        """A worker computes planner statistics from its own graph. A
+        statistics.json left in its journal directory by a run over a
+        smaller corpus, named by the spec's ``stats_path`` as the e2e
+        bench's server spec still does, must not shrink the
+        reference-order radix (``max_degree + 1``) and reorder cells."""
+        journal_dir = tmp_path / "j"
+        journal_dir.mkdir()
+        small = build_academic_tgdb(20).graph.statistics()
+        (journal_dir / "statistics.json").write_text(json.dumps({
+            "type_cardinalities": small.type_cardinalities,
+            "edge_stats": {
+                name: {"pairs": stats.pairs, "sources": stats.sources,
+                       "max_degree": stats.max_degree,
+                       "histogram": {str(degree): count for degree, count
+                                     in stats.histogram.items()}}
+                for name, stats in small.edge_stats.items()
+            },
+            "distinct_counts": [],
+        }))
+        worker = FleetWorker({
+            "name": "worker-0",
+            "factory": f"{os.path.abspath(__file__)}:build_academic_tgdb",
+            "factory_kwargs": {"papers": 300},
+            "journal_dir": str(journal_dir),
+            "stats_path": str(journal_dir / "statistics.json"),
+            "row_limit": 50,
+        })
+        oracle = build_academic_tgdb(300)
+        naive = EtableSession(oracle.schema, oracle.graph, row_limit=50,
+                              engine="naive")
+        try:
+            assert _serve(worker, "create_session", {"session_id": "s"}).ok
+            for action, params in (
+                ("open", {"type": "Papers"}),
+                ("pivot", {"column": "Papers->Authors"}),
+                ("pivot", {"column": "Authors->Institutions"}),
+            ):
+                assert _serve(worker, action, params).ok
+                protocol.apply_action(naive, action, params)
+            served = _serve(worker, "etable", {})
+            assert served.result == protocol.apply_action(naive, "etable", {})
+        finally:
+            worker._server.close()
+            worker.manager.shutdown()
+
+
+class TestFleetBoot:
+    def test_failed_boot_stops_the_workers_it_started(self, tmp_path):
+        """worker-0 boots, worker-1 fails all its boot attempts: the
+        ServiceError must not strand worker-0 (a port plus a manager over
+        the shared journals)."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        spec = {
+            "factory": f"{os.path.abspath(__file__)}:build_toy_tgdb_once",
+            "factory_kwargs": {"marker": str(tmp_path / "booted")},
+            "journal_dir": str(tmp_path / "j"),
+        }
+        with pytest.raises(ServiceError, match="worker-1"):
+            FleetRouter(spec, workers=2)
+        leaked = [child.name for child in multiprocessing.active_children()
+                  if child.pid not in before]
+        assert leaked == []
+
 
 class TestRouterRestart:
-    def test_attach_serves_existing_sessions_over_live_workers(
-        self, tmp_path
-    ):
-        with _fleet(tmp_path / "j", require_auth=True) as router:
-            sid = router.create_session()
-            token = router.session_auth_token(sid)
-            router.apply(sid, "open", {"type": "Papers"}, auth_token=token)
-            before = router.apply(sid, "etable", {}, auth_token=token)
-
-            # A restarted front process knows only the endpoints and the
-            # journal directory; everything else must be reconstructable.
-            attached = FleetRouter.attach(router.endpoints(),
-                                          str(tmp_path / "j"))
-            try:
-                assert attached.worker_names() == router.worker_names()
-                assert attached.owner_of(sid) == router.owner_of(sid)
-                assert attached.apply(sid, "etable", {},
-                                      auth_token=token) == before
-                assert attached.session_auth_token(sid) == token
-                # Attached routers never spawned the workers, so they
-                # must refuse operations that need a Process handle.
-                with pytest.raises(ServiceError):
-                    attached.kill_worker(attached.worker_names()[0])
-                with pytest.raises(ServiceError):
-                    attached.restart_worker(attached.worker_names()[0])
-            finally:
-                attached.detach()  # drops sockets, leaves workers running
-            router.apply(sid, "sort", {"column": "year"}, auth_token=token)
-
-    def test_attach_drops_dead_endpoints_and_serves_survivors(
-        self, tmp_path
-    ):
-        """An endpoint map with one dead worker must not poison attach:
-        the dead member is dropped from the ring and its sessions are
-        served by the survivors via journal handoff."""
-        with _fleet(tmp_path / "j") as router:
-            sid = router.create_session()
-            router.apply(sid, "open", {"type": "Papers"})
-            before = router.apply(sid, "etable", {})
-            endpoints = router.endpoints()
-            router.kill_worker("worker-0")
-
-            attached = FleetRouter.attach(endpoints, str(tmp_path / "j"))
-            try:
-                assert attached.worker_names() == ["worker-1"]
-                # The session resurrects on the survivor, bit-identical.
-                assert attached.apply(sid, "etable", {}) == before
-            finally:
-                attached.detach()
-
-    def test_attach_refuses_an_entirely_dead_endpoint_map(self, tmp_path):
-        with _fleet(tmp_path / "j", workers=1) as router:
-            endpoints = router.endpoints()
-            router.kill_worker("worker-0")
-            with pytest.raises(ServiceError):
-                FleetRouter.attach(endpoints, str(tmp_path / "j"))
-
     def test_rolling_restart_keeps_sessions_and_quota(self, tmp_path):
         """Satellite regression: quota state must ride the journal through
         drain/resurrect — a throttled session stays throttled after every
@@ -291,21 +357,28 @@ class TestRouterRestart:
 
 
 class TestFleetSurface:
-    def test_recover_all_resumes_on_ring_owners(self, tmp_path):
+    def test_fleet_restart_resumes_each_session_on_first_request(
+        self, tmp_path
+    ):
         journal_dir = tmp_path / "j"
         with _fleet(journal_dir) as router:
             sids = [router.create_session() for _ in range(3)]
+            before = {}
             for sid in sids:
                 router.apply(sid, "open", {"type": "Papers"})
-        # Fleet shut down; journals survive it.
-        assert journaled_sessions(journal_dir) == sorted(sids)
+                before[sid] = router.apply(sid, "etable",
+                                           {"include_history": True})
+        # Fleet shut down; journals survive it. The new fleet replays
+        # nothing at boot: each session comes back on its ring owner at
+        # its first request.
         with _fleet(journal_dir) as router:
-            assert sorted(router.recover_all()) == sorted(sids)
+            for live, sid in enumerate(sids):
+                assert router.stats()["live_sessions"] == live
+                assert router.apply(sid, "etable",
+                                    {"include_history": True}) == before[sid]
             stats = router.stats()
             assert stats["live_sessions"] == 3
             assert stats["resumed"] == 3
-            for sid in sids:
-                assert router.apply(sid, "history", {})["entries"]
 
     def test_stats_aggregates_and_names_workers(self, tmp_path):
         with _fleet(tmp_path / "j") as router:

@@ -10,7 +10,6 @@ from repro.service import protocol
 from repro.service.journal import (
     ActionJournal,
     read_records,
-    replay_journal,
     replay_records,
 )
 from repro.service.manager import SessionManager
@@ -81,10 +80,9 @@ class TestReplay:
             manager.apply(sid, action, params)
         live = _signature(manager._sessions[sid].session)
 
-        replayed = replay_journal(
-            tmp_path / "journals" / "alice.journal",
-            lambda: EtableSession(toy.schema, toy.graph),
-        )
+        replayed = EtableSession(toy.schema, toy.graph)
+        records = read_records(tmp_path / "journals" / "alice.journal")
+        assert replay_records(replayed, records) == len(SCRIPT)
         assert _signature(replayed) == live
 
     def test_manager_restart_resumes_sessions(self, toy, tmp_path):
@@ -96,11 +94,15 @@ class TestReplay:
         live_alice = _signature(manager._sessions["alice"].session)
 
         restarted = _manager(toy, tmp_path)
-        assert restarted.recoverable_sessions() == ["alice", "bob"]
-        assert sorted(restarted.recover_all()) == ["alice", "bob"]
+        # Nothing is replayed at boot: each session comes back on its
+        # first request.
+        assert restarted.session_ids() == []
+        restarted.apply("alice", "history", {})
+        assert restarted.session_ids() == ["alice"]
         assert _signature(restarted._sessions["alice"].session) == live_alice
         # And the resumed session keeps working (bob ended on Authors).
         restarted.apply("bob", "sort", {"column": "name"})
+        assert restarted.stats()["resumed"] == 2
 
     def test_killed_mid_script_restarts_from_last_durable_action(
         self, toy, tmp_path

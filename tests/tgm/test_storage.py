@@ -1,16 +1,12 @@
 """Unit tests for the four-table TGDB storage (Section 6.2)."""
 
-from repro.tgm.instance_graph import GraphStatistics
 from repro.tgm.storage import (
     EDGE_TYPES_TABLE,
     EDGES_TABLE,
     NODE_TYPES_TABLE,
     NODES_TABLE,
-    STATISTICS_TABLE,
     load_graph,
-    load_statistics,
     save_graph,
-    save_statistics,
     storage_database,
 )
 
@@ -79,72 +75,16 @@ class TestRoundTrip:
 
 
 class TestStatisticsPersistence:
-    """ROADMAP item: persist GraphStatistics alongside the four tables so a
-    restarted service keeps its selectivity model warm."""
-
-    def test_statistics_table_rides_alongside(self, toy):
-        db = save_graph(toy.schema, toy.graph, include_statistics=True)
-        assert db.has_table(STATISTICS_TABLE)
-        # The paper's four tables are untouched.
-        for table in (NODE_TYPES_TABLE, EDGE_TYPES_TABLE, NODES_TABLE,
-                      EDGES_TABLE):
-            assert db.has_table(table)
-
-    def test_default_save_has_no_statistics_table(self, toy):
-        db = save_graph(toy.schema, toy.graph)
-        assert not db.has_table(STATISTICS_TABLE)
-
-    def test_payload_round_trip(self, toy):
-        stats = toy.graph.statistics()
-        stats.distinct_count("Papers", "year")  # force a lazy entry
-        rebuilt = GraphStatistics.from_payload(toy.graph, stats.to_payload())
-        assert rebuilt.type_cardinalities == stats.type_cardinalities
-        assert rebuilt.edge_stats == stats.edge_stats
-        assert rebuilt._distinct_counts == stats._distinct_counts
-
-    def test_load_installs_statistics_without_rescanning(self, toy):
-        """The loaded graph must *use* the persisted statistics, not
-        recompute them: tamper with one persisted cardinality and observe
-        the tampered value come back."""
-        import json as jsonlib
-
-        toy.graph.statistics().distinct_count("Papers", "year")
-        db = save_graph(toy.schema, toy.graph, include_statistics=True)
-        table = db.table(STATISTICS_TABLE)
-        row = table.as_dicts()[0]
-        payload = jsonlib.loads(row["payload"])
-        payload["type_cardinalities"]["Papers"] = 99_999
-        db.drop_table(STATISTICS_TABLE)
-        _schema, graph = load_graph(db)
-        assert graph.statistics().cardinality("Papers") != 99_999  # sanity
-
-        db2 = save_graph(toy.schema, toy.graph, include_statistics=True)
-        db2.drop_table(STATISTICS_TABLE)
-        from repro.relational.datatypes import DataType
-        from repro.relational.schema import table_schema
-
-        db2.create_table(table_schema(
-            STATISTICS_TABLE,
-            [("key", DataType.TEXT), ("payload", DataType.TEXT)],
-            primary_key="key",
-        ))
-        db2.insert(STATISTICS_TABLE, {
-            "key": "statistics", "payload": jsonlib.dumps(payload),
-        })
-        _schema, warm_graph = load_graph(db2)
-        assert warm_graph.statistics().cardinality("Papers") == 99_999
+    """Statistics are not persisted: a loaded graph computes its own on
+    first use, and drops them when it changes."""
 
     def test_warm_statistics_dropped_on_mutation(self, toy):
-        db = save_graph(toy.schema, toy.graph, include_statistics=True)
+        db = save_graph(toy.schema, toy.graph)
+        assert sorted(db.table_names) == sorted(
+            [NODE_TYPES_TABLE, EDGE_TYPES_TABLE, NODES_TABLE, EDGES_TABLE]
+        )
         _schema, graph = load_graph(db)
         before = graph.statistics().cardinality("Papers")
+        assert before == toy.graph.statistics().cardinality("Papers")
         graph.add_node("Papers", {"title": "New", "year": 2016})
         assert graph.statistics().cardinality("Papers") == before + 1
-
-    def test_save_statistics_is_idempotent(self, toy):
-        db = save_graph(toy.schema, toy.graph)
-        save_statistics(db, toy.graph)
-        save_statistics(db, toy.graph)  # replaces, not duplicates
-        assert len(db.table(STATISTICS_TABLE)) == 1
-        _schema, graph = load_graph(db)
-        assert load_statistics(db, graph) is not None
