@@ -534,6 +534,14 @@ def self_test(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row_limit(text: str) -> int:
+    """``--row-limit`` counts rows, so it is never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     from repro.core.engines import SERVICE_ENGINES
 
@@ -552,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
                              "window (default: unlimited)")
     parser.add_argument("--quota-window", type=float, default=60.0,
                         help="quota window length in seconds (default 60)")
-    parser.add_argument("--row-limit", type=int, default=50,
+    parser.add_argument("--row-limit", type=_row_limit, default=50,
                         help="presented rows per table (pagination)")
     parser.add_argument("--journal-dir", default=None,
                         help="directory for durable session journals "

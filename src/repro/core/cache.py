@@ -3,29 +3,43 @@
 Section 9: "(2) accelerating the execution speed of updated queries (e.g.,
 by reusing intermediate results)". Incremental query building makes this
 especially effective: the user's next pattern usually *extends* the current
-one, so prefix results recur constantly (every revert re-executes an old
-pattern verbatim).
+one, so results recur constantly (every revert re-executes an old pattern
+verbatim).
 
-:class:`CachingExecutor` layers two caches over the planning engine
-(``repro.core.planner``):
+:meth:`CachingExecutor.execute` builds an ETable in one of two ways, both
+equal to :func:`repro.core.transform.execute_pattern`'s table:
 
-* a **whole-pattern cache** keyed by :func:`pattern_cache_key` holding the
-  final, reference-ordered graph relation (exact repeats — e.g. reverts —
-  return it untouched);
+* a **one-node pattern** pivots its flat relation (:meth:`CachingExecutor.
+  match`), which holds one tuple per row, so nothing repeats;
+* a pattern with **more nodes** never builds the flat join, whose tuples
+  repeat cells across many-to-many edges (the reason ETable exists, and
+  the reason Section 6.2 partitions the monolithic SQL). The planner
+  shrinks each node's candidate set with semi-joins along the compiled
+  plan (:func:`repro.core.planner.reduce_plan`), and only the displayed
+  rows are walked through those sets
+  (:func:`repro.core.transform.transform_reduced`).
+
+Three caches sit under it:
+
+* a **whole-pattern store** holding each flat relation ``match()``
+  computed, keyed by :func:`pattern_cache_key`, and each semi-join
+  reduction, under a key no flat relation uses (exact repeats, e.g.
+  reverts, skip execution);
 * a **prefix store** keyed by canonical *subpattern* holding every
-  intermediate relation the engine materializes. Extending a pattern by one
-  node finds the previous pattern's full result as a cached prefix and
-  executes only the delta join — the future-work item realized at the
-  granularity the paper asks for.
+  intermediate relation ``match()`` materializes: extending a pattern by
+  one node finds the previous pattern's full result as a cached prefix and
+  executes only the delta join. ``match()`` serves one-node tables, the
+  incremental engine's replans and direct callers;
+* a **compiled-plan cache** (:class:`CompiledPlanCache`) shared by both
+  execution paths.
 
 Candidate sets are not cached: every execution evaluates its conditions
 as sets of node ids (:func:`repro.core.planner.condition_ids`), so the
 executor's memory stays within the size budgets of the stores above.
 
 Because patterns, conditions, and the instance graph are immutable during a
-browsing session, cached graph relations stay valid; the format
-transformation (which also builds neighbor columns) is re-run per call so
-presentation state never leaks between hits.
+browsing session, cached entries stay valid; the ETable is rebuilt per
+call so presentation state never leaks between hits.
 """
 
 from __future__ import annotations
@@ -48,11 +62,12 @@ from repro.core.planner import (
     build_plan,
     canonical_pattern_key,
     normalize_pattern,
+    reduce_plan,
     restore_reference_order,
     execute_plan,
 )
 from repro.core.query_pattern import QueryPattern
-from repro.core.transform import transform
+from repro.core.transform import transform, transform_reduced
 
 
 def pattern_cache_key(pattern: QueryPattern) -> tuple:
@@ -260,20 +275,22 @@ class IncrementalStats:
 
 
 class CachingExecutor:
-    """Memoizes ``match()`` per pattern — and per pattern *prefix* — over
-    one instance graph.
+    """Builds ETables over one instance graph, caching per pattern the flat
+    relation or the semi-join reduction they come from, and per pattern
+    *prefix* the relations ``match()`` joins.
 
     The executor is safe to share across threads (and therefore across the
-    concurrent sessions of ``repro.service``): ``match()`` runs under one
-    re-entrant lock, so the caches and counters stay consistent while the
-    format transformation — which carries per-session presentation state —
-    still runs concurrently outside it. Sharing one executor between many
-    sessions is exactly the cross-session reuse the service layer wants:
-    one user's prefix work becomes another user's cache hit.
+    concurrent sessions of ``repro.service``): ``match()`` and
+    ``reduce()`` run under one re-entrant lock, so the caches and counters
+    stay consistent while the ETable build — which carries per-session
+    presentation state — still runs concurrently outside it. Sharing one
+    executor between many sessions is exactly the cross-session reuse the
+    service layer wants: one user's work becomes another user's cache hit.
 
-    Cache capacity is budgeted by relation *size* (rows × attributes cells,
-    see :func:`repro.core.planner.relation_cells`), not just entry count, so
-    one huge intermediate cannot pin — or flush — the working set.
+    Cache capacity is budgeted by *size* — a relation weighs its rows ×
+    attributes cells (see :func:`repro.core.planner.relation_cells`), a
+    reduction the ids it holds — not just entry count, so one huge entry
+    cannot pin — or flush — the working set.
     """
 
     def __init__(
@@ -302,8 +319,8 @@ class CachingExecutor:
                                     graph=graph)
         # Whole-pattern results share the PrefixStore LRU mechanics (a hit
         # refreshes the entry so hot patterns survive eviction pressure) but
-        # live in their own store: their keys include the primary node and
-        # their relations are reference-ordered.
+        # live in their own store: flat relations are reference-ordered and
+        # keyed with their primary node, reductions keyed without it.
         self._store = PrefixStore(max_entries=max_entries,  # guarded-by: self._lock
                                   max_cells=max_cells,
                                   graph=graph)
@@ -318,18 +335,9 @@ class CachingExecutor:
                 return cached
             self.stats.misses += 1
             pattern.validate(self.graph.schema)
-            # Consult the compiled-plan cache before planning: patterns
-            # sharing a normalized shape (same structure, any constants)
-            # reuse one plan, with this pattern's constants bound at
-            # execution by the rebind inside ``CompiledPlanCache.get``.
-            normalized = normalize_pattern(pattern)
-            plan = self.plans.get(normalized.key, pattern)
-            if plan is None:
-                plan = build_plan(pattern, self.graph)
-                self.plans.put(normalized.key, plan)
             report = ExecutionReport()
             relation = execute_plan(
-                plan,
+                self._plan(pattern),
                 self.graph,
                 store=self.prefixes,
                 report=report,
@@ -342,12 +350,64 @@ class CachingExecutor:
             self._store.put(key, result)
             return result
 
+    def reduce(self, pattern: QueryPattern) -> dict[str, frozenset[int] | None]:
+        """The semi-join reduction of ``pattern``
+        (:func:`repro.core.planner.reduce_plan`), cached.
+
+        It lives in the whole-pattern store under a key no flat relation
+        uses. The reduction does not depend on which node is primary, so
+        the key leaves the primary out and a shift between two nodes of
+        one pattern reuses it. An entry weighs the ids it holds. Callers
+        must not mutate the returned mapping: it is shared.
+        """
+        with self._lock:
+            key = ("reduction", pattern_cache_key(pattern)[1:])
+            cached = self._store.get(key)
+            if cached is not None:
+                self.stats.hits += 1
+                return cached
+            self.stats.misses += 1
+            pattern.validate(self.graph.schema)
+            reduced = reduce_plan(self._plan(pattern), self.graph)
+            self._store.put(key, reduced, weight=sum(
+                len(ids) for ids in reduced.values() if ids is not None
+            ))
+            return reduced
+
+    def _plan(self, pattern: QueryPattern) -> Plan:
+        """The compiled plan of ``pattern``'s normalized shape.
+
+        Patterns sharing a normalized shape (same structure, any
+        constants) reuse one plan, with this pattern's constants bound at
+        execution by the rebind inside ``CompiledPlanCache.get``.
+        """
+        normalized = normalize_pattern(pattern)
+        plan = self.plans.get(normalized.key, pattern)
+        if plan is None:
+            plan = build_plan(pattern, self.graph)
+            self.plans.put(normalized.key, plan)
+        return plan
+
     def execute(
         self, pattern: QueryPattern, row_limit: int | None = None
     ) -> ETable:
-        """Cached counterpart of :func:`repro.core.transform.execute_pattern`."""
-        matched = self.match(pattern)
-        return transform(pattern, matched, self.graph, row_limit=row_limit)
+        """The ETable of ``pattern``, from the caches where they hold it.
+
+        A one-node pattern pivots its cached flat relation
+        (:meth:`match`, then :func:`~repro.core.transform.transform`):
+        it holds one tuple per row, so nothing repeats. A pattern with
+        more nodes never builds the flat join: its rows are walked through
+        the cached semi-join reduction (:meth:`reduce`, then
+        :func:`~repro.core.transform.transform_reduced`), outside the
+        lock. Both give :func:`repro.core.transform.execute_pattern`'s
+        table.
+        """
+        if len(pattern.nodes) == 1:
+            matched = self.match(pattern)
+            return transform(pattern, matched, self.graph,
+                             row_limit=row_limit)
+        return transform_reduced(pattern, self.reduce(pattern), self.graph,
+                                 row_limit=row_limit)
 
     def adopt_result(self, pattern: QueryPattern,
                      relation: GraphRelation,

@@ -22,13 +22,20 @@ interactivity claim (Section 7) and its future-work item #2 (Section 9,
 * **prefix-level reuse** hooks: every intermediate relation corresponds to
   a connected subpattern; :class:`PrefixStore` keys them canonically so a
   pattern extended by one node re-executes only the delta join (the paper's
-  future-work item #2 realized — see ``repro.core.cache``).
+  future-work item #2 realized — see ``repro.core.cache``);
+* a **semi-join reduction** (:func:`reduce_plan`): two passes of
+  semi-joins along a plan's join steps keep, per pattern node, the ids on
+  at least one complete match, without building the join. The ETables of
+  multi-node patterns are walked from it
+  (:func:`repro.core.transform.transform_reduced`).
 
-The planner's output is *bit-identical* to the reference matcher: after
-executing in selectivity order, :func:`restore_reference_order` re-sorts
-the result into the exact attribute and tuple order the BFS pipeline would
-have produced, so every downstream consumer (format transformation, SQL
-equivalence tests, figures) sees the same ETable.
+The relation :func:`execute_plan` joins is *bit-identical* to the reference
+matcher once :func:`restore_reference_order` re-sorts it into the exact
+attribute and tuple order the BFS pipeline would have produced, so
+``match()``'s callers (format transformation, SQL equivalence tests,
+figures) cannot tell the two apart. The reduction builds no relation; the
+row walk over it reproduces the ETable :func:`~repro.core.transform.
+transform` pivots from that relation.
 """
 
 from __future__ import annotations
@@ -242,27 +249,14 @@ def _attribute_ids(
 def _neighbor_ids(
     condition: NeighborSatisfies, graph: InstanceGraph, type_name: str
 ) -> frozenset[int]:
-    """The reverse-adjacency image of the inner set; an edge type without
-    a reverse twin scans the type's forward adjacency against it."""
+    """The ``type_name`` nodes with a neighbor in the inner set: one
+    semi-join (:func:`_semi_join`)."""
     edge_type = graph.schema.edge_type(condition.edge_type)
     if edge_type.source != type_name:
         return frozenset()  # the edge type leaves another node type
     inner = condition_ids(condition.inner, graph, edge_type.target)
-    if edge_type.reverse_name is not None:
-        return frozenset(
-            source_id
-            for target_id in inner
-            for source_id in graph.neighbors_view(
-                target_id, edge_type.reverse_name
-            )
-        )
-    return frozenset(
-        node_id
-        for node_id in graph.node_ids_of_type(type_name)
-        if not inner.isdisjoint(
-            graph.neighbors_view(node_id, condition.edge_type)
-        )
-    )
+    return _semi_join(graph, type_name, None, condition.edge_type,
+                      edge_type.target, inner, edge_type.reverse_name)
 
 
 def candidate_ids(
@@ -740,9 +734,12 @@ class PrefixStore:
     """Size-weighted LRU store of intermediate relations keyed by canonical
     subpattern.
 
-    Every entry is semantically *exact*: the full selection+join of its
+    Every relation is semantically *exact*: the full selection+join of its
     subpattern (no cross-subpattern pruning), so any pattern containing the
-    subpattern may start from it and only execute the delta joins.
+    subpattern may start from it and only execute the delta joins. The
+    executor's whole-pattern store reuses the mechanics for whole-pattern
+    relations and for semi-join reductions (see ``repro.core.cache``),
+    which ``put`` weighs by an explicit ``weight``.
 
     Eviction is weighted by relation size (rows × attributes, via
     :func:`relation_cells`), not entry count alone: with ``max_cells`` set,
@@ -764,7 +761,7 @@ class PrefixStore:
         self.max_cells = max_cells
         self._graph = graph
         self._graph_version = graph.version if graph is not None else None
-        self._store: OrderedDict[tuple, GraphRelation] = OrderedDict()
+        self._store: OrderedDict[tuple, Any] = OrderedDict()
         self._weights: dict[tuple, int] = {}
         self.total_cells = 0
         self.evictions = 0
@@ -795,7 +792,7 @@ class PrefixStore:
         """Lookup hit rate; 0.0 on a cold store (never a ZeroDivisionError)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def get(self, key: tuple) -> GraphRelation | None:
+    def get(self, key: tuple) -> Any:
         self.check_version()
         self.lookups += 1
         relation = self._store.get(key)
@@ -804,9 +801,12 @@ class PrefixStore:
             self._store.move_to_end(key)
         return relation
 
-    def put(self, key: tuple, relation: GraphRelation) -> None:
+    def put(self, key: tuple, relation: Any,
+            weight: int | None = None) -> None:
+        """Store ``relation`` under ``key``, weighing it ``weight`` cells
+        (default: :func:`relation_cells`; at least one)."""
         self.check_version()
-        weight = relation_cells(relation)
+        weight = relation_cells(relation) if weight is None else max(1, weight)
         if self.max_cells is not None and weight > self.max_cells:
             # Admission policy: a relation larger than the entire budget
             # would evict everything else and then sit unevictable until
@@ -1060,6 +1060,104 @@ def _delta_join(
     out.append(new_column)
     attributes = list(relation.attributes) + [GraphAttribute(new_key, new_type)]
     return GraphRelation.from_columns(attributes, out)
+
+
+# ----------------------------------------------------------------------
+# Semi-join reduction (multi-node ETables)
+# ----------------------------------------------------------------------
+def reduce_plan(
+    plan: Plan, graph: InstanceGraph
+) -> dict[str, frozenset[int] | None]:
+    """Per pattern node, the ids that lie on at least one complete match,
+    found by semi-joins along the plan's join steps; no join is built.
+
+    Each node starts from :func:`condition_ids` of its conditions. A node
+    without conditions stays ``None`` ("every node of its type") until a
+    semi-join narrows it. The first pass walks the join steps in reverse:
+    each step's left node keeps the ids with a neighbor in the step node's
+    set. The second walks them forward: each step node keeps the ids with
+    a neighbor in its left node's set. Over a tree pattern the two passes
+    are the full reducer, so the sets do not depend on which node is
+    primary, and every path of adjacent ids through them extends to a
+    complete match (the row walk of
+    :func:`repro.core.transform.transform_reduced` relies on that).
+    """
+    pattern = plan.pattern
+    types = {node.key: node.type_name for node in pattern.nodes}
+    reduced: dict[str, frozenset[int] | None] = {}
+    for node in pattern.nodes:
+        condition = conjoin_conditions(node.conditions)
+        reduced[node.key] = (
+            None if condition is None
+            else condition_ids(condition, graph, node.type_name)
+        )
+    joins = plan.steps[1:]
+    reverse = {
+        step.edge_type: graph.schema.edge_type(step.edge_type).reverse_name
+        for step in joins
+    }
+    for step in reversed(joins):
+        reduced[step.left_key] = _semi_join(
+            graph, types[step.left_key], reduced[step.left_key],
+            step.edge_type, types[step.key], reduced[step.key],
+            reverse[step.edge_type],
+        )
+    for step in joins:
+        reduced[step.key] = _semi_join(
+            graph, types[step.key], reduced[step.key],
+            reverse[step.edge_type], types[step.left_key],
+            reduced[step.left_key], step.edge_type,
+        )
+    return reduced
+
+
+def _semi_join(
+    graph: InstanceGraph,
+    kept_type: str,
+    kept: frozenset[int] | None,
+    outward: str | None,
+    other_type: str,
+    other: frozenset[int] | None,
+    inward: str | None,
+) -> frozenset[int] | None:
+    """``kept`` cut to the ids with a neighbor in ``other``; None stands
+    for every node of the side's type.
+
+    ``outward`` names the adjacency from the kept side to the other and
+    ``inward`` the one back; an edge type without a reverse twin leaves
+    one of them None. When ``inward`` exists and the other side is not
+    larger, the result is its reverse-adjacency image; otherwise the kept
+    side's adjacency is scanned against it. Against a ``None`` side, the
+    kept ids with any such neighbor remain, which is every one when each
+    node of the type has one.
+    """
+    stats = graph.statistics()
+    cardinality = stats.cardinality(kept_type)
+    if other is None and outward is not None:
+        if stats.edge_type_stats(outward).sources == cardinality:
+            return kept  # every node of the type has such a neighbor
+        return frozenset(
+            node_id
+            for node_id in (kept if kept is not None
+                            else graph.node_ids_of_type(kept_type))
+            if graph.neighbors_view(node_id, outward)
+        )
+    if other is None:
+        other = frozenset(graph.node_ids_of_type(other_type))
+    size = cardinality if kept is None else len(kept)
+    if inward is not None and (outward is None or len(other) <= size):
+        image = frozenset(
+            node_id
+            for other_id in other
+            for node_id in graph.neighbors_view(other_id, inward)
+        )
+        return image if kept is None else kept & image
+    return frozenset(
+        node_id
+        for node_id in (kept if kept is not None
+                        else graph.node_ids_of_type(kept_type))
+        if not other.isdisjoint(graph.neighbors_view(node_id, outward))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,15 @@ from repro.core.query_pattern import QueryPattern
 from repro.core.transform import execute_pattern
 
 
+def check_row_limit(row_limit: int | None) -> None:
+    """Reject a negative ``row_limit``: a slice by it would silently drop
+    the last rows instead of keeping the first ones."""
+    if row_limit is not None and row_limit < 0:
+        raise InvalidAction(
+            f"row_limit must be >= 0 (or None), got {row_limit}"
+        )
+
+
 @dataclass(frozen=True)
 class HistoryEntry:
     """One history-panel line: the action, its operator trace, and a full
@@ -54,6 +63,7 @@ class EtableSession:
             raise InvalidAction(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
+        check_row_limit(row_limit)
         if executor is not None:
             if engine not in SERVICE_ENGINES:
                 # The caching executor always plans; silently serving the
@@ -106,6 +116,9 @@ class EtableSession:
 
         This is what the REPL's ``plan`` command prints: the inspectable
         :class:`~repro.core.planner.Plan` with per-step cost estimates.
+        A planned session whose table has more than one node also prints
+        the size of each node's semi-join reduction and the rows that
+        survive it, since that is what the table was built from.
         """
         from repro.core.planner import build_plan
 
@@ -124,11 +137,24 @@ class EtableSession:
             if isinstance(self._executor, IncrementalExecutor) else None
         )
         base = incremental.base if incremental is not None else self._executor
+        if incremental is None and len(pattern.nodes) > 1:
+            statistics = self.graph.statistics()
+            sizes = {
+                key: statistics.cardinality(pattern.node(key).type_name)
+                if ids is None else len(ids)
+                for key, ids in base.reduce(pattern).items()
+            }
+            lines.append(
+                "reduction: semi-joins along the plan keep "
+                + ", ".join(f"{key} {size}" for key, size in sizes.items())
+                + f" ids; {sizes[pattern.primary_key]} rows survive"
+            )
+        else:
+            lines.append(
+                "reuse: intermediates cached per subpattern; extensions "
+                "re-execute only their delta joins"
+            )
         stats = base.stats
-        lines.append(
-            "reuse: intermediates cached per subpattern; extensions "
-            "re-execute only their delta joins"
-        )
         lines.append(
             f"cache: {stats.hits} hits / {stats.misses} misses "
             f"({stats.hit_rate:.0%}), {stats.prefix_hits} prefix hits "

@@ -13,6 +13,14 @@ This is "similar to setting one of the relations as a GROUP BY attribute in
 SQL, but while GROUP BY aggregates ... ETable presents a list of the
 corresponding instances as entity references".
 
+Two builders produce that table. :func:`transform` folds a matched flat
+relation, which repeats cells across many-to-many edges.
+:func:`transform_reduced` walks the displayed rows through a pattern's
+semi-join reduction (:func:`repro.core.planner.reduce_plan`) instead, so
+the flat join is never built; ``repro.core.cache`` uses it for every
+pattern with more than one node. Both share the assembly of columns,
+neighbor cells and entity references.
+
 Neighbor columns that duplicate a participating column (the pattern already
 joins that edge from the primary) are auto-hidden, mirroring Figure 8's
 remark that duplicated neighbor columns are omitted from display; they can
@@ -21,7 +29,7 @@ be re-shown with :meth:`ETable.show_column`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from repro.tgm.graph_relation import GraphRelation
@@ -62,6 +70,135 @@ def transform(
     row_limit: int | None = None,
 ) -> ETable:
     """Pivot a matched graph relation into an :class:`ETable`."""
+    primary_position = matched.position(pattern.primary_key)
+    participating_positions = [
+        (key, matched.position(key)) for key in pattern.participating_keys
+    ]
+
+    # One streamed pass over the matched tuples (no row-wise materialization
+    # of the relation): collect row order and the distinct participating
+    # nodes per (row, column).
+    row_order: list[int] = []
+    row_index: dict[int, int] = {}
+    cell_sets: list[dict[str, dict[int, None]]] = []  # ordered-set per cell
+    for tuple_row in matched.iter_rows():
+        primary_id = tuple_row[primary_position]
+        index = row_index.get(primary_id)
+        if index is None:
+            index = len(row_order)
+            row_index[primary_id] = index
+            row_order.append(primary_id)
+            cell_sets.append({key: {} for key, _ in participating_positions})
+        sets = cell_sets[index]
+        for key, position in participating_positions:
+            sets[key][tuple_row[position]] = None
+
+    if row_limit is not None:
+        row_order = row_order[:row_limit]
+    return _assemble(pattern, graph, zip(row_order, cell_sets))
+
+
+def transform_reduced(
+    pattern: QueryPattern,
+    reduced: Mapping[str, frozenset[int] | None],
+    graph: InstanceGraph,
+    row_limit: int | None = None,
+) -> ETable:
+    """Build a pattern's :class:`ETable` from its semi-join reduction.
+
+    ``reduced`` maps every pattern node to the ids on at least one
+    complete match (None: every node of its type), as
+    :func:`repro.core.planner.reduce_plan` computes it. Rows are the
+    reduced primary ids in type-insertion order (ids ascend in creation
+    order), cut to ``row_limit`` before any row is built. A participating
+    cell lists the nodes that a depth-first walk from the row first
+    visits along that column's path in
+    :meth:`~repro.core.query_pattern.QueryPattern.traversal_order`: in
+    adjacency order, through reduced ids only, expanding each (path
+    position, node) pair once per row, so a repeated adjacency entry
+    counts once. That is the order in which :func:`transform` first meets
+    each node in the reference-ordered flat relation, so both build the
+    same table, and the flat join is never materialized.
+    """
+    primary = pattern.primary
+    primary_ids = reduced[primary.key]
+    row_order = (
+        graph.node_ids_of_type(primary.type_name)
+        if primary_ids is None else sorted(primary_ids)
+    )
+    if row_limit is not None:
+        row_order = row_order[:row_limit]
+    paths = _column_paths(pattern, graph)
+    return _assemble(pattern, graph, (
+        (row_id, {key: _walk(row_id, path, reduced, graph)
+                  for key, path in paths})
+        for row_id in row_order
+    ))
+
+
+def _column_paths(
+    pattern: QueryPattern, graph: InstanceGraph
+) -> list[tuple[str, list[tuple[str, str]]]]:
+    """Per participating column, the (traversal edge, node key) steps
+    from the primary down the tree of ``pattern.traversal_order()``."""
+    parents: dict[str, tuple[str, str]] = {}
+    for key, edge in pattern.traversal_order()[1:]:
+        assert edge is not None  # every non-root BFS entry has its edge
+        if edge.target_key == key:
+            parents[key] = (edge.source_key, edge.edge_type)
+        else:
+            reverse = graph.schema.reverse_of(edge.edge_type)
+            parents[key] = (edge.target_key, reverse.name)
+    paths = []
+    for column_key in pattern.participating_keys:
+        path: list[tuple[str, str]] = []
+        key = column_key
+        while key != pattern.primary_key:
+            parent, traversal = parents[key]
+            path.append((traversal, key))
+            key = parent
+        path.reverse()
+        paths.append((column_key, path))
+    return paths
+
+
+def _walk(
+    row_id: int,
+    path: list[tuple[str, str]],
+    reduced: Mapping[str, frozenset[int] | None],
+    graph: InstanceGraph,
+) -> dict[int, None]:
+    """The last path node's ids a depth-first walk from ``row_id`` first
+    visits, as an ordered set."""
+    reached: dict[int, None] = {}
+    expanded: set[tuple[int, int]] = set()
+    last = len(path) - 1
+
+    def visit(node_id: int, depth: int) -> None:
+        traversal, key = path[depth]
+        allowed = reduced[key]
+        for neighbor in graph.neighbors_view(node_id, traversal):
+            if allowed is not None and neighbor not in allowed:
+                continue
+            if depth == last:
+                reached[neighbor] = None
+            elif (depth, neighbor) not in expanded:
+                expanded.add((depth, neighbor))
+                visit(neighbor, depth + 1)
+
+    visit(row_id, 0)
+    return reached
+
+
+def _assemble(
+    pattern: QueryPattern,
+    graph: InstanceGraph,
+    rows: Iterable[tuple[int, Mapping[str, Iterable[int]]]],
+) -> ETable:
+    """The ETable of ``rows``: (primary id, participating node ids per
+    column key) pairs, in display order. Adds the column specs, base and
+    neighbor cells and entity references, then auto-hides the neighbor
+    columns the pattern duplicates."""
     schema = graph.schema
     primary = pattern.primary
     primary_type = schema.node_type(primary.type_name)
@@ -87,32 +224,6 @@ def transform(
             )
         )
 
-    primary_position = matched.position(primary.key)
-    participating_positions = [
-        (key, matched.position(key)) for key in participating_keys
-    ]
-
-    # One streamed pass over the matched tuples (no row-wise materialization
-    # of the relation): collect row order and the distinct participating
-    # nodes per (row, column).
-    row_order: list[int] = []
-    row_index: dict[int, int] = {}
-    cell_sets: list[dict[str, dict[int, None]]] = []  # ordered-set per cell
-    for tuple_row in matched.iter_rows():
-        primary_id = tuple_row[primary_position]
-        index = row_index.get(primary_id)
-        if index is None:
-            index = len(row_order)
-            row_index[primary_id] = index
-            row_order.append(primary_id)
-            cell_sets.append({key: {} for key, _ in participating_positions})
-        sets = cell_sets[index]
-        for key, position in participating_positions:
-            sets[key][tuple_row[position]] = None
-
-    if row_limit is not None:
-        row_order = row_order[:row_limit]
-
     refs = _ref_cache(graph)
 
     def ref_of(node_id: int) -> EntityRef:
@@ -122,14 +233,12 @@ def transform(
             refs[node_id] = ref
         return ref
 
-    rows: list[ETableRow] = []
-    for index, primary_id in enumerate(row_order):
+    etable_rows: list[ETableRow] = []
+    for primary_id, participating in rows:
         node = graph.node(primary_id)
         cells: dict[str, list[EntityRef]] = {}
-        for key, _ in participating_positions:
-            cells[key] = [
-                ref_of(node_id) for node_id in cell_sets[index][key]
-            ]
+        for key in participating_keys:
+            cells[key] = [ref_of(node_id) for node_id in participating[key]]
         for edge_type in neighbor_edges:
             cells[edge_type.name] = [
                 ref_of(neighbor_id)
@@ -137,7 +246,7 @@ def transform(
                     primary_id, edge_type.name
                 )
             ]
-        rows.append(
+        etable_rows.append(
             ETableRow(
                 node_id=primary_id,
                 attributes=dict(node.attributes),
@@ -145,7 +254,7 @@ def transform(
             )
         )
 
-    etable = ETable(pattern, columns, rows, graph)
+    etable = ETable(pattern, columns, etable_rows, graph)
     _auto_hide_duplicated_neighbors(etable)
     return etable
 

@@ -45,7 +45,7 @@ from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core.cache import CachingExecutor
 from repro.core.engines import SERVICE_ENGINES
-from repro.core.session import EtableSession
+from repro.core.session import EtableSession, check_row_limit
 from repro.service import protocol
 from repro.service.journal import (
     JOURNAL_SUFFIX,
@@ -98,6 +98,7 @@ class SessionManager:
                 "the service executes through the caching planner; engine "
                 f"must be one of {SERVICE_ENGINES}, not {engine!r}"
             )
+        check_row_limit(row_limit)
         if compact_every is not None and compact_every < 1:
             raise ServiceError(
                 f"compact_every must be >= 1 (or None), got {compact_every}"

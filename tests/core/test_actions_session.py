@@ -241,12 +241,28 @@ class TestEngineSelection:
             EtableSession(toy.schema, toy.graph, engine="naive",
                           executor=CachingExecutor(toy.graph))
 
+    def test_negative_row_limit_rejected(self, toy):
+        # Slicing by -2 would keep 5 of the 7 papers: rejected at
+        # construction instead, for every engine.
+        for engine in ("naive", "planned", "incremental"):
+            with pytest.raises(InvalidAction):
+                EtableSession(toy.schema, toy.graph, row_limit=-2,
+                              engine=engine)
+        assert len(EtableSession(toy.schema, toy.graph,
+                                 row_limit=0).open("Papers")) == 0
+
     def test_explain_plan_matches_execution_mode(self, toy):
         planned = EtableSession(toy.schema, toy.graph)
         planned.open("Conferences")
-        planned.pivot("Conferences->Papers")
         text = planned.explain_plan()
         assert "reuse: intermediates cached per subpattern" in text
+        # A multi-node table is walked from its semi-join reduction, not
+        # from joined prefixes: every toy conference and paper survives.
+        planned.pivot("Conferences->Papers")
+        text = planned.explain_plan()
+        assert "reuse:" not in text
+        assert "reduction: semi-joins along the plan keep Conferences 2, " \
+            "Papers 7 ids; 7 rows survive" in text
         assert "cache:" in text
 
         naive = EtableSession(toy.schema, toy.graph, engine="naive")

@@ -39,9 +39,11 @@ from repro.core.planner import (
     estimate_selectivity,
     execute_delta,
     find_cached_base,
+    reduce_plan,
     restore_reference_order,
     subpattern_key,
 )
+from repro.core.transform import transform
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +414,115 @@ class TestExecution:
         planned = match_planned(pattern, toy.graph)
         assert planned.keys == reference.keys
         assert planned.tuples == reference.tuples
+
+
+# ----------------------------------------------------------------------
+# Multi-node ETables from the semi-join reduction
+# ----------------------------------------------------------------------
+def _parallel_edge_case(toy):
+    """T* -> U -> T#2 over ``_mixed_graph`` with one ``T->U`` edge added
+    twice more: both endpoints' adjacency lists repeat the neighbor."""
+    graph = _mixed_graph()
+    t, u = _nth(graph, "T", 0), _nth(graph, "U", 0)
+    graph.add_edge("T->U", t, u)
+    graph.add_edge("T->U", t, u)
+    pattern = add(initiate(graph.schema, "T"), graph.schema, "T->U")
+    pattern = shift(add(pattern, graph.schema, "U->T"), "T")
+    return graph, pattern
+
+
+def _one_way_edge_case(toy):
+    """T* -[T=>U]-> U, both filtered: the plan starts at T and the edge
+    has no reverse twin, so keeping T's ids scans T's forward adjacency."""
+    graph = _mixed_graph()
+    pattern = select(initiate(graph.schema, "T"),
+                     NodeIn([_nth(graph, "T", 1), _nth(graph, "T", 5)]))
+    pattern = add(pattern, graph.schema, "T=>U")
+    pattern = shift(select(pattern, AttributeCompare("name", "!=", "gamma")),
+                    "T")
+    assert build_plan(pattern, graph).steps[0].key == "T"
+    return graph, pattern
+
+
+def _empty_branch_case(toy):
+    """A star around Papers whose Conferences branch matches nothing."""
+    schema = toy.schema
+    pattern = shift(add(initiate(schema, "Papers"), schema,
+                        "Papers->Authors"), "Papers")
+    pattern = add(pattern, schema, "Papers->Conferences")
+    pattern = select(pattern, AttributeCompare("acronym", "=", "NONE"))
+    return toy.graph, shift(pattern, "Papers")
+
+
+def _see_all_case(toy):
+    """Papers -> Conferences[NodeIs] -> Papers#2*: a see-all click."""
+    schema = toy.schema
+    pattern = select(initiate(schema, "Papers"),
+                     AttributeCompare("year", ">", 2005))
+    pattern = add(pattern, schema, "Papers->Conferences")
+    pattern = select(pattern, NodeIs(_nth(toy.graph, "Conferences", 0)))
+    return toy.graph, add(pattern, schema, "Conferences->Papers")
+
+
+def _see_all_pivot_case(toy):
+    """The see-all pattern pivoted on to Authors: four nodes, with the
+    identity condition two steps from the primary."""
+    graph, pattern = _see_all_case(toy)
+    return graph, add(pattern, toy.schema, "Papers->Authors")
+
+
+_REDUCED_CASES = {
+    "parallel-edge": _parallel_edge_case,
+    "one-way-edge": _one_way_edge_case,
+    "empty-branch": _empty_branch_case,
+    "see-all": _see_all_case,
+    "see-all-pivot": _see_all_pivot_case,
+}
+
+
+class TestReducedRows:
+    @pytest.mark.parametrize("row_limit", [None, 0, 1, 3])
+    @pytest.mark.parametrize("case", sorted(_REDUCED_CASES))
+    def test_equals_the_flat_pipeline(self, toy, case, row_limit):
+        graph, pattern = _REDUCED_CASES[case](toy)
+        expected = transform(pattern, match(pattern, graph), graph,
+                             row_limit=row_limit)
+        executor = CachingExecutor(graph)
+        actual = executor.execute(pattern, row_limit)
+        assert actual.columns == expected.columns
+        assert actual.hidden_columns == expected.hidden_columns
+        assert actual.rows == expected.rows
+        assert len(executor.prefixes) == 0  # no join was materialized
+        if case == "empty-branch":
+            assert not expected.rows and expected.hidden_columns
+        elif row_limit is None:
+            assert len(expected.rows) > 1
+
+    def test_unconditioned_nodes_stay_symbolic_until_narrowed(self, toy):
+        # Every toy conference has papers and every paper a conference, so
+        # an unconditioned pair stays "every node of its type".
+        graph = toy.graph
+        pair = add(initiate(toy.schema, "Conferences"), toy.schema,
+                   "Conferences->Papers")
+        assert reduce_plan(build_plan(pair, graph), graph) == {
+            "Conferences": None, "Papers": None}
+        # Behind an identity condition, the unconditioned Papers#2 becomes
+        # the papers of that one conference.
+        _, pattern = _see_all_case(toy)
+        reduced = reduce_plan(build_plan(pattern, graph), graph)
+        conference = _nth(graph, "Conferences", 0)
+        assert reduced["Conferences"] == {conference}
+        assert reduced["Papers#2"] == set(
+            graph.neighbors_view(conference, "Conferences->Papers"))
+
+    def test_a_shift_reuses_the_reduction(self, toy):
+        graph, pattern = _see_all_pivot_case(toy)
+        executor = CachingExecutor(graph)
+        executor.execute(pattern)
+        shifted = shift(pattern, "Papers")
+        assert executor.execute(shifted).rows == transform(
+            shifted, match(shifted, graph), graph).rows
+        assert (executor.stats.hits, executor.stats.misses) == (1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_randomized_incremental_extensions(dataset):
 
 
 class TestIncrementalSessionScript:
-    """Cache prefix hits over a realistic incremental browsing script."""
+    """Cache hits over a realistic incremental browsing script."""
 
     def _drive(self, tgdb):
         session = EtableSession(tgdb.schema, tgdb.graph)
@@ -225,15 +225,19 @@ class TestIncrementalSessionScript:
         session = self._drive(toy)
         executor = session._executor
         assert executor is not None
-        # The revert is a whole-pattern hit; the four extensions after the
-        # first open are prefix hits (each reuses the previous result).
+        # Multi-node tables are walked from their cached semi-join
+        # reductions, so no joined prefix is reused; the revert re-executes
+        # an already-seen pattern and hits its reduction.
         assert executor.stats.hits >= 1
-        assert executor.stats.prefix_hits >= 3
-        # Every history pattern re-executes to the oracle's exact ETable.
+        assert executor.stats.prefix_hits == 0
+        # Every history pattern re-executes to the oracle's exact ETable,
+        # each one answered from the whole-pattern store.
+        misses = executor.stats.misses
         for entry in session.history:
             expected = execute_pattern(entry.pattern, toy.graph, engine="naive")
             actual = executor.execute(entry.pattern)
             _assert_same_etable(actual, expected)
+        assert executor.stats.misses == misses
 
     def test_script_matches_uncached_session(self, toy):
         cached = self._drive(toy)

@@ -28,7 +28,10 @@ the shared executor's whole-pattern cache, so a wrong delta would poison
 the planned sessions of later sequences — the lockstep comparison is
 sensitive to that immediately.
 
-After every action the harness asserts
+Every participant presents the whole table in one run and, in a second,
+the same small row window (``WINDOW`` rows, fewer than the toy corpus's
+seven papers), which cuts most tables the way the service's 50-row window
+does. After every action the harness asserts
 
 1. the ETables are identical cell-for-cell (full protocol
    serialization, hidden columns and reference lists included);
@@ -43,8 +46,8 @@ After every action the harness asserts
    actions — both folded states must equal the full ETable payload
    cell-for-cell after every delivery.
 
-Failures print the dataset, the master seed, the per-sequence seed, and
-the full action script as JSON — paste it into
+Failures print the dataset and window, the master seed, the per-sequence
+seed, and the full action script as JSON — paste it into
 :func:`replay_script` (or re-run with ``REPRO_FUZZ_SEED``) to reproduce.
 
 Env knobs: ``REPRO_FUZZ_SEQUENCES`` (sequences per dataset, default 200),
@@ -70,20 +73,23 @@ from repro.service.stream import FrameSource, StreamStats, coalesce_frame, fold_
 SEQUENCES = int(os.environ.get("REPRO_FUZZ_SEQUENCES", "200"))
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 MAX_ACTIONS = int(os.environ.get("REPRO_FUZZ_MAX_ACTIONS", "5"))
+# The row window of the windowed run.
+WINDOW = 3
 
 # The lockstep participants: every registered engine, plus the routed
 # transport. Each engine is built by its entry in ``_IN_PROCESS``.
 PARTICIPANTS = (*ENGINES, "routed")
 
 _IN_PROCESS = {
-    "naive": lambda tgdb, executor: EtableSession(
-        tgdb.schema, tgdb.graph, engine="naive"),
-    "planned": lambda tgdb, executor: EtableSession(
-        tgdb.schema, tgdb.graph, executor=executor),
+    "naive": lambda tgdb, executor, row_limit: EtableSession(
+        tgdb.schema, tgdb.graph, row_limit=row_limit, engine="naive"),
+    "planned": lambda tgdb, executor, row_limit: EtableSession(
+        tgdb.schema, tgdb.graph, row_limit=row_limit, executor=executor),
     # The incremental engine is per-session (its own result lineage) over
     # the *shared* executor, mirroring the multi-user service.
-    "incremental": lambda tgdb, executor: EtableSession(
-        tgdb.schema, tgdb.graph, engine="incremental", executor=executor),
+    "incremental": lambda tgdb, executor, row_limit: EtableSession(
+        tgdb.schema, tgdb.graph, row_limit=row_limit, engine="incremental",
+        executor=executor),
 }
 
 
@@ -145,9 +151,8 @@ _BUILDERS = {
 }
 
 
-@pytest.fixture(scope="module")
-def fleet(corpus):
-    """A live two-worker fleet over the same dataset as ``corpus``.
+def _start_fleet(dataset, row_limit):
+    """A live two-worker fleet over ``dataset``, serving ``row_limit``.
 
     Workers rebuild the corpus from this very file's builder functions
     (the spec crosses the process boundary as strings, the graph never
@@ -158,17 +163,31 @@ def fleet(corpus):
 
     from repro.service.fleet import FleetRouter
 
-    dataset = corpus[0]
     journal_dir = tempfile.mkdtemp(prefix=f"fuzz-fleet-{dataset}-")
-    router = FleetRouter(
+    return FleetRouter(
         {
             "factory": f"{os.path.abspath(__file__)}:"
                        f"{_BUILDERS[dataset].__name__}",
             "journal_dir": journal_dir,
             "engine": "planned",
+            "row_limit": row_limit,
         },
         workers=2,
     )
+
+
+@pytest.fixture(scope="module")
+def fleet(corpus):
+    """The routed participant of the unlimited run."""
+    router = _start_fleet(corpus[0], None)
+    yield router
+    router.shutdown()
+
+
+@pytest.fixture(scope="module")
+def windowed_fleet(corpus):
+    """The routed participant of the windowed run."""
+    router = _start_fleet(corpus[0], WINDOW)
     yield router
     router.shutdown()
 
@@ -382,14 +401,15 @@ def _fail(dataset, seed, script, step, message):
     )
 
 
-def replay_script(tgdb, script, engine="naive", executor=None):
+def replay_script(tgdb, script, engine="naive", executor=None,
+                  row_limit=None):
     """Re-run one failing action script against a fresh session.
 
     The debugging entry point the failure message refers to: paste the
     printed JSON and step through the divergence.
     """
-    session = EtableSession(tgdb.schema, tgdb.graph, engine=engine,
-                            executor=executor)
+    session = EtableSession(tgdb.schema, tgdb.graph, row_limit=row_limit,
+                            engine=engine, executor=executor)
     for action, params in script:
         protocol.apply_action(session, action, params)
     return session
@@ -459,11 +479,12 @@ class _StreamClients:
         return None
 
 
-def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router):
+def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router,
+                  row_limit):
     rng = random.Random(seed)
     graph = tgdb.graph
     routed = _RoutedSession(router)
-    sessions = {engine: make(tgdb, executor)
+    sessions = {engine: make(tgdb, executor, row_limit)
                 for engine, make in _IN_PROCESS.items()}
     driver = sessions["naive"]
     streams = _StreamClients(rng, stream_stats, sessions["incremental"])
@@ -533,13 +554,25 @@ def test_every_engine_has_a_participant():
 
 def test_fuzz_engines_bit_identical(corpus, fleet):
     dataset, tgdb, executor = corpus
+    _fuzz(dataset, tgdb, executor, fleet, None)
+
+
+def test_fuzz_engines_bit_identical_windowed(corpus, windowed_fleet):
+    """The same lockstep hunt with every participant, naive and routed
+    included, presenting only the first ``WINDOW`` rows of each table."""
+    dataset, tgdb, _executor = corpus
+    _fuzz(f"{dataset}, row_limit={WINDOW}", tgdb,
+          CachingExecutor(tgdb.graph), windowed_fleet, WINDOW)
+
+
+def _fuzz(dataset, tgdb, executor, fleet, row_limit):
     master = random.Random(MASTER_SEED)
     sequence_seeds = [master.randrange(2**31) for _ in range(SEQUENCES)]
     total_actions = 0
     stream_stats = StreamStats()
     for seed in sequence_seeds:
         total_actions += _run_sequence(dataset, tgdb, executor, seed,
-                                       stream_stats, fleet)
+                                       stream_stats, fleet, row_limit)
     assert total_actions >= SEQUENCES * 2, "sequences were unexpectedly short"
     # The streaming lockstep clients must have exercised every frame shape:
     # structural snapshots, row-level deltas, identity-proven skipped rows

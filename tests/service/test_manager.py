@@ -1,10 +1,13 @@
 """SessionManager lifecycle: locks, TTL + LRU eviction, shared cache."""
 
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import (
+    InvalidAction,
     ProtocolError,
     QuotaExceeded,
     ServiceError,
@@ -27,6 +30,17 @@ class TestLifecycle:
         manager.close_session(sid)
         with pytest.raises(UnknownSession):
             manager.apply(sid, "open", {"type": "Papers"})
+
+    def test_negative_row_limit_rejected(self, toy, capsys):
+        # Its sessions would report 5 of the 7 papers for -2.
+        with pytest.raises(InvalidAction):
+            _manager(toy, row_limit=-2)
+        serve = runpy.run_path(str(
+            Path(__file__).resolve().parents[2] / "examples" / "serve.py"))
+        with pytest.raises(SystemExit) as exit_info:
+            serve["main"](["--row-limit", "-2"])
+        assert exit_info.value.code == 2
+        assert "--row-limit: must be >= 0" in capsys.readouterr().err
 
     def test_duplicate_session_id_rejected(self, toy):
         manager = _manager(toy)
@@ -126,17 +140,22 @@ class TestSharedCache:
         manager = _manager(toy)
         alice = manager.create_session("alice")
         bob = manager.create_session("bob")
-        # Alice pays for the Papers->Authors join; Bob's *different*
-        # downstream filter still starts from her cached prefix.
+        # Alice pays for the Papers->Authors reduction and for the plan of
+        # a name filter on it. Bob's pivot hits her reduction, and his
+        # filter, with another constant, runs on her compiled plan.
+        def name_like(text):
+            return {"condition": {"kind": "like", "attribute": "name",
+                                  "pattern": text, "negate": False}}
+
         manager.apply(alice, "open", {"type": "Papers"})
         manager.apply(alice, "pivot", {"column": "Papers->Authors"})
+        manager.apply(alice, "filter", name_like("%e%"))
         manager.apply(bob, "open", {"type": "Papers"})
         manager.apply(bob, "pivot", {"column": "Papers->Authors"})
-        manager.apply(bob, "filter", {"condition": {
-            "kind": "like", "attribute": "name", "pattern": "%a%",
-            "negate": False}})
         assert manager.executor.stats.hits >= 2
-        assert manager.executor.stats.prefix_hits >= 1
+        plan_hits = manager.executor.plans.hits
+        manager.apply(bob, "filter", name_like("%a%"))
+        assert manager.executor.plans.hits == plan_hits + 1
 
 
 class TestEviction:
