@@ -110,15 +110,14 @@ def transform_reduced(
     complete match (None: every node of its type), as
     :func:`repro.core.planner.reduce_plan` computes it. Rows are the
     reduced primary ids in type-insertion order (ids ascend in creation
-    order), cut to ``row_limit`` before any row is built. A participating
-    cell lists the nodes that a depth-first walk from the row first
-    visits along that column's path in
-    :meth:`~repro.core.query_pattern.QueryPattern.traversal_order`: in
-    adjacency order, through reduced ids only, expanding each (path
-    position, node) pair once per row, so a repeated adjacency entry
-    counts once. That is the order in which :func:`transform` first meets
-    each node in the reference-ordered flat relation, so both build the
-    same table, and the flat join is never materialized.
+    order), cut to ``row_limit`` before any row is built. Cells are
+    reached from the row down the tree of
+    :meth:`~repro.core.query_pattern.QueryPattern.traversal_order`: a
+    node's cell lists the reduced neighbors of its parent's cell, taken
+    in that cell's order and then in adjacency order, each once. That is
+    the first-visit order of a depth-first walk along the column's path,
+    and the order in which :func:`transform` first meets each node in the
+    reference-ordered flat relation, so both build the same table.
     """
     primary = pattern.primary
     primary_ids = reduced[primary.key]
@@ -128,66 +127,30 @@ def transform_reduced(
     )
     if row_limit is not None:
         row_order = row_order[:row_limit]
-    paths = _column_paths(pattern, graph)
-    return _assemble(pattern, graph, (
-        (row_id, {key: _walk(row_id, path, reduced, graph)
-                  for key, path in paths})
-        for row_id in row_order
-    ))
-
-
-def _column_paths(
-    pattern: QueryPattern, graph: InstanceGraph
-) -> list[tuple[str, list[tuple[str, str]]]]:
-    """Per participating column, the (traversal edge, node key) steps
-    from the primary down the tree of ``pattern.traversal_order()``."""
-    parents: dict[str, tuple[str, str]] = {}
+    steps = []  # (node key, parent key, traversal edge), parents first
     for key, edge in pattern.traversal_order()[1:]:
         assert edge is not None  # every non-root BFS entry has its edge
         if edge.target_key == key:
-            parents[key] = (edge.source_key, edge.edge_type)
+            steps.append((key, edge.source_key, edge.edge_type))
         else:
             reverse = graph.schema.reverse_of(edge.edge_type)
-            parents[key] = (edge.target_key, reverse.name)
-    paths = []
-    for column_key in pattern.participating_keys:
-        path: list[tuple[str, str]] = []
-        key = column_key
-        while key != pattern.primary_key:
-            parent, traversal = parents[key]
-            path.append((traversal, key))
-            key = parent
-        path.reverse()
-        paths.append((column_key, path))
-    return paths
+            steps.append((key, edge.target_key, reverse.name))
+    neighbors = graph.neighbors_view
 
+    def cells(row_id: int) -> dict[str, Iterable[int]]:
+        reached: dict[str, Iterable[int]] = {primary.key: (row_id,)}
+        for key, parent, traversal in steps:
+            allowed = reduced[key]
+            cell: dict[int, None] = {}
+            for node_id in reached[parent]:
+                for neighbor in neighbors(node_id, traversal):
+                    if allowed is None or neighbor in allowed:
+                        cell[neighbor] = None
+            reached[key] = cell
+        return reached
 
-def _walk(
-    row_id: int,
-    path: list[tuple[str, str]],
-    reduced: Mapping[str, frozenset[int] | None],
-    graph: InstanceGraph,
-) -> dict[int, None]:
-    """The last path node's ids a depth-first walk from ``row_id`` first
-    visits, as an ordered set."""
-    reached: dict[int, None] = {}
-    expanded: set[tuple[int, int]] = set()
-    last = len(path) - 1
-
-    def visit(node_id: int, depth: int) -> None:
-        traversal, key = path[depth]
-        allowed = reduced[key]
-        for neighbor in graph.neighbors_view(node_id, traversal):
-            if allowed is not None and neighbor not in allowed:
-                continue
-            if depth == last:
-                reached[neighbor] = None
-            elif (depth, neighbor) not in expanded:
-                expanded.add((depth, neighbor))
-                visit(neighbor, depth + 1)
-
-    visit(row_id, 0)
-    return reached
+    return _assemble(pattern, graph,
+                     ((row_id, cells(row_id)) for row_id in row_order))
 
 
 def _assemble(

@@ -421,11 +421,15 @@ class TestExecution:
 # ----------------------------------------------------------------------
 def _parallel_edge_case(toy):
     """T* -> U -> T#2 over ``_mixed_graph`` with one ``T->U`` edge added
-    twice more: both endpoints' adjacency lists repeat the neighbor."""
+    twice more, so both endpoints' adjacency lists repeat the neighbor,
+    and a T node that meets ``beta`` before ``alpha``, so its cells run
+    against id order."""
     graph = _mixed_graph()
     t, u = _nth(graph, "T", 0), _nth(graph, "U", 0)
     graph.add_edge("T->U", t, u)
     graph.add_edge("T->U", t, u)
+    graph.add_edge("T->U", _nth(graph, "T", 1), _nth(graph, "U", 1))
+    graph.add_edge("T->U", _nth(graph, "T", 1), u)
     pattern = add(initiate(graph.schema, "T"), graph.schema, "T->U")
     pattern = shift(add(pattern, graph.schema, "U->T"), "T")
     return graph, pattern
