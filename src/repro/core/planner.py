@@ -34,8 +34,8 @@ matcher once :func:`restore_reference_order` re-sorts it into the exact
 attribute and tuple order the BFS pipeline would have produced, so
 ``match()``'s callers (format transformation, SQL equivalence tests,
 figures) cannot tell the two apart. The reduction builds no relation; the
-row walk over it reproduces the ETable :func:`~repro.core.transform.
-transform` pivots from that relation.
+row walk over it reproduces the ETable that
+:func:`repro.core.transform.transform` pivots from that relation.
 """
 
 from __future__ import annotations
