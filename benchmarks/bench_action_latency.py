@@ -6,7 +6,7 @@ replays one scripted 30-action refinement-heavy session (filters, neighbor
 filters, pivots, and reverts — the Figure 1 access pattern) two ways:
 
 * ``planned``     — the cost-based planner behind a CachingExecutor
-                    (prefix reuse);
+                    (cached semi-join reductions for multi-node tables);
 * ``incremental`` — the action-delta engine: filters answered as row
                     selections over the previous relation, pivots as one
                     delta join, reverts as lineage lookups.

@@ -9,8 +9,8 @@ incremental browsing session four ways over the largest
 
 * ``naive``    — the reference BFS matcher, re-run from scratch per action;
 * ``planned``  — the cost-based planner behind a CachingExecutor
-                 (whole-pattern + prefix-level intermediate reuse,
-                 memoized conditions);
+                 (multi-node tables walked from cached semi-join
+                 reductions, one-node tables from cached relations);
 * ``one_shot`` — no session and no reuse: the naive session's 10 history
                  patterns, in order, each through
                  ``execute_pattern(engine="planned")`` (the cold-planner
@@ -165,7 +165,7 @@ def test_planner_speedup(benchmark):
         ["strategy", "session time", "speedup vs naive"],
         [
             ["naive (BFS re-execution)", f"{naive_seconds * 1000:.0f} ms", "1.0x"],
-            ["planned (prefix reuse)", f"{planned_seconds * 1000:.0f} ms",
+            ["planned (cached reductions)", f"{planned_seconds * 1000:.0f} ms",
              f"{planned_speedup:.1f}x"],
             ["one_shot (planner, no reuse)",
              f"{one_shot_seconds * 1000:.0f} ms", f"{one_shot_speedup:.1f}x"],
