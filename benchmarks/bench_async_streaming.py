@@ -36,7 +36,7 @@ from repro.bench import banner, report, save_result
 from repro.core.session import EtableSession
 from repro.service import AsyncNavigationServer, protocol
 from repro.service.manager import SessionManager
-from repro.service.stream import FrameSource, StreamStats, payload_bytes
+from repro.service.stream import FrameSource, payload_bytes
 
 PAPERS = int(os.environ.get("REPRO_STREAM_BENCH_PAPERS", "1200"))
 IDLE_SESSIONS = int(os.environ.get("REPRO_STREAM_BENCH_IDLE", "1000"))
@@ -290,31 +290,21 @@ def _measure_throughput(tgdb):
 # Part 3: delta frames vs full re-fetch, 30-action session
 # ----------------------------------------------------------------------
 def _measure_wire_bytes(tgdb):
-    stats = StreamStats()
-    source = FrameSource(stats)
-    session = EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
-                            engine="incremental")
-    seen_report = None
+    source = FrameSource()
+    session = EtableSession(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT)
     stream_bytes = 0
     refetch_bytes = 0
     per_action = []
     for action, params in _refinement_script():
         protocol.apply_action(session, action, params)
         payload = protocol.etable_to_json(session.current)
-        report_obj = getattr(session._executor, "last_report", None)
-        identities = None
-        if (report_obj is not None and report_obj.identities is not None
-                and id(report_obj) != seen_report):
-            identities = report_obj.identities
-            seen_report = id(report_obj)
-        frame = source.frame_for(payload, action=action,
-                                 identities=identities)
+        frame = source.frame_for(payload, action=action)
         frame_bytes = payload_bytes(protocol.frame_to_json(frame))
         full_bytes = payload_bytes(payload)
         stream_bytes += frame_bytes
         refetch_bytes += full_bytes
         per_action.append((action, frame.kind, frame_bytes, full_bytes))
-    return stream_bytes, refetch_bytes, per_action, stats
+    return stream_bytes, refetch_bytes, per_action
 
 
 def test_async_streaming():
@@ -345,8 +335,7 @@ def test_async_streaming():
     report(f"throughput: {rate:.0f} actions/s over {CLIENTS} keep-alive "
            f"clients x {ACTIONS_PER_CLIENT} actions")
 
-    stream_bytes, refetch_bytes, per_action, stream_stats = (
-        _measure_wire_bytes(tgdb))
+    stream_bytes, refetch_bytes, per_action = _measure_wire_bytes(tgdb)
     fraction = stream_bytes / refetch_bytes
     snapshots = sum(1 for _, kind, _, _ in per_action if kind == "snapshot")
     results["wire"] = {
@@ -355,14 +344,12 @@ def test_async_streaming():
         "full_refetch_bytes": refetch_bytes,
         "fraction": round(fraction, 4),
         "snapshot_frames": snapshots,
-        "identity_skips": stream_stats.identity_skips,
     }
     report(
         f"bytes on wire ({len(per_action)}-action refinement session): "
         f"delta frames {stream_bytes:,} B vs full re-fetch "
         f"{refetch_bytes:,} B -> {fraction:.1%} "
-        f"({snapshots} structural snapshots, "
-        f"{stream_stats.identity_skips} identity-proven row skips)"
+        f"({snapshots} structural snapshots)"
     )
     assert fraction <= MAX_DELTA_FRACTION, (
         f"delta frames shipped {fraction:.1%} of the re-fetch bytes "

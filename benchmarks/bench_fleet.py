@@ -109,7 +109,6 @@ def test_fleet_worker_scaling():
             router = FleetRouter({
                 "factory": factory,
                 "journal_dir": journal_dir,
-                "engine": "planned",
             }, workers=workers)
             try:
                 # Untimed warm-up round: per-worker caches fill, and the

@@ -13,8 +13,9 @@ incremental browsing session four ways over the largest
                  reductions, one-node tables from cached relations);
 * ``one_shot`` — no session and no reuse: the naive session's 10 history
                  patterns, in order, each through
-                 ``execute_pattern(engine="planned")`` (the cold-planner
-                 number);
+                 ``execute_pattern(engine="planned")``, which builds it
+                 through a fresh CachingExecutor (the same reduction path
+                 with cold caches: the cold-planner number);
 * ``incremental`` — the action-delta engine: refinement actions answered
                  from the previous ETable's relation (per-action latency is
                  measured separately in ``bench_action_latency.py``).

@@ -242,7 +242,6 @@ def _build_manager(args: argparse.Namespace, tgdb, journal_dir,
     return SessionManager(
         tgdb.schema, tgdb.graph, row_limit=args.row_limit,
         journal_dir=journal_dir,
-        engine=args.engine,
         compact_every=args.compact_every or None,
         require_auth=args.require_auth,
         quota_actions=args.quota_actions,
@@ -260,7 +259,6 @@ def _build_fleet(args: argparse.Namespace, journal_dir: str):
         "factory": f"{os.path.abspath(__file__)}:build_tgdb",
         "factory_kwargs": {"dataset": args.dataset, "papers": args.papers},
         "journal_dir": journal_dir,
-        "engine": args.engine,
         "row_limit": args.row_limit,
         "require_auth": args.require_auth,
         "quota_actions": args.quota_actions,
@@ -543,8 +541,6 @@ def _row_limit(text: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.core.engines import SERVICE_ENGINES
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dataset", default="academic",
                         choices=["academic", "movies", "toy"])
@@ -569,12 +565,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-sessions", type=int, default=256)
     parser.add_argument("--ttl", type=float, default=1800.0,
                         help="idle session TTL in seconds")
-    parser.add_argument("--engine", default="planned",
-                        choices=SERVICE_ENGINES,
-                        help="execution engine behind the shared cache "
-                             "(incremental answers refinement actions "
-                             "from each session's previous ETable instead "
-                             "of re-matching)")
     parser.add_argument("--compact-every", type=int, default=64,
                         help="checkpoint each session journal every N "
                              "actions (0 disables compaction)")

@@ -53,7 +53,7 @@ from repro.core.etable import (
     ETableRow,
     EntityRef,
 )
-from repro.core.matching import match, match_planned
+from repro.core.matching import match
 from repro.core.planner import (
     Plan,
     PlanStep,
@@ -129,7 +129,6 @@ __all__ = [
     "graph_result_summary",
     "initiate",
     "match",
-    "match_planned",
     "pattern_cache_key",
     "Plan",
     "PlanStep",

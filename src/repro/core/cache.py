@@ -7,7 +7,7 @@ one, so results recur constantly (every revert re-executes an old pattern
 verbatim).
 
 :meth:`CachingExecutor.execute` builds an ETable in one of two ways, both
-equal to :func:`repro.core.transform.execute_pattern`'s table:
+equal to the reference table (``match()``, then ``transform``):
 
 * a **one-node pattern** pivots its flat relation (:meth:`CachingExecutor.
   match`), which holds one tuple per row, so nothing repeats;
@@ -55,7 +55,6 @@ from repro.core.etable import ETable
 from repro.core.planner import (
     DeltaPlan,
     DeltaPlanner,
-    DeltaReport,
     ExecutionReport,
     Plan,
     PrefixStore,
@@ -308,10 +307,6 @@ class CachingExecutor:
         # serves — the fleet-wide normalized plan cache of ROADMAP item 3.
         self.plans = CompiledPlanCache(graph, max_entries=max_plans)
         self.stats = CacheStats()  # guarded-by: self._lock
-        # Aggregated counters of every IncrementalExecutor layered over this
-        # executor (the service shares one base across all sessions, so this
-        # is the fleet-wide incremental picture).
-        self.incremental = IncrementalStats()
         # Both stores are graph-bound: a mutation-version bump drops them on
         # the next lookup, so a mutated graph can never serve stale tuples.
         self.prefixes = PrefixStore(max_entries=max_prefix_entries,  # guarded-by: self._lock
@@ -399,8 +394,9 @@ class CachingExecutor:
         more nodes never builds the flat join: its rows are walked through
         the cached semi-join reduction (:meth:`reduce`, then
         :func:`~repro.core.transform.transform_reduced`), outside the
-        lock. Both give :func:`repro.core.transform.execute_pattern`'s
-        table.
+        lock. Both give the reference table (``match()``, then
+        ``transform``). ``execute_pattern(engine="planned")`` is this
+        method on a fresh executor.
         """
         if len(pattern.nodes) == 1:
             matched = self.match(pattern)
@@ -448,7 +444,6 @@ class CachingExecutor:
             "results": self._store.stats(),
             "prefixes": self.prefixes.stats(),
             "plan_cache": self.plans.stats(),
-            "incremental": self.incremental.payload(),
         }
 
     def invalidate(self) -> None:
@@ -495,7 +490,6 @@ class IncrementalExecutor:
                                      max_cells=max_lineage_cells)
         self.stats = IncrementalStats()
         self.last_delta: DeltaPlan | None = None
-        self.last_report: DeltaReport | None = None
         self.last_outcome: str = ""
         self._previous: tuple[QueryPattern, GraphRelation] | None = None
         self._previous_version = base.graph.version
@@ -518,9 +512,7 @@ class IncrementalExecutor:
         cached = self.lineage.get(key)
         if cached is not None:
             self.stats.note_replay()
-            self.base.incremental.note_replay()
             self.last_delta = None
-            self.last_report = None
             self.last_outcome = "replay: lineage hit (retained history relation)"
             self._remember(pattern, cached, key)
             return cached
@@ -534,9 +526,7 @@ class IncrementalExecutor:
             relation = self.base.match(pattern)
             cost_gated = reason is not None and reason.startswith("cost model")
             self.stats.note_replan(cost_gated)
-            self.base.incremental.note_replan(cost_gated)
             self.last_delta = None
-            self.last_report = None
             self.last_outcome = f"replan: {reason}"
         else:
             pattern.validate(self.graph.schema)
@@ -549,9 +539,7 @@ class IncrementalExecutor:
                     pattern, relation, self.graph
                 )
             self.stats.note_delta(delta.kind, report.rows_touched)
-            self.base.incremental.note_delta(delta.kind, report.rows_touched)
             self.last_delta = delta
-            self.last_report = report
             self.last_outcome = (
                 f"{delta.describe()} "
                 f"[{report.rows_in} -> {report.rows_out} rows, "

@@ -7,17 +7,12 @@ selection conditions:
 
     m(Q) = σ_C1(R1) *p1 σ_C2(R2) *p2 ... *pn-1 σ_Cn(Rn)
 
-Two evaluators implement the same function:
-
-* :func:`match` — the reference pipeline: BFS order from the primary node,
-  full base-relation scans, left-deep materializing joins. Kept simple and
-  obviously correct; it is the equivalence oracle for everything else.
-* :func:`match_planned` — the one-shot cost-based engine
-  (``repro.core.planner``): selectivity-ordered joins over candidate sets
-  evaluated a set at a time, re-sorted afterwards into the reference order
-  so the output is identical attribute-for-attribute and tuple-for-tuple. A
-  session runs the same planner behind ``repro.core.cache.CachingExecutor``,
-  which also reuses intermediate results across actions.
+:func:`match` is the reference pipeline: BFS order from the primary node,
+full base-relation scans, left-deep materializing joins. It is kept simple
+and obviously correct, because it is the equivalence oracle for
+everything else. The planner (``repro.core.planner``) answers the same
+function behind :class:`repro.core.cache.CachingExecutor`, which every
+planned ETable, one-shot or in a session, is built through.
 
 The pattern is a tree, so a BFS order from the primary node guarantees each
 join connects the new node to the already-joined prefix. Selections are
@@ -30,33 +25,8 @@ from __future__ import annotations
 from repro.errors import InvalidQueryPattern
 from repro.tgm.conditions import conjoin_conditions
 from repro.tgm.graph_relation import GraphRelation, base_relation, join, selection
-from repro.tgm.instance_graph import GraphStatistics, InstanceGraph
+from repro.tgm.instance_graph import InstanceGraph
 from repro.core.query_pattern import QueryPattern
-
-
-def match_planned(
-    pattern: QueryPattern,
-    graph: InstanceGraph,
-    stats: GraphStatistics | None = None,
-) -> GraphRelation:
-    """Evaluate ``m(Q)`` through the planner; output equals :func:`match`.
-
-    One shot, with no reuse: build a plan, join in greedy selectivity
-    order over set-evaluated candidate sets
-    (:func:`repro.core.planner.condition_ids`), then restore the reference
-    BFS ordering, so callers cannot tell the difference — except in
-    execution time.
-    """
-    from repro.core.planner import (
-        build_plan,
-        execute_plan,
-        restore_reference_order,
-    )
-
-    pattern.validate(graph.schema)
-    plan = build_plan(pattern, graph, stats=stats)
-    relation = execute_plan(plan, graph)
-    return restore_reference_order(pattern, relation, graph)
 
 
 def match(pattern: QueryPattern, graph: InstanceGraph) -> GraphRelation:

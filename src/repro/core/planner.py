@@ -330,7 +330,8 @@ def build_plan(
     cardinality, then repeatedly picks the frontier node minimizing the
     estimated result growth ``rows × fanout(edge) × selectivity(node)``.
     Directions without an adjacency index (an edge type lacking its reverse
-    twin) are never chosen.
+    twin) are never chosen, so the start is the cheapest node from which
+    every pattern node can be reached in indexed directions.
     """
     stats = stats or graph.statistics()
     estimates: dict[str, float] = {}
@@ -341,7 +342,14 @@ def build_plan(
         selectivities[node.key] = selectivity
         estimates[node.key] = stats.cardinality(node.type_name) * selectivity
 
-    start_key = min(estimates, key=lambda key: (estimates[key], _index_of(pattern, key)))
+    starts = [key for key in estimates
+              if _reaches_every_node(pattern, graph, key)]
+    if not starts:
+        raise InvalidQueryPattern(
+            "pattern is not connected (or an edge lacks a traversable "
+            "direction)"
+        )
+    start_key = min(starts, key=lambda key: (estimates[key], _index_of(pattern, key)))
     start_node = pattern.node(start_key)
     steps = [
         PlanStep(
@@ -379,11 +387,8 @@ def build_plan(
                 )
                 if best is None or candidate[:2] < best[:2]:
                     best = candidate
-        if best is None:
-            raise InvalidQueryPattern(
-                "pattern is not connected (or an edge lacks a traversable "
-                "direction)"
-            )
+        # The start reaches every node, so the frontier is never stuck.
+        assert best is not None
         growth, _, new_key, edge, left_key, traversal = best
         est_rows = growth
         left_type = pattern.node(left_key).type_name
@@ -403,6 +408,23 @@ def build_plan(
         )
         covered.add(new_key)
     return Plan(pattern=pattern, steps=steps, node_estimates=estimates)
+
+
+def _reaches_every_node(pattern: QueryPattern, graph: InstanceGraph,
+                        start_key: str) -> bool:
+    """Whether every pattern node can be reached from ``start_key`` along
+    edges traversed in directions with an adjacency index."""
+    reached = {start_key}
+    for _ in pattern.nodes:  # a path has fewer edges than the pattern nodes
+        reached |= {
+            new_key
+            for edge in pattern.edges
+            for left_key, new_key in ((edge.source_key, edge.target_key),
+                                      (edge.target_key, edge.source_key))
+            if left_key in reached
+            and _traversal_edge_name(graph, edge, new_key) is not None
+        }
+    return len(reached) == len(pattern.nodes)
 
 
 def _index_of(pattern: QueryPattern, key: str) -> int:
@@ -1504,29 +1526,6 @@ def _delta_select(
     return GraphRelation.from_columns(list(relation.attributes), out)
 
 
-@dataclass(frozen=True)
-class RowIdentities:
-    """Which primary-node rows an executed delta added, dropped, or kept.
-
-    Node ids are distinct primary-column ids in relation order — exactly the
-    identities the ETable keys its rows by, so a delta-frame builder can use
-    them without re-deriving anything. ``cells_stable`` is the load-bearing
-    bit: True guarantees every retained row's *presented* cells (attributes,
-    participating refs, neighbor previews) are byte-identical to the previous
-    ETable, which holds only when the delta touched nothing but the primary
-    node's own condition list (rows are kept or dropped whole, so each
-    survivor keeps exactly its old join partners). A selection on a
-    non-primary node can thin a retained row's participating refs, and an
-    extension or primary shift changes the column set outright — those set
-    ``cells_stable`` False and consumers must diff retained rows.
-    """
-
-    added: tuple[int, ...] = ()
-    dropped: tuple[int, ...] = ()
-    retained: tuple[int, ...] = ()
-    cells_stable: bool = False
-
-
 @dataclass
 class DeltaReport:
     """What one delta execution actually did (for incremental stats)."""
@@ -1535,39 +1534,6 @@ class DeltaReport:
     rows_in: int = 0
     rows_out: int = 0
     rows_touched: int = 0
-    identities: RowIdentities | None = None
-
-
-def _row_identities(
-    delta: DeltaPlan,
-    prev_relation: GraphRelation,
-    relation: GraphRelation,
-    primary_key: str,
-) -> RowIdentities:
-    """Diff the distinct primary ids of the two relations (O(rows) dict
-    probes over int columns — noise next to the delta join/select itself)."""
-    new_ids = relation.distinct_column(primary_key)
-    try:
-        prev_ids = prev_relation.distinct_column(primary_key)
-    except TgmError:
-        # The primary is the freshly joined node (a pivot): every presented
-        # row is new and nothing from the previous table survives by id.
-        return RowIdentities(added=tuple(new_ids))
-    prev_set = set(prev_ids)
-    new_set = set(new_ids)
-    # order_preserved doubles as "same primary as before": a reorder keeps
-    # the id set but re-derives every cell under the new reference node.
-    cells_stable = (
-        delta.order_preserved
-        and delta.extension is None
-        and all(key == primary_key for key, _ in delta.selections)
-    )
-    return RowIdentities(
-        added=tuple(i for i in new_ids if i not in prev_set),
-        dropped=tuple(i for i in prev_ids if i not in new_set),
-        retained=tuple(i for i in new_ids if i in prev_set),
-        cells_stable=cells_stable,
-    )
 
 
 def execute_delta(
@@ -1603,9 +1569,6 @@ def execute_delta(
             node.type_name, candidate_set,
         )
     report.rows_out = len(relation)
-    report.identities = _row_identities(
-        delta, prev_relation, relation, pattern.primary_key
-    )
     return relation, report
 
 

@@ -107,12 +107,8 @@ class Repl:
         graph: InstanceGraph,
         mapping=None,
         max_rows: int = 10,
-        engine: str = "planned",
     ) -> None:
-        # engine="incremental" answers refinement actions from the previous
-        # ETable's relation (the `plan` command then shows the chosen delta
-        # kind and the session's delta-hit rate).
-        self.session = EtableSession(schema, graph, engine=engine)
+        self.session = EtableSession(schema, graph)
         self.mapping = mapping  # TranslationMap, enables the 'sql' command
         self.max_rows = max_rows
         self.done = False

@@ -21,7 +21,7 @@ from repro.tgm.conditions import (
 from repro.tgm.instance_graph import InstanceGraph, Node
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core import actions as user_actions
-from repro.core.engines import ENGINES, SERVICE_ENGINES
+from repro.core.engines import ENGINES
 from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
 from repro.core.query_pattern import QueryPattern
 from repro.core.transform import execute_pattern
@@ -65,7 +65,7 @@ class EtableSession:
             )
         check_row_limit(row_limit)
         if executor is not None:
-            if engine not in SERVICE_ENGINES:
+            if engine == "naive":
                 # The caching executor always plans; silently serving the
                 # planner to someone who asked for the naive oracle would
                 # mask exactly the discrepancies the oracle exists to find.
@@ -87,10 +87,10 @@ class EtableSession:
         self._sort: tuple[str, bool] | None = None
         # Reuse of intermediate results (Section 9, future work #2): a
         # planned session runs through a CachingExecutor, so reverts and
-        # repeated sub-queries skip matching and extensions execute only
-        # their delta joins. An explicit ``executor`` may be *shared
-        # between sessions* (the multi-user service hosts many sessions
-        # over one executor so one user's prefix work speeds up another's).
+        # repeated sub-queries skip execution. An explicit ``executor``
+        # may be *shared between sessions* (the multi-user service hosts
+        # many sessions over one executor so one user's work speeds up
+        # another's).
         #
         # ``engine="incremental"`` layers the per-session action-delta
         # engine over that executor: refinement actions are answered from
@@ -118,7 +118,8 @@ class EtableSession:
         :class:`~repro.core.planner.Plan` with per-step cost estimates.
         A planned session whose table has more than one node also prints
         the size of each node's semi-join reduction and the rows that
-        survive it, since that is what the table was built from.
+        survive it, since that is what the table was built from. An
+        incremental session joins deltas instead and prints its counters.
         """
         from repro.core.planner import build_plan
 
@@ -149,11 +150,6 @@ class EtableSession:
                 + ", ".join(f"{key} {size}" for key, size in sizes.items())
                 + f" ids; {sizes[pattern.primary_key]} rows survive"
             )
-        else:
-            lines.append(
-                "reuse: intermediates cached per subpattern; extensions "
-                "re-execute only their delta joins"
-            )
         stats = base.stats
         lines.append(
             f"cache: {stats.hits} hits / {stats.misses} misses "
@@ -162,6 +158,10 @@ class EtableSession:
             f"{stats.delta_joins} delta joins"
         )
         if incremental is not None:
+            lines.append(
+                "reuse: intermediates cached per subpattern; extensions "
+                "re-execute only their delta joins"
+            )
             istats = incremental.stats
             lines.append(
                 f"incremental: {istats.delta_actions} delta-answered, "

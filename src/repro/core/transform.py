@@ -35,7 +35,7 @@ from weakref import WeakKeyDictionary
 from repro.tgm.graph_relation import GraphRelation
 from repro.tgm.instance_graph import InstanceGraph, Node
 from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
-from repro.core.matching import match, match_planned
+from repro.core.matching import match
 from repro.core.query_pattern import QueryPattern
 
 
@@ -45,22 +45,25 @@ def execute_pattern(
     row_limit: int | None = None,
     engine: str = "planned",
 ) -> ETable:
-    """Run the full pipeline: instance matching, then format transformation.
+    """Build the ETable of ``pattern`` in one shot.
 
     ``row_limit`` truncates the *presented* rows (UI pagination); matching
     itself is always complete so reference counts stay exact.
 
-    ``engine`` selects the matcher: ``"planned"`` (default) runs the
-    cost-based planner, ``"naive"`` the reference BFS pipeline. Both
-    produce the same ETable; the reference stays available as the oracle.
+    ``engine="planned"`` (default) builds through a fresh
+    :class:`~repro.core.cache.CachingExecutor`, the path a session takes,
+    with caches that live for this one call. ``"naive"`` runs the
+    reference BFS matcher, then :func:`transform`; it stays the oracle.
     """
     if engine == "planned":
-        matched = match_planned(pattern, graph)
-    elif engine == "naive":
-        matched = match(pattern, graph)
-    else:
-        raise ValueError(f"unknown matching engine {engine!r}")
-    return transform(pattern, matched, graph, row_limit=row_limit)
+        # Imported here: repro.core.cache imports this module.
+        from repro.core.cache import CachingExecutor
+
+        return CachingExecutor(graph).execute(pattern, row_limit)
+    if engine == "naive":
+        return transform(pattern, match(pattern, graph), graph,
+                         row_limit=row_limit)
+    raise ValueError(f"unknown matching engine {engine!r}")
 
 
 def transform(

@@ -89,7 +89,6 @@ class FleetWorker:
             max_sessions=spec.get("max_sessions", 256),
             ttl_seconds=spec.get("ttl_seconds", 1800.0),
             journal_dir=spec["journal_dir"],
-            engine=spec.get("engine", "planned"),
             compact_every=spec.get("compact_every", 64),
             require_auth=spec.get("require_auth", False),
             quota_actions=spec.get("quota_actions"),

@@ -9,9 +9,9 @@ database*. The :class:`SessionManager` is that shape made concrete:
   serialized by its own lock (a browsing session is inherently sequential —
   one user, one action at a time);
 * all sessions share one immutable ``SchemaGraph``/``InstanceGraph`` and
-  one thread-safe :class:`~repro.core.cache.CachingExecutor`, so the prefix
-  work of one user becomes the cache hit of another — the PR 2
-  plan-and-reuse engine amortized across the whole user population;
+  one thread-safe :class:`~repro.core.cache.CachingExecutor`, so the work
+  of one user becomes the cache hit of another — the plan-and-reuse
+  engine amortized across the whole user population;
 * sessions are evicted by idle TTL and by LRU pressure, but eviction is
   cheap to undo: each session's durable action journal
   (:mod:`repro.service.journal`) lets the manager resurrect it on the next
@@ -44,7 +44,6 @@ from repro.errors import (
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.core.cache import CachingExecutor
-from repro.core.engines import SERVICE_ENGINES
 from repro.core.session import EtableSession, check_row_limit
 from repro.service import protocol
 from repro.service.journal import (
@@ -75,7 +74,11 @@ class ManagedSession:
 
 
 class SessionManager:
-    """Hosts many concurrent ETable sessions over one shared graph."""
+    """Hosts many concurrent ETable sessions over one shared graph.
+
+    Every hosted session runs the ``planned`` engine over the shared
+    executor: the service has no engine switch.
+    """
 
     def __init__(
         self,
@@ -87,17 +90,11 @@ class SessionManager:
         journal_dir: str | Path | None = None,
         executor: CachingExecutor | None = None,
         fsync_journal: bool = False,
-        engine: str = "planned",
         compact_every: int | None = 64,
         require_auth: bool = False,
         quota_actions: int | None = None,
         quota_window: float = 60.0,
     ) -> None:
-        if engine not in SERVICE_ENGINES:
-            raise ServiceError(
-                "the service executes through the caching planner; engine "
-                f"must be one of {SERVICE_ENGINES}, not {engine!r}"
-            )
         check_row_limit(row_limit)
         if compact_every is not None and compact_every < 1:
             raise ServiceError(
@@ -118,7 +115,6 @@ class SessionManager:
         self.ttl_seconds = ttl_seconds
         self.journal_dir = Path(journal_dir) if journal_dir else None
         self.fsync_journal = fsync_journal
-        self.engine = engine
         # Journal compaction policy (ROADMAP follow-up): checkpoint long
         # append-only journals every N mutating actions so replay cost
         # stays bounded even for sessions that never revert. None disables.
@@ -144,11 +140,8 @@ class SessionManager:
         # keepalives forever.
         self._lifecycle_observers: list[Callable[[str, str], None]] = []
         self.observer_errors = 0  # guarded-by: self._lock
-        # One executor for everyone: cross-session prefix reuse is the
-        # service's whole performance story. With engine="incremental" each
-        # hosted session additionally wraps this shared executor in its own
-        # per-session IncrementalExecutor (the lineage chain is private; the
-        # fallback planner and its caches are shared).
+        # One executor for everyone: cross-session reuse is the service's
+        # whole performance story.
         if executor is None:
             executor = CachingExecutor(graph)
         self.executor = executor
@@ -568,7 +561,6 @@ class SessionManager:
             "journal_compactions": compactions,
             "degraded": degraded,
             "degraded_sessions": degraded_live,
-            "engine": self.engine,
             "require_auth": self.require_auth,
             "quota_actions": self.quota_actions,
             "observer_errors": observer_errors,
@@ -583,7 +575,7 @@ class SessionManager:
         assert_locked(self._lock, "SessionManager._lock")
         session = EtableSession(
             self.schema, self.graph, row_limit=self.row_limit,
-            executor=self.executor, engine=self.engine,
+            executor=self.executor,
         )
         auth_token = uuid.uuid4().hex if self.require_auth else None
         journal = None

@@ -31,10 +31,9 @@ action                Figure 9 / Section 6.1 counterpart
 ``rank``              column ranking (Section 9, future work #3)
 ``revert``            component 4, the history panel's revert
 ``history``           component 4, the history panel itself
-``plan``              the execution plan (engine introspection; under
-                      ``engine="incremental"`` it includes the chosen
-                      action-delta kind — select / extend / reorder /
-                      replay — plus the session's delta-hit rate)
+``plan``              the execution plan and cache counters; a
+                      multi-node table adds the size of each node's
+                      semi-join reduction
 ``etable``/``export`` component 3, the enriched table (paginated)
 ====================  ==================================================
 

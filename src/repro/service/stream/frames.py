@@ -13,12 +13,9 @@ that already reflects action N yields that same state — which is what
 makes the subscribe-time snapshot race-free (a frame queued concurrently
 with the snapshot can be folded harmlessly).
 
-Frame building diffs the previous and new payloads row-by-row. The
-:class:`~repro.core.planner.RowIdentities` fast path (threaded up from
-``DeltaReport`` through ``IncrementalExecutor.last_report``) skips the
-per-row comparison for rows the delta engine *proved* unchanged
-(``cells_stable``); correctness never depends on it — a row that cannot
-be proven unchanged is simply compared.
+Frame building diffs the previous and new payloads row by row: a row
+goes into a delta frame when it is new or any of its serialized cells
+changed.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import json
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.core.planner import RowIdentities
 from repro.service.protocol import DeltaFrame, frame_to_json
 
 
@@ -51,7 +47,6 @@ class StreamStats:
         self.frames = 0
         self.snapshots = 0
         self.deltas = 0
-        self.identity_skips = 0
         self.coalesce_events = 0
         self.coalesce_snapshots = 0
 
@@ -60,7 +55,6 @@ class StreamStats:
             "frames": self.frames,
             "snapshots": self.snapshots,
             "deltas": self.deltas,
-            "identity_skips": self.identity_skips,
             "coalesce_events": self.coalesce_events,
             "coalesce_snapshots": self.coalesce_snapshots,
         }
@@ -71,7 +65,6 @@ def build_frame(
     prev: dict[str, Any] | None,
     new: dict[str, Any] | None,
     action: str | None = None,
-    identities: RowIdentities | None = None,
     coalesced: int = 1,
     stats: StreamStats | None = None,
 ) -> DeltaFrame:
@@ -95,22 +88,11 @@ def build_frame(
             stats.snapshots += 1
         return DeltaFrame(seq=seq, kind="snapshot", action=action,
                           coalesced=coalesced, etable=new)
-    stable: frozenset[int] = frozenset()
-    if identities is not None and identities.cells_stable:
-        stable = frozenset(identities.retained)
     prev_rows = {row["node_id"]: row for row in prev["rows"]}
     order = [row["node_id"] for row in new["rows"]]
     changed: list[dict[str, Any]] = []
     for row in new["rows"]:
-        old = prev_rows.get(row["node_id"])
-        if old is None:
-            changed.append(row)
-        elif row["node_id"] in stable:
-            # The delta engine proved this row's cells byte-identical; the
-            # dict comparison below would say the same, just slower.
-            if stats is not None:
-                stats.identity_skips += 1
-        elif old != row:
+        if prev_rows.get(row["node_id"]) != row:
             changed.append(row)
     present = set(order)
     removed = [nid for nid in prev_rows if nid not in present]
@@ -264,12 +246,10 @@ class FrameSource:
                           coalesced=0)
 
     def frame_for(self, payload: dict[str, Any] | None,
-                  action: str | None = None,
-                  identities: RowIdentities | None = None) -> DeltaFrame:
+                  action: str | None = None) -> DeltaFrame:
         """The frame for one just-applied action; advances the baseline."""
         self.seq += 1
         frame = build_frame(self.seq, self.last_payload, payload,
-                            action=action, identities=identities,
-                            stats=self.stats)
+                            action=action, stats=self.stats)
         self.last_payload = payload
         return frame

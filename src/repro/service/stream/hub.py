@@ -29,7 +29,6 @@ import threading
 from collections import deque
 from typing import Any
 
-from repro.core.planner import RowIdentities
 from repro.core.session import EtableSession
 from repro.service.manager import SessionManager
 from repro.service.protocol import DeltaFrame, etable_to_json
@@ -119,7 +118,6 @@ class StreamHub:
         self._sessions: dict[str, _SessionStream] = {}  # loop-thread only
         self._watch_lock = threading.Lock()
         self._watchers: dict[str, int] = {}  # guarded-by: self._watch_lock
-        self._seen_reports: dict[str, int] = {}  # guarded-by: self._watch_lock
         self._closed = False  # guarded-by: self._watch_lock
         manager.add_action_observer(self.on_action)
         manager.add_lifecycle_observer(self.on_session_end)
@@ -136,9 +134,8 @@ class StreamHub:
             etable_to_json(session.current)
             if session.current is not None else None
         )
-        identities = self._fresh_identities(session_id, session)
         self._loop.call_soon_threadsafe(
-            self._publish, session_id, action, payload, identities
+            self._publish, session_id, action, payload
         )
 
     def on_session_end(self, session_id: str, event: str) -> None:
@@ -156,34 +153,15 @@ class StreamHub:
             self._publish_closed, session_id, event
         )
 
-    def _fresh_identities(
-        self, session_id: str, session: EtableSession
-    ) -> RowIdentities | None:
-        """Row identities from the incremental engine, only when *this*
-        action produced them (a presentation action leaves the previous
-        report in place — detected by object identity, so a stale report
-        is never trusted)."""
-        executor = getattr(session, "_executor", None)
-        report = getattr(executor, "last_report", None)
-        if report is None or report.identities is None:
-            return None
-        with self._watch_lock:
-            if self._seen_reports.get(session_id) == id(report):
-                return None
-            self._seen_reports[session_id] = id(report)
-        return report.identities
-
     # ------------------------------------------------------------------
     # Loop side
     # ------------------------------------------------------------------
     def _publish(self, session_id: str, action: str,
-                 payload: dict[str, Any] | None,
-                 identities: RowIdentities | None) -> None:
+                 payload: dict[str, Any] | None) -> None:
         state = self._sessions.get(session_id)
         if state is None:
             return  # last subscriber left while the callback was in flight
-        frame = state.source.frame_for(payload, action=action,
-                                       identities=identities)
+        frame = state.source.frame_for(payload, action=action)
         for subscriber in list(state.subscribers):
             subscriber.push(frame, payload, self.stats)
 
@@ -271,7 +249,6 @@ class StreamHub:
         with self._watch_lock:
             self._closed = True
             self._watchers.clear()
-            self._seen_reports.clear()
         for state in self._sessions.values():
             for subscriber in state.subscribers:
                 subscriber.closed = True
@@ -286,4 +263,3 @@ class StreamHub:
                 self._watchers[session_id] = count
             else:
                 self._watchers.pop(session_id, None)
-                self._seen_reports.pop(session_id, None)

@@ -254,8 +254,13 @@ class TestEngineSelection:
     def test_explain_plan_matches_execution_mode(self, toy):
         planned = EtableSession(toy.schema, toy.graph)
         planned.open("Conferences")
-        text = planned.explain_plan()
-        assert "reuse: intermediates cached per subpattern" in text
+        # A one-node table comes from a cached scan: no delta joins ran.
+        assert planned.explain_plan() == (
+            "Execution plan (selectivity-ordered):\n"
+            "  1. scan Conferences: full Conferences scan (est 2.0 rows)\n"
+            "cache: 0 hits / 1 misses (0%), 0 prefix hits reusing 0 "
+            "joined nodes, 0 delta joins"
+        )
         # A multi-node table is walked from its semi-join reduction, not
         # from joined prefixes: every toy conference and paper survives.
         planned.pivot("Conferences->Papers")
@@ -264,6 +269,16 @@ class TestEngineSelection:
         assert "reduction: semi-joins along the plan keep Conferences 2, " \
             "Papers 7 ids; 7 rows survive" in text
         assert "cache:" in text
+
+        # Only the incremental engine joins prefixes and deltas.
+        incremental = EtableSession(toy.schema, toy.graph,
+                                    engine="incremental")
+        incremental.open("Conferences")
+        incremental.pivot("Conferences->Papers")
+        text = incremental.explain_plan()
+        assert "reuse: intermediates cached per subpattern; extensions " \
+            "re-execute only their delta joins" in text
+        assert "reduction:" not in text
 
         naive = EtableSession(toy.schema, toy.graph, engine="naive")
         naive.open("Conferences")

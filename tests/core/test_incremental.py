@@ -3,14 +3,14 @@
 Covers the per-session :class:`~repro.core.cache.IncrementalExecutor`
 (delta answering, lineage replays, cost/classification fallbacks, stats),
 the :class:`~repro.core.cache.ResultLineage` store, the mutation-version
-invalidation regression the ISSUE calls out, and the session/service
-surfaces of ``engine="incremental"``. Bit-for-bit equivalence against the
-other engines at scale lives in tests/integration/test_session_fuzz.py.
+invalidation regression, and the session surface of
+``engine="incremental"``, alone and over a shared executor. Bit-for-bit
+equivalence against the other engines at scale lives in
+tests/integration/test_session_fuzz.py.
 """
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 from repro.core.cache import (
     CachingExecutor,
@@ -77,27 +77,14 @@ class TestIncrementalExecutor:
         assert base.match(filtered) is relation
         assert base.stats.hits == hits_before + 1
 
-    def test_base_executor_aggregates_across_sessions(self, toy):
-        base = CachingExecutor(toy.graph)
-        one = IncrementalExecutor(base)
-        other = IncrementalExecutor(base)
-        pattern = initiate(toy.schema, "Papers")
-        filtered = select(pattern, AttributeLike("title", "%a%"))
-        for executor in (one, other):
-            executor.match(pattern)
-            executor.match(filtered)
-        payload = base.stats_payload()["incremental"]
-        assert payload["delta_actions"] == 2  # one select delta per session
-        assert payload["replans"] == 2
-        assert payload["rows_touched"] > 0
-
     def test_stats_payload_has_session_and_lineage_sections(self, toy):
         executor = _executor(toy)
         executor.match(initiate(toy.schema, "Papers"))
         payload = executor.stats_payload()
         assert payload["incremental_session"]["replans"] == 1
         assert payload["lineage"]["entries"] == 1
-        assert 0.0 <= payload["incremental"]["delta_hit_rate"] <= 1.0
+        assert payload["incremental_session"]["delta_hit_rate"] == 0.0
+        assert "incremental" not in payload
 
     def test_invalidate_drops_the_session_chain(self, toy):
         executor = _executor(toy)
@@ -263,58 +250,19 @@ class TestSessionSurface:
 
 
 class TestServiceSurface:
-    def _tgdb(self):
-        from repro.datasets.academic import default_label_overrides
-        from repro.datasets.toy import generate_toy
-        from repro.translate import translate_database
+    """Incremental sessions over one shared executor, the way the service
+    shares one between the sessions it hosts."""
 
-        return translate_database(
-            generate_toy(),
-            categorical_attributes={"Institutions": ["country"],
-                                    "Papers": ["year"]},
-            label_overrides=default_label_overrides(),
+    def test_incremental_sessions_isolate_lineage_but_share_cache(self, toy):
+        shared = CachingExecutor(toy.graph)
+        a, b = (
+            EtableSession(toy.schema, toy.graph, engine="incremental",
+                          executor=shared)
+            for _ in range(2)
         )
-
-    def test_manager_hosts_incremental_sessions(self):
-        from repro.service.manager import SessionManager
-
-        tgdb = self._tgdb()
-        manager = SessionManager(tgdb.schema, tgdb.graph,
-                                 engine="incremental")
-        session_id = manager.create_session()
-        manager.apply(session_id, "open", {"type": "Papers"})
-        manager.apply(session_id, "filter", {"condition": {
-            "kind": "compare", "attribute": "year", "op": ">",
-            "value": 2005}})
-        plan = manager.apply(session_id, "plan", {})
-        assert "incremental:" in plan["text"]
-        stats = manager.stats()
-        assert stats["engine"] == "incremental"
-        assert stats["cache"]["incremental"]["delta_actions"] >= 1
-
-    def test_manager_rejects_unknown_engine(self):
-        from repro.service.manager import SessionManager
-
-        tgdb = self._tgdb()
-        # The deleted engines are unknown names now, rejected with the same
-        # typed error as any other.
-        for engine in ("warp", "parallel", "pushdown"):
-            with pytest.raises(ServiceError):
-                SessionManager(tgdb.schema, tgdb.graph, engine=engine)
-
-    def test_incremental_sessions_isolate_lineage_but_share_cache(self):
-        from repro.service.manager import SessionManager
-
-        tgdb = self._tgdb()
-        manager = SessionManager(tgdb.schema, tgdb.graph,
-                                 engine="incremental")
-        a = manager.create_session()
-        b = manager.create_session()
-        for session_id in (a, b):
-            manager.apply(session_id, "open", {"type": "Papers"})
-        managed_a = manager._sessions[a].session
-        managed_b = manager._sessions[b].session
-        assert managed_a._executor is not managed_b._executor
-        assert managed_a._executor.base is managed_b._executor.base
+        for session in (a, b):
+            session.open("Papers")
+        assert a._executor is not b._executor
+        assert a._executor.base is b._executor.base is shared
         # The second session's identical open was a shared-cache hit.
-        assert managed_b._executor.base.stats.hits >= 1
+        assert shared.stats.hits >= 1

@@ -26,7 +26,7 @@ from repro.tgm.graph_relation import GraphAttribute, GraphRelation
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import EdgeTypeCategory, NodeType, SchemaGraph
 from repro.core.cache import CachingExecutor
-from repro.core.matching import match, match_planned
+from repro.core.matching import match
 from repro.core.operators import add, initiate, select, shift
 from repro.core.planner import (
     DeltaPlanner,
@@ -43,7 +43,7 @@ from repro.core.planner import (
     restore_reference_order,
     subpattern_key,
 )
-from repro.core.transform import transform
+from repro.core.transform import execute_pattern, transform
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +411,7 @@ class TestExecution:
         pattern = add(pattern, toy.schema, "Papers->Authors")
         pattern = shift(pattern, "Authors")
         reference = match(pattern, toy.graph)
-        planned = match_planned(pattern, toy.graph)
+        planned = CachingExecutor(toy.graph).match(pattern)
         assert planned.keys == reference.keys
         assert planned.tuples == reference.tuples
 
@@ -448,6 +448,18 @@ def _one_way_edge_case(toy):
     return graph, pattern
 
 
+def _one_way_edge_selective_target_case(toy):
+    """T* -[T=>U]-> U[NodeIs beta]: U is the cheaper start, but the edge
+    has no reverse twin, so U reaches no T and the plan starts at T."""
+    graph = _mixed_graph()
+    pattern = add(initiate(graph.schema, "T"), graph.schema, "T=>U")
+    pattern = shift(select(pattern, NodeIs(_nth(graph, "U", 1))), "T")
+    plan = build_plan(pattern, graph)
+    assert plan.node_estimates["U"] < plan.node_estimates["T"]
+    assert plan.steps[0].key == "T"
+    return graph, pattern
+
+
 def _empty_branch_case(toy):
     """A star around Papers whose Conferences branch matches nothing."""
     schema = toy.schema
@@ -478,6 +490,7 @@ def _see_all_pivot_case(toy):
 _REDUCED_CASES = {
     "parallel-edge": _parallel_edge_case,
     "one-way-edge": _one_way_edge_case,
+    "one-way-edge-selective-target": _one_way_edge_selective_target_case,
     "empty-branch": _empty_branch_case,
     "see-all": _see_all_case,
     "see-all-pivot": _see_all_pivot_case,
@@ -492,10 +505,12 @@ class TestReducedRows:
         expected = transform(pattern, match(pattern, graph), graph,
                              row_limit=row_limit)
         executor = CachingExecutor(graph)
-        actual = executor.execute(pattern, row_limit)
-        assert actual.columns == expected.columns
-        assert actual.hidden_columns == expected.hidden_columns
-        assert actual.rows == expected.rows
+        # A session's cached path and the one-shot path build the table.
+        for actual in (executor.execute(pattern, row_limit),
+                       execute_pattern(pattern, graph, row_limit)):
+            assert actual.columns == expected.columns
+            assert actual.hidden_columns == expected.hidden_columns
+            assert actual.rows == expected.rows
         assert len(executor.prefixes) == 0  # no join was materialized
         if case == "empty-branch":
             assert not expected.rows and expected.hidden_columns
@@ -829,7 +844,7 @@ class TestDeltaExecution:
     def _assert_delta_equals_oracle(self, toy, previous, pattern):
         delta = classify_delta(previous, pattern, toy.graph)
         assert delta is not None
-        prev_relation = match_planned(previous, toy.graph)
+        prev_relation = CachingExecutor(toy.graph).match(previous)
         relation, report = execute_delta(
             delta, prev_relation, pattern, toy.graph
         )
@@ -888,7 +903,7 @@ class TestDeltaPlanner:
         previous = select(initiate(toy.schema, "Papers"),
                           AttributeLike("title", "%a%"))
         pattern = select(previous, AttributeLike("title", "%e%"))
-        prev_rows = len(match_planned(previous, toy.graph))
+        prev_rows = len(CachingExecutor(toy.graph).match(previous))
         delta, reason = planner.plan(previous, prev_rows, pattern)
         assert delta is not None and reason is None
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import InvalidAction
-from repro.core.engines import ENGINES
 from repro.core.repl import Repl, build_condition, parse_command, parse_value
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 
@@ -239,8 +238,10 @@ class TestCommands:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_every_engine_opens_a_table(self, toy, engine):
-        repl = Repl(toy.schema, toy.graph, engine=engine)
+    def test_runs_the_planned_engine(self, toy):
+        # The REPL takes no engine; the session fuzzer drives the others.
+        repl = Repl(toy.schema, toy.graph)
+        assert repl.session.engine == "planned"
         assert "error:" not in repl.execute_line("open Papers")
         assert len(repl.session.current) == 7
+        assert "cache: 0 hits / 1 misses" in repl.execute_line("plan")

@@ -73,7 +73,6 @@ def chaos_fleet():
         {
             "factory": f"{os.path.abspath(__file__)}:build_chaos_tgdb",
             "journal_dir": journal_dir,
-            "engine": "planned",
             "faults": WORKER_FAULTS,
             "faults_seed": CHAOS_SEED,
         },

@@ -4,11 +4,12 @@ The reference pipeline (:func:`repro.core.matching.match`) is the oracle.
 For randomly generated patterns over the academic, movies, and toy datasets
 this suite asserts that
 
-* ``match_planned`` returns the *same graph relation*: same attributes in
-  the same order, same tuples in the same order (so downstream ETables are
-  identical, including first-appearance row order and cell order);
-* ``CachingExecutor`` (prefix-level reuse) returns the same relation both
-  cold and warm, and across incremental pattern extensions;
+* ``CachingExecutor.match`` (the planner's join, re-sorted into the
+  reference order) returns the *same graph relation*: same attributes in
+  the same order, same tuples in the same order (so downstream ETables
+  are identical, including first-appearance row order and cell order),
+  from a fresh executor, cold and warm from a shared one, and across
+  incremental pattern extensions (prefix-level reuse);
 * the resulting ETables are equal column-for-column and cell-for-cell.
 
 Patterns are built by seeded random walks over each schema graph with
@@ -29,7 +30,7 @@ from repro.tgm.conditions import (
     NodeIs,
 )
 from repro.core.cache import CachingExecutor
-from repro.core.matching import match, match_planned
+from repro.core.matching import match
 from repro.core.query_pattern import PatternEdge, PatternNode, single_node_pattern
 from repro.core.session import EtableSession
 from repro.core.transform import execute_pattern
@@ -159,7 +160,7 @@ def test_randomized_planner_equivalence(dataset):
     for iteration in range(PATTERNS_PER_DATASET):
         pattern = _random_pattern(rng, dataset)
         reference = match(pattern, dataset.graph)
-        planned = match_planned(pattern, dataset.graph)
+        planned = CachingExecutor(dataset.graph).match(pattern)
         _assert_same_relation(planned, reference)
         cold = executor.match(pattern)
         _assert_same_relation(cold, reference)

@@ -40,11 +40,16 @@ does. After every action the harness asserts
    history, and every streaming delta frame;
 3. the histories stay in lockstep;
 4. two *streaming clients* stay in lockstep with the tables: one folds
-   every delta frame (built with the incremental engine's row-identity
-   fast path and shipped through the wire round-trip), one is a forced
-   slow consumer that only receives coalesced backlog frames every few
-   actions — both folded states must equal the full ETable payload
-   cell-for-cell after every delivery.
+   every delta frame (diffed from the payloads, as the hub builds it, and
+   shipped through the wire round-trip), one is a forced slow consumer
+   that only receives coalesced backlog frames every few actions — both
+   folded states must equal the full ETable payload cell-for-cell after
+   every delivery.
+
+The harness also sums, over every sequence, the actions each incremental
+session answered from its previous relation: a classifier that always
+fell back to replanning would pass lockstep trivially, so the run fails
+unless the delta path was taken.
 
 Failures print the dataset and window, the master seed, the per-sequence
 seed, and the full action script as JSON — paste it into
@@ -169,7 +174,6 @@ def _start_fleet(dataset, row_limit):
             "factory": f"{os.path.abspath(__file__)}:"
                        f"{_BUILDERS[dataset].__name__}",
             "journal_dir": journal_dir,
-            "engine": "planned",
             "row_limit": row_limit,
         },
         workers=2,
@@ -419,32 +423,19 @@ class _StreamClients:
     """The fuzz harness's two lockstep SSE consumers for one sequence.
 
     ``check`` is called after every action with the canonical payload; it
-    simulates the server building a frame (with the incremental engine's
-    row identities, subject to the hub's stale-report rule), ships it
-    through the wire round-trip, folds it, and compares. The slow consumer
-    receives only a coalesced backlog frame every ``stride`` actions —
-    exactly what a backpressured subscriber queue delivers.
+    simulates the server building a frame, ships it through the wire
+    round-trip, folds it, and compares. The slow consumer receives only a
+    coalesced backlog frame every ``stride`` actions — exactly what a
+    backpressured subscriber queue delivers.
     """
 
-    def __init__(self, rng, stats, incremental_session):
+    def __init__(self, rng, stats):
         self.source = FrameSource(stats)
         self.stats = stats
-        self.incremental = incremental_session
         self.folded = None
-        self.seen_report = None
         self.slow_state = None
         self.pending = 0
         self.stride = rng.randint(2, 4)
-
-    def _identities(self):
-        executor = getattr(self.incremental, "_executor", None)
-        report = getattr(executor, "last_report", None)
-        if report is None or report.identities is None:
-            return None
-        if id(report) == self.seen_report:
-            return None  # presentation action left a stale report behind
-        self.seen_report = id(report)
-        return report.identities
 
     def _round_trip(self, frame, context):
         wire = protocol.frame_to_json(frame)
@@ -457,9 +448,7 @@ class _StreamClients:
     def check(self, action, payload, context):
         """Returns an error message, or None if both clients converged."""
         frame = self._round_trip(
-            self.source.frame_for(payload, action=action,
-                                  identities=self._identities()),
-            context,
+            self.source.frame_for(payload, action=action), context
         )
         self.folded = fold_frame(self.folded, frame)
         if self.folded != payload:
@@ -487,7 +476,7 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router,
     sessions = {engine: make(tgdb, executor, row_limit)
                 for engine, make in _IN_PROCESS.items()}
     driver = sessions["naive"]
-    streams = _StreamClients(rng, stream_stats, sessions["incremental"])
+    streams = _StreamClients(rng, stream_stats)
     script: list = []
     for step in range(rng.randint(2, MAX_ACTIONS)):
         action, params = _next_action(graph, driver, rng)
@@ -543,7 +532,7 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router,
             f"{dataset} seed {seed} step {step}: history not a fixpoint"
         )
     routed.close()
-    return len(script)
+    return len(script), sessions["incremental"]._executor.stats.delta_actions
 
 
 def test_every_engine_has_a_participant():
@@ -569,30 +558,27 @@ def _fuzz(dataset, tgdb, executor, fleet, row_limit):
     master = random.Random(MASTER_SEED)
     sequence_seeds = [master.randrange(2**31) for _ in range(SEQUENCES)]
     total_actions = 0
+    delta_actions = 0
     stream_stats = StreamStats()
     for seed in sequence_seeds:
-        total_actions += _run_sequence(dataset, tgdb, executor, seed,
-                                       stream_stats, fleet, row_limit)
+        actions, deltas = _run_sequence(dataset, tgdb, executor, seed,
+                                        stream_stats, fleet, row_limit)
+        total_actions += actions
+        delta_actions += deltas
     assert total_actions >= SEQUENCES * 2, "sequences were unexpectedly short"
     # The streaming lockstep clients must have exercised every frame shape:
-    # structural snapshots, row-level deltas, identity-proven skipped rows
-    # (the DeltaReport fast path), and coalesced backlog deliveries — a
-    # corpus that never hit one of these proved nothing about it.
+    # structural snapshots, row-level deltas, and coalesced backlog
+    # deliveries — a corpus that never hit one of these proved nothing
+    # about it.
     assert stream_stats.snapshots > 0, "no snapshot frame was ever streamed"
     assert stream_stats.deltas > 0, "no delta frame was ever streamed"
-    assert stream_stats.identity_skips > 0, (
-        "the row-identity fast path never proved a row stable"
-    )
     assert stream_stats.coalesce_events > 0, (
         "the slow consumer never received a coalesced frame"
     )
-    # The incremental session must have really answered actions from the
-    # previous relation (aggregated on the shared base executor) — a
-    # classifier that always falls back would pass lockstep trivially.
-    incremental = executor.stats_payload()["incremental"]
-    assert incremental["delta_actions"] > 0, (
-        "no fuzz action ever took the delta path"
-    )
+    # The incremental sessions must have really answered actions from the
+    # previous relation — a classifier that always falls back would pass
+    # lockstep trivially.
+    assert delta_actions > 0, "no fuzz action ever took the delta path"
     # The routed transport must have really pushed actions through the
     # fleet's worker processes (not short-circuited in the router).
     fleet_stats = fleet.stats()

@@ -72,7 +72,6 @@ def _fleet(journal_dir, workers=2, **spec_overrides):
     spec = {
         "factory": _FACTORY,
         "journal_dir": str(journal_dir),
-        "engine": "planned",
     }
     spec.update(spec_overrides)
     router = FleetRouter(spec, workers=workers)

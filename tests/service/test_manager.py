@@ -437,18 +437,12 @@ class TestCloseAuth:
 
 
 class TestEngineSelection:
-    """The service engine is validated up front."""
-
-    def test_unknown_engine_rejected(self, toy):
-        from repro.errors import ServiceError
-
-        with pytest.raises(ServiceError):
-            _manager(toy, engine="naive")
+    """The service runs the one engine it has, ``planned``."""
 
     def test_stats_payload_is_json_serializable_when_cold(self, toy):
         import json
 
-        manager = _manager(toy, engine="incremental")
+        manager = _manager(toy)
         json.dumps(manager.stats())  # cold caches, no division by zero
 
 

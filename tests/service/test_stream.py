@@ -31,7 +31,6 @@ from repro.service.stream import (
     FrameSource,
     StreamHub,
     StreamStats,
-    build_frame,
     coalesce_frame,
     fold_frame,
     payload_bytes,
@@ -61,20 +60,17 @@ def _payload(session):
 
 
 def _walk(toy, engine="planned"):
-    """Yield (action, payload, identities) along the scripted walk."""
+    """Yield (action, payload) along the scripted walk."""
     session = EtableSession(toy.schema, toy.graph, engine=engine)
     for action, params in SCRIPT:
         apply_action(session, action, params)
-        executor = getattr(session, "_executor", None)
-        report = getattr(executor, "last_report", None)
-        identities = report.identities if report is not None else None
-        yield action, _payload(session), identities
+        yield action, _payload(session)
 
 
 class TestFrameRoundTrip:
     def test_frames_from_real_walk_round_trip(self, toy):
         source = FrameSource()
-        for action, payload, _ in _walk(toy):
+        for action, payload in _walk(toy):
             frame = source.frame_for(payload, action=action)
             wire = frame_to_json(frame)
             rebuilt = frame_from_json(wire)
@@ -150,20 +146,17 @@ class TestFolding:
         stats = StreamStats()
         source = FrameSource(stats)
         state = None
-        for action, payload, identities in _walk(toy, engine=engine):
-            frame = source.frame_for(payload, action=action,
-                                     identities=identities)
+        for action, payload in _walk(toy, engine=engine):
+            frame = source.frame_for(payload, action=action)
             # Fold the *wire form* so serialization is part of the loop.
             state = fold_frame(state, frame_from_json(frame_to_json(frame)))
             assert state == payload, f"diverged after {action}"
         assert stats.deltas > 0 and stats.snapshots > 0
-        if engine == "incremental":
-            assert stats.identity_skips > 0
 
     def test_fold_is_idempotent(self, toy):
         source = FrameSource()
         state = None
-        for action, payload, _ in _walk(toy):
+        for action, payload in _walk(toy):
             frame = source.frame_for(payload, action=action)
             state = fold_frame(state, frame)
             assert fold_frame(state, frame) == state
@@ -176,7 +169,7 @@ class TestFolding:
 
     def test_order_referencing_unknown_row_rejected(self, toy):
         walk = iter(_walk(toy))
-        _, payload, _ = next(walk)
+        _, payload = next(walk)
         bad = DeltaFrame(seq=2, kind="delta", pattern=payload["pattern"],
                          order=(999999,), rows=(), total_rows=1)
         with pytest.raises(ProtocolError):
@@ -185,7 +178,7 @@ class TestFolding:
 
 class TestCoalescing:
     def test_coalesced_frame_jumps_straight_to_latest(self, toy):
-        payloads = [payload for _, payload, _ in _walk(toy)]
+        payloads = [payload for _, payload in _walk(toy)]
         # The client saw only the first state; everything after is backlog.
         base = payloads[0]
         stats = StreamStats()
@@ -197,7 +190,7 @@ class TestCoalescing:
         assert stats.coalesce_events == 1
 
     def test_coalesce_falls_back_to_snapshot_when_delta_is_larger(self, toy):
-        payloads = [payload for _, payload, _ in _walk(toy)]
+        payloads = [payload for _, payload in _walk(toy)]
         # open -> seeall after pivot+revert: nearly every row differs, so
         # the merged delta cannot undercut the snapshot.
         stats = StreamStats()
@@ -209,19 +202,6 @@ class TestCoalescing:
         assert payload_bytes(frame_to_json(merged)) <= snapshot_bytes
         if merged.kind == "snapshot":
             assert stats.coalesce_snapshots == 1
-
-    def test_identity_fast_path_skips_proven_rows(self, toy):
-        # filter on the primary key with the incremental engine: retained
-        # rows are proven cell-stable, so build_frame never compares them.
-        walk = list(_walk(toy, engine="incremental"))
-        (_, opened, _), (_, filtered, identities) = walk[0], walk[1]
-        assert identities is not None and identities.cells_stable
-        stats = StreamStats()
-        frame = build_frame(2, opened, filtered, action="filter",
-                            identities=identities, stats=stats)
-        assert frame.kind == "delta"
-        assert stats.identity_skips == len(identities.retained)
-        assert fold_frame(opened, frame) == filtered
 
 
 def _run(coro):
