@@ -217,7 +217,7 @@ def _measure_idle_capacity(tgdb, results):
         sample_sock.settimeout(30)
         manager.apply(sample, "sort", {"column": "year"})
         buf = b""
-        while b'"kind":"delta"' not in buf and b'"kind": "delta"' not in buf:
+        while b'"kind":"delta"' not in buf:  # frames are compact JSON
             chunk = sample_sock.recv(65536)
             assert chunk, "sampled SSE stream closed unexpectedly"
             buf += chunk

@@ -8,7 +8,9 @@ workers and reports aggregate mutating-actions/second.
 
 Every configuration's final ETable payloads must be identical to the
 1-worker fleet's — placement moves sessions between processes, never
-changes what they compute.
+changes what they compute. Each client reads its final page as the HTTP
+frontend does: the router relays the worker's reply bytes, and the
+client decodes them.
 
 The ``>= REPRO_FLEET_MIN_SPEEDUP`` (default 1.5x at 4 workers) floor is
 *enforced only when the host actually has >= 4 usable cores*: worker
@@ -27,6 +29,7 @@ import threading
 import time
 
 from repro.bench import banner, format_table, report, save_result
+from repro.service import protocol
 from repro.service.fleet import FleetRouter
 
 PAPERS = int(os.environ.get("REPRO_FLEET_BENCH_PAPERS", "1200"))
@@ -79,7 +82,9 @@ def _drive_round(router, tag):
             session_id = router.create_session(f"bench-{tag}-{client}")
             for action, params in SCRIPT:
                 router.apply(session_id, action, params)
-            tables[client] = router.apply(session_id, "etable", {})
+            relayed = router.handle_request(protocol.Request(
+                action="etable", params={}, session_id=session_id))
+            tables[client] = protocol.decode(relayed.encode())["result"]
             router.close_session(session_id, drop_journal=True)
         except Exception as error:  # noqa: BLE001 - re-raised after join
             errors.append(error)

@@ -412,10 +412,13 @@ class CachingExecutor:
         match of ``pattern``) into the whole-pattern cache.
 
         This is how the incremental engine feeds its delta-derived relations
-        back to the shared executor: one session's delta becomes every other
-        session's whole-pattern hit. Thread-safe; the caller vouches for
-        exactness (the session fuzzer replays shared-executor sessions in
-        lockstep, so a wrong adoption diverges immediately).
+        back to the shared executor. An adopted relation is read back by
+        :meth:`match` only: for a later one-node table, and for another
+        incremental session's replan. Every multi-node table comes from
+        :meth:`reduce`, under a key this never writes. Thread-safe; the
+        caller vouches for exactness (the session fuzzer replays
+        shared-executor sessions in lockstep, so a wrong adoption diverges
+        in its own session at once).
         """
         with self._lock:
             self._store.put(key or pattern_cache_key(pattern), relation)

@@ -35,7 +35,6 @@ Commands (one per line)::
 
 from __future__ import annotations
 
-import json
 import shlex
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -287,9 +286,12 @@ class Repl:
     def _cmd_export(self, args: tuple[str, ...]) -> str:
         """Dump the current ETable (optionally plus history) as JSON.
 
-        The payload comes from the wire protocol's ETable serializer, so a
-        CLI export is byte-compatible with what the HTTP service returns.
+        The payload comes from the wire protocol's ETable serializer and
+        its one encoder, so a CLI export is byte for byte the ``result``
+        the HTTP service returns for the whole table.
         """
+        from repro.service import protocol as wire
+
         self._require_table()
         include_history = False
         if args:
@@ -299,7 +301,7 @@ class Repl:
         result = self._dispatch(
             "export", {"include_history": include_history}
         )
-        return json.dumps(result, indent=2, default=str)
+        return wire.encode(result).decode("utf-8")
 
     def _cmd_plan(self, args: tuple[str, ...]) -> str:
         self._require_table()

@@ -47,12 +47,17 @@ The SSE wire format, one frame per accepted mutating action::
 
     id: <seq>
     event: frame
-    data: {"version": 1, "seq": 3, "kind": "delta", ...}
+    data: {"version":2,"seq":3,"kind":"delta",...}
 
 with ``: ping`` comment lines while idle. Frame payloads are the
 versioned :func:`repro.service.protocol.frame_to_json` messages; folding
 them with :func:`repro.service.stream.fold_frame` reproduces the full
 ``GET .../etable`` payload cell for cell (the fuzzer proves it).
+
+Every body and frame is encoded by :func:`repro.service.protocol.encode`.
+The frontend writes whatever bytes :meth:`Response.encode
+<repro.service.protocol.Response.encode>` returns, so in front of a fleet
+a worker's reply reaches the client as the worker encoded it.
 """
 
 from __future__ import annotations
@@ -429,7 +434,7 @@ class AsyncNavigationServer:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        response: protocol.Response,
                        keep_alive: bool) -> None:
-        body = json.dumps(response.to_json(), default=str).encode("utf-8")
+        body = response.encode()
         reason = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
                   404: "Not Found", 429: "Too Many Requests",
                   503: "Service Unavailable"}.get(status, "")
@@ -486,13 +491,10 @@ class AsyncNavigationServer:
                         await writer.drain()
                     continue
                 frame, _after = popped
-                data = json.dumps(
-                    protocol.frame_to_json(frame),
-                    separators=(",", ":"), default=str,
-                )
+                data = protocol.encode(protocol.frame_to_json(frame))
                 writer.write(
-                    f"id: {frame.seq}\nevent: frame\n"
-                    f"data: {data}\n\n".encode("utf-8")
+                    f"id: {frame.seq}\nevent: frame\ndata: ".encode("ascii")
+                    + data + b"\n\n"
                 )
                 # drain() is the backpressure boundary: while it blocks on
                 # a slow consumer, pushes pile into the bounded queue and

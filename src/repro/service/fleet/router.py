@@ -30,6 +30,15 @@ lifecycle event:
   journal directory, and each session comes back on its ring owner at
   its first request.
 
+Replies to user requests pass through the router undecoded. A worker
+frames each reply as a header line (``ok``, ``error_type``, the body's
+length) followed by the encoded envelope; the router reads exactly that
+body and hands it to the frontend as a relayed
+:class:`~repro.service.protocol.Response`, whose bytes the frontend
+writes unchanged. The router decodes a body only where it reads the
+result itself: control ops and the ``apply``, ``create_session`` and
+``close_session`` conveniences.
+
 SSE streaming is *not* proxied across the process boundary yet: the
 stream hub needs a live in-process session. A fleet therefore serves the
 request/response surface only; the ROADMAP names the cross-process
@@ -39,7 +48,6 @@ request/response surface only; the ROADMAP names the cross-process
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import socket
 import threading
@@ -47,7 +55,7 @@ import time
 import uuid
 from typing import Any, Callable
 
-from repro.errors import ServiceError, WorkerFailure
+from repro.errors import ProtocolError, ServiceError, WorkerFailure
 from repro.service import faults, protocol
 from repro.service.fleet.hashring import HashRing
 from repro.service.fleet.worker import fleet_worker_main
@@ -76,12 +84,20 @@ class _WorkerHandle:
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    # -- pooled newline-JSON round trip --------------------------------
-    def call(self, payload: dict[str, Any], timeout: float) -> dict[str, Any]:
-        """One request/reply round trip; transport trouble of any shape
-        (connect refusal, timeout, torn reply, undecodable reply, or an
-        injected fault) surfaces as a typed :class:`WorkerFailure` so
-        callers never match on broad ``OSError`` tuples."""
+    # -- pooled round trip: a request line out, a framed reply back ----
+    def call(self, payload: dict[str, Any],
+             timeout: float) -> protocol.Response:
+        """One request/reply round trip, the reply left undecoded.
+
+        The worker frames each reply as a header line (``ok``,
+        ``error_type``, the body's ``length``) and then the body; this
+        reads exactly that many bytes and returns a relayed
+        :class:`~repro.service.protocol.Response` holding them. Transport
+        trouble of any shape (connect refusal, timeout, a bad header, a
+        short body, a closed connection, or an injected fault) surfaces
+        as a typed :class:`WorkerFailure` so callers never match on broad
+        ``OSError`` tuples, and the socket is closed, never pooled.
+        """
         try:
             sock = self._acquire(timeout)
         except OSError as error:
@@ -90,24 +106,25 @@ class _WorkerHandle:
             ) from error
         try:
             faults.fire("router.send")
-            sock.sendall(
-                json.dumps(payload, default=str).encode("utf-8") + b"\n"
-            )
-            line = b""
-            while not line.endswith(b"\n"):
-                # The recv fault fires *after* the send: the worker may
-                # already have applied the action — exactly the
-                # at-least-once window the dedup cache closes.
-                faults.fire("router.recv")
-                chunk = sock.recv(1 << 20)
-                if not chunk:
-                    raise WorkerFailure(
-                        f"worker {self.name!r} closed the connection "
-                        f"mid-reply"
-                    )
-                line += chunk
+            sock.sendall(protocol.encode(payload) + b"\n")
+            buffer = b""
+            while b"\n" not in buffer:
+                buffer += self._recv(sock, 1 << 20)
+            line, _, body = buffer.partition(b"\n")
+            ok, error_type, length = self._header(line)
+            chunks = [body]
+            received = len(body)
+            while received < length:
+                chunk = self._recv(sock, min(length - received, 1 << 20))
+                chunks.append(chunk)
+                received += len(chunk)
+            if received > length:
+                raise WorkerFailure(
+                    f"worker {self.name!r} sent {received} bytes for a "
+                    f"{length}-byte reply"
+                )
         except BaseException as error:
-            # Never pool a socket with an unread reply in flight.
+            # Never pool a socket with unread reply bytes in flight.
             try:
                 sock.close()
             except OSError:
@@ -120,12 +137,42 @@ class _WorkerHandle:
                 ) from error
             raise
         self._release(sock)
-        try:
-            return json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        return protocol.Response(ok=ok, error_type=error_type,
+                                 wire=b"".join(chunks))
+
+    def _recv(self, sock: socket.socket, size: int) -> bytes:
+        # The recv fault fires *after* the send, before every read of the
+        # header or the body: the worker may already have applied the
+        # action — exactly the at-least-once window the dedup cache closes.
+        faults.fire("router.recv")
+        chunk = sock.recv(size)
+        if not chunk:
             raise WorkerFailure(
-                f"worker {self.name!r} sent an undecodable reply: {error}"
+                f"worker {self.name!r} closed the connection mid-reply"
+            )
+        return chunk
+
+    def _header(self, line: bytes) -> tuple[bool, str | None, int]:
+        """(ok, error_type, body length) from a reply header line."""
+        try:
+            header = protocol.decode(line)
+        except ProtocolError as error:
+            raise WorkerFailure(
+                f"worker {self.name!r} sent an undecodable reply header: "
+                f"{error}"
             ) from error
+        if isinstance(header, dict):
+            ok = header.get("ok")
+            error_type = header.get("error_type")
+            length = header.get("length")
+            if (isinstance(ok, bool)
+                    and (error_type is None or isinstance(error_type, str))
+                    and isinstance(length, int)
+                    and not isinstance(length, bool) and length >= 0):
+                return ok, error_type, length
+        raise WorkerFailure(
+            f"worker {self.name!r} sent a malformed reply header: {line!r}"
+        )
 
     def _acquire(self, timeout: float) -> socket.socket:
         with self._pool_lock:
@@ -326,8 +373,7 @@ class FleetRouter:
         while True:
             remaining = deadline - time.monotonic()
             try:
-                payload = handle.call(control.to_json(),
-                                      max(0.05, remaining))
+                reply = handle.call(control.to_json(), max(0.05, remaining))
                 break
             except WorkerFailure:
                 attempt += 1
@@ -338,7 +384,7 @@ class FleetRouter:
                 with self._lock:
                     self.retries += 1
                 time.sleep(min(policy.delay(attempt), remaining))
-        response = protocol.Response.from_json(payload)
+        response = _decoded(reply)
         if not response.ok:
             raise protocol.exception_from_response(response)
         return response.result or {}
@@ -347,6 +393,10 @@ class FleetRouter:
     # Routed user traffic (the SessionManager-shaped surface)
     # ------------------------------------------------------------------
     def handle_request(self, request: protocol.Request) -> protocol.Response:
+        """Answer one request the way ``SessionManager.handle_request``
+        does. A reply routed to a worker comes back relayed: ``ok`` and
+        ``error_type`` are set, ``encode()`` returns the worker's bytes,
+        and ``decoded()`` reads the rest."""
         try:
             if request.action == "create_session":
                 # Mint the id router-side: placement needs the id *before*
@@ -437,8 +487,7 @@ class FleetRouter:
                     f"{breaker.reset_timeout:g}s)"
                 )
             try:
-                payload = handle.call(request.to_json(),
-                                      max(0.05, remaining))
+                reply = handle.call(request.to_json(), max(0.05, remaining))
             except WorkerFailure:
                 if breaker.record_failure():
                     with self._lock:
@@ -457,7 +506,7 @@ class FleetRouter:
                 time.sleep(min(policy.delay(attempt), remaining))
                 continue
             breaker.record_success()
-            return protocol.Response.from_json(payload)
+            return reply
 
     def _remove_dead(self, name: str) -> None:
         with self._lock:
@@ -517,8 +566,7 @@ class FleetRouter:
         last_error: Exception | None = None
         for handle in handles:
             try:
-                payload = handle.call(request.to_json(), _REQUEST_TIMEOUT_S)
-                return protocol.Response.from_json(payload)
+                return handle.call(request.to_json(), _REQUEST_TIMEOUT_S)
             except WorkerFailure as error:
                 last_error = error
         raise WorkerFailure(f"no worker answered: {last_error}")
@@ -529,19 +577,19 @@ class FleetRouter:
     def apply(self, session_id: str, action: str,
               params: dict[str, Any] | None = None,
               auth_token: str | None = None) -> dict[str, Any]:
-        response = self._route(session_id, protocol.Request(
+        response = _decoded(self._route(session_id, protocol.Request(
             action=action, params=params or {}, session_id=session_id,
             auth_token=auth_token,
-        ))
+        )))
         if not response.ok:
             raise protocol.exception_from_response(response)
         return response.result or {}
 
     def create_session(self, session_id: str | None = None) -> str:
         params = {"session_id": session_id} if session_id else {}
-        response = self.handle_request(
+        response = _decoded(self.handle_request(
             protocol.Request(action="create_session", params=params)
-        )
+        ))
         if not response.ok:
             raise protocol.exception_from_response(response)
         return response.result["session_id"]
@@ -556,7 +604,7 @@ class FleetRouter:
             auth_token=auth_token,
         ))
         if not response.ok:
-            raise protocol.exception_from_response(response)
+            raise protocol.exception_from_response(_decoded(response))
 
     def add_action_observer(self, observer: Callable[..., Any]) -> None:
         """Accepted for SessionManager duck-typing; fleet workers live in
@@ -631,3 +679,15 @@ class FleetRouter:
             if handle.process.is_alive():  # pragma: no cover - stuck worker
                 handle.process.kill()
                 handle.process.join(timeout=10.0)
+
+
+def _decoded(response: protocol.Response) -> protocol.Response:
+    """A relayed reply with its body decoded, for a caller that reads the
+    result or the error itself. A body that is not an envelope is a
+    :class:`WorkerFailure`, as a torn reply is."""
+    try:
+        return response.decoded()
+    except ProtocolError as error:
+        raise WorkerFailure(
+            f"worker sent an undecodable reply: {error}"
+        ) from error

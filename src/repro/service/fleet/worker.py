@@ -4,14 +4,21 @@ Each worker is a full single-process service — the shared graph, its own
 :class:`~repro.core.cache.CachingExecutor` (and therefore its own
 ``CompiledPlanCache``), a :class:`~repro.service.manager.SessionManager`
 over the *fleet-shared* journal directory — listening on an ephemeral
-loopback port for newline-delimited JSON. Two envelope kinds ride the
-same socket, discriminated by the ``"control"`` key:
+loopback port. Requests arrive as newline-terminated JSON lines. Two
+envelope kinds ride the same socket, discriminated by the ``"control"``
+key:
 
 * :class:`~repro.service.protocol.Request` — user traffic, answered by
   ``manager.handle_request`` exactly as the HTTP frontend would;
 * :class:`~repro.service.protocol.WorkerControl` — router control plane
   (ping, stats, rebalance, drain, shutdown), answered with the same
   :class:`~repro.service.protocol.Response` envelope.
+
+Each reply is encoded once, by :func:`reply_bytes`: a one-line JSON
+header ``{"ok", "error_type", "length"}``, then exactly ``length`` bytes
+of the encoded :class:`~repro.service.protocol.Response`. The router
+reads the header, then the body by its length, and hands the body of a
+user request on to the HTTP client without decoding it.
 
 The worker never knows the whole fleet: rebalance hands it the member
 list and it keeps only the sessions the ring maps to itself, releasing
@@ -141,11 +148,7 @@ class FleetWorker:
                 line = stream.readline()
                 if not line:
                     return
-                response = self._serve_line(line)
-                stream.write(
-                    json.dumps(response.to_json(), default=str).encode("utf-8")
-                    + b"\n"
-                )
+                stream.write(reply_bytes(self._serve_line(line)))
                 stream.flush()
         except (OSError, ValueError):
             # Router went away mid-line; its retry logic owns this — but
@@ -250,6 +253,15 @@ class FleetWorker:
             if ring.owner(session_id) != self.name
         ]
         return self.manager.release_sessions(strays)
+
+
+def reply_bytes(response: protocol.Response) -> bytes:
+    """One framed reply: the header line, then the encoded envelope."""
+    body = response.encode()
+    header = protocol.encode({"ok": response.ok,
+                              "error_type": response.error_type,
+                              "length": len(body)})
+    return header + b"\n" + body
 
 
 def _dedup_key(payload: Any) -> str | None:

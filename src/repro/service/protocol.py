@@ -7,10 +7,10 @@ explicit and transport-independent:
 
 * :class:`Request` / :class:`Response` — versioned envelope dataclasses;
 * serializers for every domain object that crosses the wire — conditions,
-  query patterns, entity references, history entries, and paginated
-  ETables — each with an exact inverse (``*_from_json``), so the journal,
-  the HTTP frontend, and the REPL's ``export`` command share one
-  serialization path;
+  query patterns, history entries, and paginated ETables with their
+  entity references — each with an exact inverse (``*_from_json``), so
+  the journal, the HTTP frontend, and the REPL's ``export`` command share
+  one serialization path;
 * :func:`apply_action` — the single dispatch point mapping wire-level
   action names onto :class:`~repro.core.session.EtableSession` methods.
 
@@ -39,10 +39,28 @@ action                Figure 9 / Section 6.1 counterpart
 
 All payloads are plain JSON types, so any HTTP client — or a file on disk,
 which is exactly what the action journal is — can speak the protocol.
+Every wire message, replies and stream frames alike, is encoded once by
+:func:`encode` (compact separators, ``default=str``, UTF-8); the journal
+keeps its own record encoder.
+
+Version 2 ships an ETable page positionally. ``columns`` states each
+column once, its referenced entity ``type`` included, and a row is::
+
+    [node_id, [base values in base-column order], [cell, ...]]
+
+with one cell per reference column, in ``columns`` order, hidden columns
+included. A cell is ``[count, id_1, label_1, ..., id_k, label_k]``:
+``max_refs`` caps ``k``, while ``count`` stays exact, as the badge of
+Figure 1 needs. A reference's type is its column's ``type``. A node that
+lacks a declared attribute serializes it as ``null``; no shipped dataset
+(toy, movies, academic) has such a node. A flat cell is one list, not a
+container per reference, so building a page allocates a few objects per
+cell instead of one per reference.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -65,7 +83,22 @@ from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityR
 from repro.core.query_pattern import PatternEdge, PatternNode, QueryPattern
 from repro.core.session import EtableSession, HistoryEntry
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+
+def encode(obj: Any) -> bytes:
+    """One wire message as bytes: compact JSON, UTF-8, and ``str`` for
+    any value JSON has no type for. Every wire call site encodes here."""
+    return json.dumps(obj, separators=(",", ":"), default=str).encode("utf-8")
+
+
+def decode(data: bytes) -> Any:
+    """The inverse of :func:`encode`; bytes that are not UTF-8 JSON raise
+    :class:`ProtocolError`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"message is not JSON: {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +201,12 @@ class Response:
     the raising :class:`~repro.errors.ReproError` subclass, e.g.
     ``unknown_session``, ``invalid_action``) so transports can map them —
     the HTTP frontend turns ``unknown_session`` into a 404.
+
+    ``wire`` holds the encoded envelope of a *relayed* reply: the fleet
+    router hands a worker's reply bytes on without decoding them, so only
+    ``ok`` and ``error_type`` (from the reply's header) are set besides
+    it. :meth:`encode` returns those bytes as they are; a caller that
+    reads the result asks for :meth:`decoded`.
     """
 
     ok: bool
@@ -177,8 +216,24 @@ class Response:
     session_id: str | None = None
     request_id: str | None = None
     version: int = PROTOCOL_VERSION
+    wire: bytes | None = field(default=None, repr=False, compare=False)
+
+    def encode(self) -> bytes:
+        """The envelope's wire bytes, encoded at most once."""
+        if self.wire is not None:
+            return self.wire
+        return encode(self.to_json())
+
+    def decoded(self) -> "Response":
+        """This envelope with every field readable: a relayed reply
+        decoded from its bytes, any other envelope as it is."""
+        if self.wire is None:
+            return self
+        return Response.from_json(decode(self.wire))
 
     def to_json(self) -> dict[str, Any]:
+        if self.wire is not None:
+            return decode(self.wire)
         payload: dict[str, Any] = {"version": self.version, "ok": self.ok}
         if self.ok:
             payload["result"] = self.result
@@ -212,6 +267,7 @@ class Response:
             session_id=_optional_str(payload, "session_id"),
             request_id=_optional_str(payload, "request_id"),
             version=version,
+            wire=None,  # a decoded envelope keeps no bytes
         )
 
     @classmethod
@@ -391,35 +447,87 @@ def condition_to_json(condition: Condition) -> dict[str, Any]:
     )
 
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _string(payload: dict[str, Any], name: str, kind: str) -> str:
+    value = payload[name]
+    if not isinstance(value, str):
+        raise ProtocolError(
+            f"condition of kind {kind!r} needs a string {name!r}, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _list(payload: dict[str, Any], name: str, kind: str) -> list:
+    value = payload[name]
+    if not isinstance(value, list):
+        raise ProtocolError(
+            f"condition of kind {kind!r} needs a list {name!r}, got {value!r}"
+        )
+    return value
+
+
+def _scalar(value: Any, kind: str) -> Any:
+    if not isinstance(value, _JSON_SCALARS):
+        raise ProtocolError(
+            f"condition of kind {kind!r} takes JSON scalar values only, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _node_id(value: Any, kind: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProtocolError(
+            f"condition of kind {kind!r} needs integer node ids, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def condition_from_json(payload: dict[str, Any]) -> Condition:
+    """The inverse of :func:`condition_to_json`. Any payload it cannot
+    turn into a condition, a field of the wrong type included, raises
+    :class:`ProtocolError`."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ProtocolError("a condition payload needs a 'kind' field")
     kind = payload["kind"]
     try:
         if kind == "compare":
-            return AttributeCompare(payload["attribute"], payload["op"],
+            return AttributeCompare(_string(payload, "attribute", kind),
+                                    _string(payload, "op", kind),
                                     payload["value"])
         if kind == "like":
-            return AttributeLike(payload["attribute"], payload["pattern"],
+            return AttributeLike(_string(payload, "attribute", kind),
+                                 _string(payload, "pattern", kind),
                                  negate=bool(payload.get("negate", False)))
         if kind == "in":
-            return AttributeIn(payload["attribute"], tuple(payload["values"]))
+            return AttributeIn(
+                _string(payload, "attribute", kind),
+                tuple(_scalar(value, kind)
+                      for value in _list(payload, "values", kind)),
+            )
         if kind == "node_is":
-            return NodeIs(int(payload["node_id"]),
+            return NodeIs(_node_id(payload["node_id"], kind),
                           label=payload.get("label", ""))
         if kind == "node_in":
-            return NodeIn(int(i) for i in payload["node_ids"])
+            return NodeIn(_node_id(node_id, kind)
+                          for node_id in _list(payload, "node_ids", kind))
         if kind == "label_like":
-            return LabelLike(payload["pattern"])
+            return LabelLike(_string(payload, "pattern", kind))
         if kind == "neighbor":
-            return NeighborSatisfies(payload["edge_type"],
+            return NeighborSatisfies(_string(payload, "edge_type", kind),
                                      condition_from_json(payload["inner"]))
         if kind == "and":
             return AndCondition(tuple(
-                condition_from_json(c) for c in payload["operands"]))
+                condition_from_json(c)
+                for c in _list(payload, "operands", kind)))
         if kind == "or":
             return OrCondition(tuple(
-                condition_from_json(c) for c in payload["operands"]))
+                condition_from_json(c)
+                for c in _list(payload, "operands", kind)))
         if kind == "not":
             return NotCondition(condition_from_json(payload["operand"]))
     except KeyError as error:
@@ -430,7 +538,7 @@ def condition_from_json(payload: dict[str, Any]) -> Condition:
 
 
 # ----------------------------------------------------------------------
-# Pattern / history / entity-ref serialization
+# Pattern / history serialization
 # ----------------------------------------------------------------------
 def pattern_to_json(pattern: QueryPattern) -> dict[str, Any]:
     return {
@@ -472,15 +580,6 @@ def pattern_from_json(payload: dict[str, Any]) -> QueryPattern:
                             edges=edges)
     except (KeyError, TypeError) as error:
         raise ProtocolError(f"malformed pattern payload: {error}") from None
-
-
-def entity_ref_to_json(ref: EntityRef) -> dict[str, Any]:
-    return {"node_id": ref.node_id, "type": ref.type_name, "label": ref.label}
-
-
-def entity_ref_from_json(payload: dict[str, Any]) -> EntityRef:
-    return EntityRef(node_id=payload["node_id"], type_name=payload["type"],
-                     label=payload["label"])
 
 
 def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:
@@ -525,31 +624,32 @@ def etable_to_json(
 
     ``offset``/``limit`` slice the presented rows (the paper's interface
     paginates; matching is always complete). ``max_refs`` truncates each
-    reference cell's *list* while keeping its exact ``count`` — the
-    reference-count badge of Figure 1 stays truthful even when a cell is
-    abbreviated on the wire.
+    reference cell while keeping its exact count — the reference-count
+    badge of Figure 1 stays truthful even when a cell is abbreviated on
+    the wire. Rows take the positional version-2 form of the module
+    docstring.
     """
     try:
         rows = etable.page_rows(offset, limit)
     except InvalidAction as error:
         raise ProtocolError(str(error)) from None
+    columns = etable.columns
+    base_keys = [c.key for c in columns if c.kind is ColumnKind.BASE]
+    ref_keys = [c.key for c in columns if c.kind is not ColumnKind.BASE]
     out_rows = []
     for row in rows:
-        cells: dict[str, Any] = {}
-        for column in etable.columns:
-            if column.kind is ColumnKind.BASE:
-                continue
-            refs = row.refs(column.key)
-            shown = refs if max_refs is None else refs[:max_refs]
-            cells[column.key] = {
-                "count": len(refs),
-                "refs": [entity_ref_to_json(ref) for ref in shown],
-            }
-        out_rows.append({
-            "node_id": row.node_id,
-            "attributes": dict(row.attributes),
-            "cells": cells,
-        })
+        attributes = row.attributes
+        cells = []
+        for key in ref_keys:
+            refs = row.refs(key)
+            cell: list[Any] = [len(refs)]
+            for ref in refs if max_refs is None else refs[:max_refs]:
+                cell.append(ref.node_id)
+                cell.append(ref.label)
+            cells.append(cell)
+        out_rows.append([
+            row.node_id, [attributes.get(key) for key in base_keys], cells,
+        ])
     return {
         "version": PROTOCOL_VERSION,
         "primary_type": etable.primary_type,
@@ -562,7 +662,7 @@ def etable_to_json(
                 "type": column.type_name,
                 "hidden": column.key in etable.hidden_columns,
             }
-            for column in etable.columns
+            for column in columns
         ],
         "total_rows": len(etable),
         "offset": offset,
@@ -580,6 +680,7 @@ def etable_from_json(payload: dict[str, Any], graph: InstanceGraph) -> ETable:
 
     Only the serialized rows are restored; a paginated payload yields a
     partial table (``total_rows`` tells the client what it is missing).
+    Each reference gets its column's type.
     """
     pattern = pattern_from_json(payload["pattern"])
     columns = [
@@ -591,16 +692,22 @@ def etable_from_json(payload: dict[str, Any], graph: InstanceGraph) -> ETable:
         )
         for column in payload["columns"]
     ]
+    base_keys = [c.key for c in columns if c.kind is ColumnKind.BASE]
+    ref_columns = [c for c in columns if c.kind is not ColumnKind.BASE]
     rows = [
         ETableRow(
-            node_id=row["node_id"],
-            attributes=dict(row["attributes"]),
+            node_id=node_id,
+            attributes=dict(zip(base_keys, values)),
             cells={
-                key: [entity_ref_from_json(ref) for ref in cell["refs"]]
-                for key, cell in row["cells"].items()
+                column.key: [
+                    EntityRef(node_id=ref_id, type_name=column.type_name,
+                              label=label)
+                    for ref_id, label in zip(cell[1::2], cell[2::2])
+                ]
+                for column, cell in zip(ref_columns, cells)
             },
         )
-        for row in payload["rows"]
+        for node_id, values, cells in payload["rows"]
     ]
     etable = ETable(pattern, columns, rows, graph)
     etable.hidden_columns = {
@@ -617,7 +724,7 @@ def etable_from_json(payload: dict[str, Any], graph: InstanceGraph) -> ETable:
 # frame is versioned independently of the request envelope so the stream
 # wire format can evolve without breaking request/response clients.
 
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 FRAME_KINDS = ("snapshot", "delta", "closed")
 
@@ -634,7 +741,7 @@ class DeltaFrame:
 
     ``kind="delta"`` carries only what changed: ``removed`` lists dropped
     row node ids, ``rows`` the full serialization of added *and* changed
-    rows, ``order`` the complete new display order (node ids — tiny, and it
+    rows (in the row form of :func:`etable_to_json`), ``order`` the complete new display order (node ids — tiny, and it
     makes reordering actions like sort free to encode), ``pattern`` the new
     query pattern, and ``columns`` the column specs when a hidden-flag
     toggled. ``pattern``/``columns``/``order`` use ``None`` to mean
@@ -663,7 +770,7 @@ class DeltaFrame:
     pattern: dict[str, Any] | None = None
     columns: tuple[dict[str, Any], ...] | None = None
     removed: tuple[int, ...] = ()
-    rows: tuple[dict[str, Any], ...] = ()
+    rows: tuple[list[Any], ...] = ()
     order: tuple[int, ...] | None = ()
     total_rows: int = 0
     version: int = STREAM_VERSION
@@ -716,6 +823,13 @@ def _frame_ids(payload: dict[str, Any], name: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _is_row(row: Any) -> bool:
+    """Whether ``row`` has the version-2 row shape folding relies on: a
+    three-item list led by an integer node id."""
+    return (isinstance(row, list) and len(row) == 3
+            and isinstance(row[0], int) and not isinstance(row[0], bool))
+
+
 def frame_from_json(payload: dict[str, Any]) -> DeltaFrame:
     """Parse and validate a stream frame, rejecting unknown versions and
     malformed envelopes with a typed :class:`ProtocolError`."""
@@ -741,7 +855,7 @@ def frame_from_json(payload: dict[str, Any]) -> DeltaFrame:
     pattern = None
     columns: tuple[dict[str, Any], ...] | None = None
     removed: tuple[int, ...] = ()
-    rows: tuple[dict[str, Any], ...] = ()
+    rows: tuple[list[Any], ...] = ()
     order: tuple[int, ...] = ()
     total_rows = 0
     if kind == "snapshot":
@@ -762,9 +876,12 @@ def frame_from_json(payload: dict[str, Any]) -> DeltaFrame:
             )
         raw_rows = payload.get("rows", [])
         if not isinstance(raw_rows, list) or any(
-            not isinstance(r, dict) for r in raw_rows
+            not _is_row(r) for r in raw_rows
         ):
-            raise ProtocolError("delta frame 'rows' must be a list of objects")
+            raise ProtocolError(
+                "delta frame 'rows' must be a list of "
+                "[node_id, values, cells] rows"
+            )
         columns = tuple(raw_columns) if raw_columns is not None else None
         removed = _frame_ids(payload, "removed")
         rows = tuple(raw_rows)

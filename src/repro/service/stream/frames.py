@@ -15,21 +15,22 @@ with the snapshot can be folded harmlessly).
 
 Frame building diffs the previous and new payloads row by row: a row
 goes into a delta frame when it is new or any of its serialized cells
-changed.
+changed. Rows are the positional version-2 lists of
+:func:`~repro.service.protocol.etable_to_json`, keyed by their first
+item, the node id.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.service.protocol import DeltaFrame, frame_to_json
+from repro.service.protocol import DeltaFrame, encode, frame_to_json
 
 
 def payload_bytes(obj: Any) -> int:
-    """Wire size of a JSON value, compact encoding (what SSE would ship)."""
-    return len(json.dumps(obj, separators=(",", ":"), default=str))
+    """Wire size of a JSON value, as :func:`encode` ships it over SSE."""
+    return len(encode(obj))
 
 
 def _column_shape(payload: dict[str, Any]) -> list[tuple]:
@@ -88,11 +89,11 @@ def build_frame(
             stats.snapshots += 1
         return DeltaFrame(seq=seq, kind="snapshot", action=action,
                           coalesced=coalesced, etable=new)
-    prev_rows = {row["node_id"]: row for row in prev["rows"]}
-    order = [row["node_id"] for row in new["rows"]]
-    changed: list[dict[str, Any]] = []
+    prev_rows = {row[0]: row for row in prev["rows"]}
+    order = [row[0] for row in new["rows"]]
+    changed: list[list[Any]] = []
     for row in new["rows"]:
-        if prev_rows.get(row["node_id"]) != row:
+        if prev_rows.get(row[0]) != row:
             changed.append(row)
     present = set(order)
     removed = [nid for nid in prev_rows if nid not in present]
@@ -102,7 +103,7 @@ def build_frame(
     # Unchanged pattern / display order are encoded as None and dropped
     # from the wire form; fold_frame falls back to the client's state.
     pattern = new["pattern"] if prev["pattern"] != new["pattern"] else None
-    same_order = order == [row["node_id"] for row in prev["rows"]]
+    same_order = order == [row[0] for row in prev["rows"]]
     if stats is not None:
         stats.deltas += 1
     return DeltaFrame(
@@ -161,7 +162,7 @@ def fold_frame(
 
     The result is shaped exactly like :func:`etable_to_json` with no
     pagination, so a lockstep client can compare it ``==`` against a fresh
-    ``GET .../etable``. Row dicts are shared with the frame (clients must
+    ``GET .../etable``. Row lists are shared with the frame (clients must
     treat folded state as read-only).
     """
     if frame.kind == "snapshot":
@@ -172,18 +173,18 @@ def fold_frame(
         return state
     if state is None:
         raise ProtocolError("delta frame received before any snapshot")
-    rows_by_id = {row["node_id"]: row for row in state["rows"]}
+    rows_by_id = {row[0]: row for row in state["rows"]}
     for node_id in frame.removed:
         rows_by_id.pop(node_id, None)
     for row in frame.rows:
-        rows_by_id[row["node_id"]] = row
+        rows_by_id[row[0]] = row
     if frame.order is None:
         # Order unchanged: keep the state's display order (removals have
         # already been applied to rows_by_id, so just skip the gaps).
         rows = [
-            rows_by_id[row["node_id"]]
+            rows_by_id[row[0]]
             for row in state["rows"]
-            if row["node_id"] in rows_by_id
+            if row[0] in rows_by_id
         ]
     else:
         try:

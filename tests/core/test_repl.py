@@ -192,8 +192,12 @@ class TestCommands:
         assert payload["etable"]["primary_type"] == "Papers"
         assert payload["etable"]["total_rows"] == 6
         assert "history" not in payload
-        # Identical to serializing the session's table directly.
+        # Identical to serializing the session's table directly, and
+        # encoded byte for byte as the service encodes a reply's result.
         assert payload["etable"] == protocol.etable_to_json(repl.session.current)
+        assert repl.execute_line("export") == protocol.encode(
+            {"etable": protocol.etable_to_json(repl.session.current)}
+        ).decode("utf-8")
 
     def test_export_history(self, repl):
         import json

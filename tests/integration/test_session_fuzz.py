@@ -20,13 +20,17 @@ step-in-lockstep through four participants:
                     actions driven through a live two-worker
                     :class:`~repro.service.fleet.FleetRouter` (consistent
                     hashing, local sockets, journal-handoff migration),
-                    compared against the oracle modulo one JSON wire
-                    round trip.
+                    whose replies the router relays undecoded and the
+                    harness decodes as an HTTP client would, compared
+                    against the oracle modulo one JSON wire round trip.
 
 The incremental session also *adopts* its delta-derived relations into
-the shared executor's whole-pattern cache, so a wrong delta would poison
-the planned sessions of later sequences — the lockstep comparison is
-sensitive to that immediately.
+the shared executor's whole-pattern cache. A wrong delta diverges in its
+own session's lockstep comparison at once. It reaches later sequences
+only through two readers of that cache: one-node planned tables, and the
+replans of other incremental sessions. Every multi-node planned table is
+built from the cached semi-join reduction (``CachingExecutor.reduce``),
+under a key ``adopt_result`` never writes.
 
 Every participant presents the whole table in one run and, in a second,
 the same small row window (``WINDOW`` rows, fewer than the toy corpus's
@@ -34,7 +38,9 @@ seven papers), which cuts most tables the way the service's 50-row window
 does. After every action the harness asserts
 
 1. the ETables are identical cell-for-cell (full protocol
-   serialization, hidden columns and reference lists included);
+   serialization, hidden columns and reference lists included), and
+   every reference's type is its column's type — the wire form states a
+   reference's type only once, in its column;
 2. the wire protocol is a fixpoint: ``serialize -> deserialize ->
    serialize`` reproduces the exact payload, for the ETable, the session
    history, and every streaming delta frame;
@@ -372,7 +378,17 @@ class _RoutedSession:
         self.session_id = router.create_session()
 
     def apply(self, action, params):
-        return self.router.apply(self.session_id, action, params)
+        """One action through the router's relay path: the bytes the
+        frontend would write, decoded as an HTTP client decodes them."""
+        relayed = self.router.handle_request(protocol.Request(
+            action=action, params=params, session_id=self.session_id,
+        ))
+        response = protocol.Response.from_json(
+            protocol.decode(relayed.encode())
+        )
+        if not response.ok:
+            raise protocol.exception_from_response(response)
+        return response.result
 
     def etable_payload(self):
         from repro.errors import EtableError
@@ -387,6 +403,18 @@ class _RoutedSession:
 
     def close(self):
         self.router.close_session(self.session_id, drop_journal=True)
+
+
+def _ref_type_error(etable):
+    """A reference whose type differs from its column's, or None."""
+    for column in _reference_columns(etable):
+        for row in etable.rows:
+            for ref in row.refs(column.key):
+                if ref.type_name != column.type_name:
+                    return (f"reference {ref.node_id} in column "
+                            f"{column.key!r} has type {ref.type_name!r}, "
+                            f"its column {column.type_name!r}")
+    return None
 
 
 def _assert_fixpoint(payload, graph, context):
@@ -505,6 +533,11 @@ def _run_sequence(dataset, tgdb, executor, seed, stream_stats, router,
         }
         if any(payloads[engine] != payloads["naive"] for engine in payloads):
             _fail(dataset, seed, script, step, "ETables diverged")
+        for engine in ENGINES:
+            if sessions[engine].current is not None:
+                error = _ref_type_error(sessions[engine].current)
+                if error is not None:
+                    _fail(dataset, seed, script, step, f"{engine}: {error}")
         if routed.etable_payload() != _wire(payloads["naive"]):
             _fail(dataset, seed, script, step, "routed ETable diverged")
         histories = {

@@ -189,6 +189,39 @@ class TestRouteParity:
             sock.close()
 
 
+    def test_malformed_condition_is_a_typed_400_on_a_live_connection(
+            self, server):
+        """A condition field of the wrong type is answered with a typed
+        400, and the keep-alive connection serves the next request."""
+        import http.client
+
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            def call(method, path, body=None):
+                connection.request(
+                    method, path,
+                    body=json.dumps(body).encode() if body is not None
+                    else None,
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            sid = call("POST", "/v1/sessions", {})[1]["result"]["session_id"]
+            assert call("POST", f"/v1/sessions/{sid}/actions",
+                        {"action": "open", "params": {"type": "Papers"}}
+                        )[0] == 200
+            status, body = call(
+                "POST", f"/v1/sessions/{sid}/actions",
+                {"action": "filter", "params": {"condition": {
+                    "kind": "in", "attribute": "year", "values": 5}}})
+            assert status == 400 and body["error_type"] == "protocol_error"
+            status, body = call("GET", f"/v1/sessions/{sid}/history")
+            assert status == 200 and len(body["result"]["lines"]) == 1
+        finally:
+            connection.close()
+
+
 class TestStreaming:
     def test_stream_folds_to_etable_after_each_action(self, server):
         sid = _call(server, "/v1/sessions", "POST", {})[1]["result"]["session_id"]

@@ -27,9 +27,11 @@ from repro.datasets.academic import (
     generate_academic,
 )
 from repro.datasets.toy import generate_toy
-from repro.errors import AuthError, QuotaExceeded, ServiceError
-from repro.service import protocol
+from repro.errors import AuthError, QuotaExceeded, ServiceError, WorkerFailure
+from repro.service import AsyncNavigationServer, faults, protocol
 from repro.service.fleet import FleetRouter, FleetWorker, HashRing
+from repro.service.fleet.router import _WorkerHandle
+from repro.service.fleet.worker import reply_bytes
 from repro.service.journal import JOURNAL_SUFFIX
 from repro.translate import translate_database
 
@@ -83,7 +85,8 @@ def _fleet(journal_dir, workers=2, **spec_overrides):
 
 def _create(router):
     """A new session's id and bearer token, as a client receives them."""
-    response = router.handle_request(protocol.Request(action="create_session"))
+    response = router.handle_request(
+        protocol.Request(action="create_session")).decoded()
     assert response.ok, response
     return response.result["session_id"], response.result.get("auth_token")
 
@@ -399,3 +402,155 @@ class TestFleetSurface:
     def test_fleet_requires_a_journal_dir(self):
         with pytest.raises(ServiceError, match="journal_dir"):
             FleetRouter({"factory": _FACTORY, "journal_dir": ""}, workers=1)
+
+
+class _StubWorkerSocket:
+    """A pooled worker connection that replays scripted reply bytes.
+
+    ``recv`` hands out ``chunks`` in order (never more than asked for),
+    then ``b""`` as a closed peer does; ``on_read`` runs after each read.
+    """
+
+    def __init__(self, chunks, on_read=None):
+        self.chunks = list(chunks)
+        self.on_read = on_read
+        self.sent = b""
+        self.reads = 0
+        self.closed = False
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, size):
+        self.reads += 1
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        if len(chunk) > size:
+            chunk, rest = chunk[:size], chunk[size:]
+            self.chunks.insert(0, rest)
+        if self.on_read is not None:
+            self.on_read()
+        return chunk
+
+    def close(self):
+        self.closed = True
+
+
+def _stub_handle(sock):
+    """A router-side worker handle whose pool holds only ``sock``."""
+    handle = _WorkerHandle("stub", {}, process=None, port=0)
+    handle._release(sock)
+    return handle
+
+
+def _header(length, ok=True, error_type=None):
+    return protocol.encode({"ok": ok, "error_type": error_type,
+                            "length": length}) + b"\n"
+
+
+class TestReplyFraming:
+    """Worker replies are a header line and then exactly ``length`` bytes
+    of envelope; the router reads them without decoding the envelope."""
+
+    def test_framed_reply_is_relayed_undecoded_and_pooled(self):
+        framed = reply_bytes(protocol.Response.success({"rows": [[1, [], []]]}))
+        body = framed.partition(b"\n")[2]
+        sock = _StubWorkerSocket([framed[:len(framed) - 5], framed[-5:]])
+        handle = _stub_handle(sock)
+        reply = handle.call({"action": "etable"}, timeout=1.0)
+        assert reply.ok and reply.error_type is None
+        assert reply.encode() == body
+        assert reply.decoded().result == {"rows": [[1, [], []]]}
+        assert sock.sent == b'{"action":"etable"}\n'
+        assert handle._pool == [sock] and not sock.closed
+
+    def test_failure_header_carries_the_error_type(self):
+        failure = protocol.Response.failure(ServiceError("no"))
+        sock = _StubWorkerSocket([reply_bytes(failure)])
+        reply = _stub_handle(sock).call({"action": "etable"}, timeout=1.0)
+        assert not reply.ok and reply.error_type == "service_error"
+        assert reply.decoded() == failure
+
+    @pytest.mark.parametrize("chunks", [
+        [_header(100) + b"x" * 10],          # short body, then a close
+        [b"not json\n{}"],                   # undecodable header
+        [b'{"ok":true,"error_type":null}\n{}'],       # no length
+        [b'{"ok":"yes","error_type":null,"length":2}\n{}'],
+        [_header(2) + b"{}extra"],           # more than the header promised
+        [_header(2)[:-1]],                   # torn header, then a close
+    ])
+    def test_bad_reply_is_a_worker_failure_and_never_pooled(self, chunks):
+        sock = _StubWorkerSocket(chunks)
+        handle = _stub_handle(sock)
+        with pytest.raises(WorkerFailure):
+            handle.call({"action": "etable"}, timeout=1.0)
+        assert sock.closed and handle._pool == []
+
+    def test_recv_fault_fires_on_a_body_read(self):
+        body = protocol.encode({"version": protocol.PROTOCOL_VERSION,
+                                "ok": True, "result": {}})
+
+        def arm_after_header():
+            faults.arm(faults.FaultInjector.parse("router.recv:raise:1.0"))
+
+        sock = _StubWorkerSocket([_header(len(body)), body],
+                                 on_read=arm_after_header)
+        handle = _stub_handle(sock)
+        try:
+            with pytest.raises(WorkerFailure, match="injected fault"):
+                handle.call({"action": "etable"}, timeout=1.0)
+            # One read returned the header; the armed fault fired before
+            # the read of the body.
+            assert sock.reads == 1
+            assert faults.active().stats() == {"router.recv:raise": 1}
+        finally:
+            faults.disarm()
+        assert sock.closed and handle._pool == []
+
+    def test_routed_page_reaches_the_http_client_undecoded(
+            self, tmp_path, monkeypatch):
+        """Behind the HTTP frontend, a routed GET .../etable is written as
+        the worker encoded it: nothing in this process decodes it."""
+        import http.client
+
+        router = FleetRouter({"factory": _FACTORY,
+                              "journal_dir": str(tmp_path / "j")},
+                             workers=2, probe_interval=None)
+        server = AsyncNavigationServer(router, port=0).start()
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=30)
+        try:
+            def call(method, path, body=None):
+                connection.request(
+                    method, path,
+                    body=None if body is None else json.dumps(body).encode(),
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                return response.status, response.read()
+
+            status, data = call("POST", "/v1/sessions", {})
+            sid = json.loads(data)["result"]["session_id"]
+            status, _ = call("POST", f"/v1/sessions/{sid}/actions",
+                             {"action": "open", "params": {"type": "Papers"}})
+            assert status == 200
+
+            decodes = []
+            loads = json.loads
+
+            def counting_loads(text, *args, **kwargs):
+                # Count envelopes only: a reply header holds no result.
+                if '"result"' in str(text):
+                    decodes.append(text)
+                return loads(text, *args, **kwargs)
+
+            monkeypatch.setattr(json, "loads", counting_loads)
+            status, data = call("GET", f"/v1/sessions/{sid}/etable")
+            monkeypatch.setattr(json, "loads", loads)
+            assert status == 200
+            assert decodes == []
+            page = json.loads(data)["result"]["etable"]
+            assert page == router.apply(sid, "etable", {})["etable"]
+            assert page["version"] == protocol.PROTOCOL_VERSION == 2
+        finally:
+            connection.close()
+            server.shutdown()
+            router.shutdown()

@@ -215,9 +215,13 @@ class TestScriptedSession:
         etable = body["result"]["etable"]
         assert etable["offset"] == 2 and etable["returned"] == 3
         assert etable["total_rows"] == 7
-        for row in etable["rows"]:
-            for cell in row["cells"].values():
-                assert len(cell["refs"]) <= 1
+        references = [column for column in etable["columns"]
+                      if column["kind"] != "base"]
+        for _node_id, _values, cells in etable["rows"]:
+            assert len(cells) == len(references)
+            for cell in cells:
+                # [count, id, label]: one reference at most, count exact.
+                assert len(cell) <= 3 and cell[0] >= (len(cell) - 1) // 2
 
     def test_include_history_flag(self, server):
         _, created = _call(server, "/v1/sessions", "POST", {})

@@ -90,6 +90,49 @@ class TestConditionRoundTrip:
             protocol.condition_from_json({"kind": "compare", "op": "="})
 
 
+# Condition payloads with a field of the wrong type: each must be a typed
+# ProtocolError, never a TypeError or ValueError (which drops the HTTP
+# connection) and never an accepted filter.
+MALFORMED_CONDITIONS = [
+    {"kind": "in", "attribute": "year", "values": 5},
+    {"kind": "in", "attribute": "year", "values": [[1]]},
+    {"kind": "like", "attribute": "title", "pattern": 5},
+    {"kind": "like", "attribute": 5, "pattern": "%a%"},
+    {"kind": "label_like", "pattern": 5},
+    {"kind": "compare", "attribute": ["year"], "op": "=", "value": 2005},
+    {"kind": "compare", "attribute": "year", "op": ["="], "value": 2005},
+    {"kind": "node_is", "node_id": "abc"},
+    {"kind": "node_is", "node_id": None},
+    {"kind": "node_is", "node_id": True},
+    {"kind": "node_in", "node_ids": 5},
+    {"kind": "node_in", "node_ids": ["x"]},
+    {"kind": "and", "operands": 3},
+    {"kind": "or", "operands": "ab"},
+    {"kind": "neighbor", "edge_type": 5,
+     "inner": {"kind": "label_like", "pattern": "%a%"}},
+    {"kind": "not", "operand": {"kind": "in", "attribute": "year",
+                                "values": 5}},
+]
+
+
+class TestMalformedConditions:
+    @pytest.mark.parametrize("payload", MALFORMED_CONDITIONS)
+    def test_rejected_with_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            protocol.condition_from_json(payload)
+
+    @pytest.mark.parametrize("payload", MALFORMED_CONDITIONS)
+    def test_filter_and_nfilter_reject_it(self, payload, toy):
+        session = EtableSession(toy.schema, toy.graph)
+        protocol.apply_action(session, "open", {"type": "Papers"})
+        with pytest.raises(ProtocolError):
+            protocol.apply_action(session, "filter", {"condition": payload})
+        with pytest.raises(ProtocolError):
+            protocol.apply_action(session, "nfilter", {
+                "column": "Papers->Authors", "condition": payload})
+        assert len(session.history) == 1
+
+
 def _random_session(rng: random.Random, tgdb) -> EtableSession:
     """Drive a short random-but-valid action sequence."""
     session = EtableSession(tgdb.schema, tgdb.graph)
@@ -164,13 +207,36 @@ class TestEtableRoundTrip:
         session = EtableSession(toy.schema, toy.graph)
         etable = session.open("Conferences")
         payload = protocol.etable_to_json(etable, max_refs=1)
+        position = [c["key"] for c in payload["columns"]
+                    if c["kind"] != "base"].index("Conferences->Papers")
         papers = [
             row.cells["Conferences->Papers"] for row in etable.rows
         ]
         for serialized, refs in zip(payload["rows"], papers):
-            cell = serialized["cells"]["Conferences->Papers"]
-            assert cell["count"] == len(refs)
-            assert len(cell["refs"]) <= 1
+            cell = serialized[2][position]
+            assert cell[0] == len(refs)
+            assert cell[1:] == [refs[0].node_id, refs[0].label][:len(cell) - 1]
+            assert len(cell) <= 3
+
+    def test_rows_are_positional_with_flat_cells(self, toy):
+        """A row is [node_id, base values, cells]; a cell is [count, id,
+        label, ...]; a reference's type is stated once, by its column."""
+        session = EtableSession(toy.schema, toy.graph)
+        etable = session.open("Papers")
+        payload = protocol.etable_to_json(etable)
+        base = [c for c in payload["columns"] if c["kind"] == "base"]
+        references = [c for c in payload["columns"] if c["kind"] != "base"]
+        for (node_id, values, cells), row in zip(payload["rows"],
+                                                 etable.rows):
+            assert node_id == row.node_id
+            assert values == [row.attributes[c["key"]] for c in base]
+            assert len(cells) == len(references)
+            for column, cell in zip(references, cells):
+                refs = row.refs(column["key"])
+                assert cell[0] == len(refs)
+                assert cell[1::2] == [ref.node_id for ref in refs]
+                assert cell[2::2] == [ref.label for ref in refs]
+                assert {ref.type_name for ref in refs} <= {column["type"]}
 
     def test_negative_offset_rejected(self, toy):
         session = EtableSession(toy.schema, toy.graph)

@@ -82,9 +82,9 @@ class TestFrameRoundTrip:
     def test_random_frame_fixpoint(self, seed):
         rng = random.Random(seed)
         kind = rng.choice(protocol.FRAME_KINDS)
-        row = lambda: {"node_id": rng.randint(1, 99),  # noqa: E731
-                       "label": rng.choice(["a", "b"]),
-                       "attrs": {"year": rng.randint(2000, 2010)}}
+        row = lambda: [rng.randint(1, 99),  # noqa: E731
+                       [rng.randint(2000, 2010), rng.choice(["a", "b"])],
+                       [[rng.randint(1, 3), rng.randint(1, 99), "c"]]]
         if kind == "snapshot":
             frame = DeltaFrame(
                 seq=rng.randint(1, 9), kind="snapshot",
@@ -129,11 +129,15 @@ class TestFrameRoundTrip:
             frame_from_json("not a dict")
         delta = frame_to_json(DeltaFrame(
             seq=2, kind="delta", pattern={}, order=(1,),
-            rows=({"node_id": 1},), total_rows=1))
-        bad_rows = dict(delta)
-        bad_rows["rows"] = [["not", "a", "dict"]]
-        with pytest.raises(ProtocolError):
-            frame_from_json(bad_rows)
+            rows=([1, [2001], [[0]]],), total_rows=1))
+        assert frame_from_json(delta).rows == ([1, [2001], [[0]]],)
+        for rows in ([{"node_id": 1, "attributes": {}, "cells": {}}],
+                     [["not", "a", "row"]], [[True, [], []]], [[1, []]],
+                     [[]], "rows"):
+            bad_rows = dict(delta)
+            bad_rows["rows"] = rows
+            with pytest.raises(ProtocolError):
+                frame_from_json(bad_rows)
         bad_order = dict(delta)
         bad_order["order"] = [1.5]
         with pytest.raises(ProtocolError):
