@@ -29,6 +29,7 @@ import time
 
 from repro.bench import banner, format_table, report, save_result
 from repro.core.session import EtableSession
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service import protocol
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 
@@ -41,23 +42,6 @@ ROW_LIMIT = 50  # the interface paginates; matching is always complete
 
 # The classes whose latency the incremental engine is built to collapse.
 REFINEMENT_CLASSES = ("filter", "nfilter", "revert")
-
-
-def _build_corpus():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
 
 
 def _script():
@@ -148,7 +132,7 @@ def _class_latencies(timings, classes=None):
 
 
 def test_action_latency():
-    tgdb = _build_corpus()
+    tgdb = academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
     script_length = len(_script())
 
     results = {}

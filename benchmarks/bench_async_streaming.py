@@ -34,6 +34,7 @@ import time
 
 from repro.bench import banner, report, save_result
 from repro.core.session import EtableSession
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service import AsyncNavigationServer, protocol
 from repro.service.manager import SessionManager
 from repro.service.stream import FrameSource, payload_bytes
@@ -45,23 +46,6 @@ ACTIONS_PER_CLIENT = int(os.environ.get("REPRO_STREAM_BENCH_ACTIONS", "30"))
 MAX_DELTA_FRACTION = float(
     os.environ.get("REPRO_STREAM_MAX_DELTA_BYTES", "0.25"))
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
-
-
-def _build_corpus():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
 
 
 def _raise_fd_limit(needed: int) -> int:
@@ -308,7 +292,7 @@ def _measure_wire_bytes(tgdb):
 
 
 def test_async_streaming():
-    tgdb = _build_corpus()
+    tgdb = academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
     results = {}
 
     report(banner(

@@ -55,20 +55,9 @@ SCRIPT = [
 # Workers import this file by path and call this factory; PAPERS is
 # re-read from the (inherited) environment, so parent and workers agree.
 def build_bench_tgdb():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
+    from repro.datasets.academic import AcademicConfig, academic_tgdb
 
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    return academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
 
 
 def _drive_round(router, tag):

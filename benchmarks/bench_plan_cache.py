@@ -27,29 +27,13 @@ import statistics
 import time
 
 from repro.bench import banner, format_table, report, save_result
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
 PAPERS = int(os.environ.get("REPRO_PLAN_CACHE_BENCH_PAPERS", "1200"))
 SESSIONS = int(os.environ.get("REPRO_PLAN_CACHE_BENCH_SESSIONS", "32"))
 MIN_HIT_RATE = float(os.environ.get("REPRO_PLAN_CACHE_MIN_HIT_RATE", "0.9"))
 ROW_LIMIT = 50
-
-
-def _build_corpus():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
 
 
 def _script(user: int) -> list[tuple[str, dict]]:
@@ -72,7 +56,7 @@ def _script(user: int) -> list[tuple[str, dict]]:
 
 
 def test_plan_cache_sharing():
-    tgdb = _build_corpus()
+    tgdb = academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
     manager = SessionManager(tgdb.schema, tgdb.graph, row_limit=ROW_LIMIT,
                              max_sessions=SESSIONS + 8, ttl_seconds=None)
 

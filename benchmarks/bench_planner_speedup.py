@@ -38,6 +38,7 @@ import time
 from repro.bench import banner, format_table, report, save_result
 from repro.core.session import EtableSession
 from repro.core.transform import execute_pattern
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.tgm.conditions import AttributeCompare, AttributeLike, NeighborSatisfies
 
 from bench_scalability import SIZES
@@ -48,23 +49,6 @@ MIN_REUSE_SPEEDUP = float(
     os.environ.get("REPRO_PLANNER_MIN_REUSE_SPEEDUP", "2.5")
 )
 ACTION_COUNT = 10
-
-
-def _build_corpus():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
 
 
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
@@ -126,7 +110,7 @@ def _etable_signature(etable):
 
 
 def test_planner_speedup(benchmark):
-    tgdb = _build_corpus()
+    tgdb = academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
 
     naive_seconds, naive_session = _timed_replay(tgdb, engine="naive")
     planned_seconds, planned_session = _timed_replay(tgdb)

@@ -33,28 +33,12 @@ import threading
 import time
 
 from repro.bench import banner, format_table, report, save_result
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
 PAPERS = int(os.environ.get("REPRO_SERVICE_BENCH_PAPERS", "1200"))
 SESSIONS = int(os.environ.get("REPRO_SERVICE_BENCH_SESSIONS", "32"))
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
-
-
-def _build_corpus():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=PAPERS, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
 
 
 def _script(user: int) -> list[tuple[str, dict]]:
@@ -144,7 +128,7 @@ def _run_concurrent(tgdb):
 
 
 def test_service_throughput():
-    tgdb = _build_corpus()
+    tgdb = academic_tgdb(AcademicConfig(papers=PAPERS, seed=7))
 
     manager, session_ids, latencies, wall = _run_concurrent(tgdb)
 

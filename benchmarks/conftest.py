@@ -11,66 +11,41 @@ import os
 
 import pytest
 
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
-from repro.datasets.movies import (
-    MoviesConfig,
-    generate_movies,
-    movies_categorical_attributes,
-    movies_label_overrides,
-)
-from repro.datasets.toy import generate_toy
-from repro.translate import translate_database
+from repro import datasets
 
 BENCH_PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 
 
 @pytest.fixture(scope="session")
-def bench_db():
-    db, _report = generate_academic(AcademicConfig(papers=BENCH_PAPERS, seed=7))
-    return db
+def bench_tgdb():
+    return datasets.academic_tgdb(
+        datasets.AcademicConfig(papers=BENCH_PAPERS, seed=7))
 
 
 @pytest.fixture(scope="session")
-def bench_tgdb(bench_db):
-    return translate_database(
-        bench_db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+def bench_db(bench_tgdb):
+    return bench_tgdb.database
 
 
 @pytest.fixture(scope="session")
-def bench_movies_db():
-    return generate_movies(MoviesConfig(movies=400, people=300, seed=11))
+def bench_movies_tgdb():
+    return datasets.movies_tgdb(
+        datasets.MoviesConfig(movies=400, people=300, seed=11))
 
 
 @pytest.fixture(scope="session")
-def bench_movies_tgdb(bench_movies_db):
-    return translate_database(
-        bench_movies_db,
-        categorical_attributes=movies_categorical_attributes(),
-        label_overrides=movies_label_overrides(),
-    )
+def bench_movies_db(bench_movies_tgdb):
+    return bench_movies_tgdb.database
 
 
 @pytest.fixture(scope="session")
-def toy_db():
-    return generate_toy()
+def toy_tgdb():
+    return datasets.toy_tgdb()
 
 
 @pytest.fixture(scope="session")
-def toy_tgdb(toy_db):
-    return translate_database(
-        toy_db,
-        categorical_attributes={"Institutions": ["country"],
-                                "Papers": ["year"]},
-        label_overrides=default_label_overrides(),
-    )
+def toy_db(toy_tgdb):
+    return toy_tgdb.database
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

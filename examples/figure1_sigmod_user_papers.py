@@ -13,23 +13,12 @@ Run:  python examples/figure1_sigmod_user_papers.py
 from repro.core import EtableSession, render_etable
 from repro.core.matching import match
 from repro.core.operators import add, shift
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.tgm import AttributeCompare, AttributeLike
-from repro.translate import translate_database
 
 
 def main() -> None:
-    db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    tgdb = academic_tgdb(AcademicConfig(papers=1200, seed=7))
 
     session = EtableSession(tgdb.schema, tgdb.graph)
     session.open("Papers")

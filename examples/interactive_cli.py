@@ -22,13 +22,7 @@ Run:  python examples/interactive_cli.py
 import sys
 
 from repro.core.repl import Repl
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
-from repro.translate import translate_database
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 
 DEMO_SCRIPT = """\
 tables
@@ -47,12 +41,7 @@ sql
 
 def main() -> None:
     print("Generating the academic database ...", flush=True)
-    db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    tgdb = academic_tgdb(AcademicConfig(papers=1200, seed=7))
     repl = Repl(tgdb.schema, tgdb.graph, mapping=tgdb.mapping)
 
     if not sys.stdin.isatty() or "--demo" in sys.argv:

@@ -19,23 +19,12 @@ from repro.core import (
     render_etable,
 )
 from repro.core.operators import add, initiate, select, shift
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.tgm import AttributeCompare, AttributeLike
-from repro.translate import translate_database
 
 
 def main() -> None:
-    db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    tgdb = academic_tgdb(AcademicConfig(papers=1200, seed=7))
     schema, graph = tgdb.schema, tgdb.graph
 
     # --- Route 1: primitive operators (Figure 7, left) ------------------

@@ -10,23 +10,12 @@ Run:  python examples/movie_exploration.py
 """
 
 from repro.core import EtableSession, render_etable
-from repro.datasets.movies import (
-    MoviesConfig,
-    generate_movies,
-    movies_categorical_attributes,
-    movies_label_overrides,
-)
+from repro.datasets.movies import MoviesConfig, movies_tgdb
 from repro.tgm import AttributeCompare
-from repro.translate import translate_database
 
 
 def main() -> None:
-    db = generate_movies(MoviesConfig(movies=160, people=120, seed=11))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=movies_categorical_attributes(),
-        label_overrides=movies_label_overrides(),
-    )
+    tgdb = movies_tgdb(MoviesConfig(movies=160, people=120, seed=11))
 
     print("Translated node types:",
           ", ".join(t.name for t in tgdb.schema.node_types))

@@ -54,46 +54,18 @@ import urllib.request
 
 
 def build_tgdb(dataset: str, papers: int):
-    from repro.translate import translate_database
-
     if dataset == "academic":
-        from repro.datasets.academic import (
-            AcademicConfig,
-            default_categorical_attributes,
-            default_label_overrides,
-            generate_academic,
-        )
+        from repro.datasets.academic import AcademicConfig, academic_tgdb
 
-        db, _ = generate_academic(AcademicConfig(papers=papers, seed=7))
-        return translate_database(
-            db,
-            categorical_attributes=default_categorical_attributes(),
-            label_overrides=default_label_overrides(),
-        )
+        return academic_tgdb(AcademicConfig(papers=papers, seed=7))
     if dataset == "movies":
-        from repro.datasets.movies import (
-            MoviesConfig,
-            generate_movies,
-            movies_categorical_attributes,
-            movies_label_overrides,
-        )
+        from repro.datasets.movies import MoviesConfig, movies_tgdb
 
-        db = generate_movies(MoviesConfig(movies=400, people=300, seed=11))
-        return translate_database(
-            db,
-            categorical_attributes=movies_categorical_attributes(),
-            label_overrides=movies_label_overrides(),
-        )
+        return movies_tgdb(MoviesConfig(movies=400, people=300, seed=11))
     if dataset == "toy":
-        from repro.datasets.academic import default_label_overrides
-        from repro.datasets.toy import generate_toy
+        from repro.datasets.toy import toy_tgdb
 
-        return translate_database(
-            generate_toy(),
-            categorical_attributes={"Institutions": ["country"],
-                                    "Papers": ["year"]},
-            label_overrides=default_label_overrides(),
-        )
+        return toy_tgdb()
     raise SystemExit(f"unknown dataset {dataset!r}")
 
 
@@ -235,20 +207,33 @@ _SCRIPTED_ACTIONS = [
 ]
 
 
-def _build_manager(args: argparse.Namespace, tgdb, journal_dir,
-                   **extra):
+def _manager_settings(args: argparse.Namespace) -> dict:
+    """The ``SessionManager`` settings of both deployments: the one
+    process's manager takes them as keywords, each fleet worker from its
+    spec. An option left unset is left out, so the manager's own default
+    applies."""
+    settings = {
+        "row_limit": args.row_limit,
+        "max_sessions": args.max_sessions,
+        "ttl_seconds": args.ttl,
+        "compact_every": args.compact_every,
+        "require_auth": args.require_auth,
+        "quota_actions": args.quota_actions,
+        "quota_window": args.quota_window,
+        "fsync_journal": args.fsync,
+    }
+    settings = {key: value for key, value in settings.items()
+                if value is not None}
+    if args.compact_every == 0:
+        settings["compact_every"] = None  # 0 turns compaction off
+    return settings
+
+
+def _build_manager(args: argparse.Namespace, tgdb, journal_dir):
     from repro.service import SessionManager
 
-    return SessionManager(
-        tgdb.schema, tgdb.graph, row_limit=args.row_limit,
-        journal_dir=journal_dir,
-        compact_every=args.compact_every or None,
-        require_auth=args.require_auth,
-        quota_actions=args.quota_actions,
-        quota_window=args.quota_window,
-        fsync_journal=args.fsync,
-        **extra,
-    )
+    return SessionManager(tgdb.schema, tgdb.graph, journal_dir=journal_dir,
+                          **_manager_settings(args))
 
 
 def _build_fleet(args: argparse.Namespace, journal_dir: str):
@@ -259,14 +244,7 @@ def _build_fleet(args: argparse.Namespace, journal_dir: str):
         "factory": f"{os.path.abspath(__file__)}:build_tgdb",
         "factory_kwargs": {"dataset": args.dataset, "papers": args.papers},
         "journal_dir": journal_dir,
-        "row_limit": args.row_limit,
-        "require_auth": args.require_auth,
-        "quota_actions": args.quota_actions,
-        "quota_window": args.quota_window,
-        "compact_every": args.compact_every or None,
-        "max_sessions": args.max_sessions,
-        "ttl_seconds": args.ttl,
-        "fsync_journal": args.fsync,
+        **_manager_settings(args),
     }
     if args.faults:
         spec["faults"] = args.faults
@@ -551,23 +529,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--require-auth", action="store_true",
                         help="mint a per-session bearer token at create "
                              "time; every later request must present it")
-    parser.add_argument("--quota-actions", type=int, default=None,
+    parser.add_argument("--quota-actions", type=int,
                         help="max mutating actions per session per quota "
                              "window (default: unlimited)")
-    parser.add_argument("--quota-window", type=float, default=60.0,
-                        help="quota window length in seconds (default 60)")
+    parser.add_argument("--quota-window", type=float,
+                        help="quota window length in seconds (default: "
+                             "the session manager's)")
     parser.add_argument("--row-limit", type=_row_limit, default=50,
                         help="presented rows per table (pagination)")
     parser.add_argument("--journal-dir", default=None,
                         help="directory for durable session journals "
                              "(a session journaled there resumes on its "
                              "first request after a restart)")
-    parser.add_argument("--max-sessions", type=int, default=256)
-    parser.add_argument("--ttl", type=float, default=1800.0,
-                        help="idle session TTL in seconds")
-    parser.add_argument("--compact-every", type=int, default=64,
+    parser.add_argument("--max-sessions", type=int,
+                        help="live sessions per process (default: the "
+                             "session manager's)")
+    parser.add_argument("--ttl", type=float,
+                        help="idle session TTL in seconds (default: the "
+                             "session manager's)")
+    parser.add_argument("--compact-every", type=int,
                         help="checkpoint each session journal every N "
-                             "actions (0 disables compaction)")
+                             "actions (0 disables compaction; default: "
+                             "the session manager's)")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
                         help="serve from a fleet of N worker processes "
                              "behind a consistent-hash router (0 = "
@@ -587,12 +570,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="arm deterministic fault injection, e.g. "
                              "'journal.write:raise:0.05,router.recv:raise:"
-                             "0.1' (the REPRO_FAULTS grammar); with "
-                             "--self-test --fleet this runs the chaos leg")
-    parser.add_argument("--faults-seed", type=int,
-                        default=int(os.environ.get("REPRO_FAULTS_SEED", "0")),
-                        help="seed for the fault injector's RNG (default "
-                             "$REPRO_FAULTS_SEED or 0)")
+                             "0.1' (the repro.service.faults spec "
+                             "grammar); with --self-test --fleet this runs "
+                             "the chaos leg")
+    parser.add_argument("--faults-seed", type=int, default=0,
+                        help="seed for the fault injector's RNG (default 0)")
     parser.add_argument("--self-test", action="store_true",
                         help="boot, drive a scripted session, verify, exit")
     args = parser.parse_args(argv)
@@ -620,9 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"generating {args.dataset} corpus...")
         tgdb = build_tgdb(args.dataset, args.papers)
-        manager = _build_manager(args, tgdb, args.journal_dir,
-                                 max_sessions=args.max_sessions,
-                                 ttl_seconds=args.ttl)
+        manager = _build_manager(args, tgdb, args.journal_dir)
     server = _build_server(args, manager, args.host, args.port).start()
     print(f"serving ETable navigation API at {server.url} "
           "(Ctrl-C or SIGTERM to stop)")

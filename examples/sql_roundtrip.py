@@ -14,13 +14,7 @@ Run:  python examples/sql_roundtrip.py
 from repro.core import execute_monolithic, graph_result_summary, results_equal
 from repro.core.from_sql import sql_to_pattern
 from repro.relational import SqliteDatabase
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
-from repro.translate import translate_database
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 
 QUERIES = [
     (
@@ -52,12 +46,8 @@ QUERIES = [
 
 
 def main() -> None:
-    db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    tgdb = academic_tgdb(AcademicConfig(papers=1200, seed=7))
+    db = tgdb.database
     with SqliteDatabase(db) as engine:
         for name, sql in QUERIES:
             print("=" * 70)

@@ -12,14 +12,8 @@ Run:  python examples/user_study_simulation.py [seed]
 
 import sys
 
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
+from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.study import StudyConfig, run_study, simulate_ratings
-from repro.translate import translate_database
 
 PAPER_ETABLE = [34.9, 39.5, 57.2, 150.5, 59.0, 104.8]
 PAPER_NAVICAT = [53.2, 54.4, 92.3, 218.5, 231.6, 198.5]
@@ -27,14 +21,9 @@ PAPER_NAVICAT = [53.2, 54.4, 92.3, 218.5, 231.6, 198.5]
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 42
-    db, _ = generate_academic(AcademicConfig(papers=1200, seed=7))
-    tgdb = translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    tgdb = academic_tgdb(AcademicConfig(papers=1200, seed=7))
 
-    result = run_study(db, tgdb.schema, tgdb.graph, StudyConfig(seed=seed))
+    result = run_study(tgdb.database, tgdb.schema, tgdb.graph, StudyConfig(seed=seed))
 
     print("Figure 10 — average task completion time (seconds)")
     print(f"{'task':>5} {'ETable sim':>12} {'ETable paper':>13} "

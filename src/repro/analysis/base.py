@@ -20,7 +20,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -182,20 +182,6 @@ def all_checks() -> dict[str, type[Check]]:
 # ----------------------------------------------------------------------
 # Shared AST helpers used by several checks
 # ----------------------------------------------------------------------
-def attribute_root(node: ast.AST) -> ast.AST:
-    """The leftmost object of an attribute/subscript/call chain:
-    ``self._adjacency.setdefault(k, []).append(v)`` -> the ``self`` Name."""
-    while True:
-        if isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            return node
-
-
 def self_attribute_name(node: ast.AST) -> str | None:
     """``self.X`` -> ``"X"`` for a plain attribute access, else None."""
     if (

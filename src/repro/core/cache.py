@@ -60,7 +60,7 @@ from repro.core.planner import (
     PrefixStore,
     build_plan,
     canonical_pattern_key,
-    normalize_pattern,
+    plan_key,
     reduce_plan,
     restore_reference_order,
     execute_plan,
@@ -90,7 +90,7 @@ class CompiledPlanCache:
 
     Two users filtering the same shape on different years — or the same
     user refiltering — share one compiled plan: the cache key is
-    :attr:`~repro.core.planner.NormalizedPattern.key`, and on a hit the
+    :func:`~repro.core.planner.plan_key`, and on a hit the
     cached plan is rebound to the caller's concrete pattern, which is how
     constants are "bound at execution" (the join order and step structure
     are shape-properties; the conditions executed come from the live
@@ -376,11 +376,11 @@ class CachingExecutor:
         constants) reuse one plan, with this pattern's constants bound at
         execution by the rebind inside ``CompiledPlanCache.get``.
         """
-        normalized = normalize_pattern(pattern)
-        plan = self.plans.get(normalized.key, pattern)
+        key = plan_key(pattern)
+        plan = self.plans.get(key, pattern)
         if plan is None:
             plan = build_plan(pattern, self.graph)
-            self.plans.put(normalized.key, plan)
+            self.plans.put(key, plan)
         return plan
 
     def execute(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 from weakref import WeakKeyDictionary
 
 from repro.errors import InvalidQueryPattern, TgmError
@@ -493,99 +493,40 @@ def _traversal_edge_name(
 
 
 # ----------------------------------------------------------------------
-# Pattern normalization: constants lifted into a parameter vector
+# Plan keys: patterns with their constants lifted out
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, repr=False)
-class PlanParameter:
-    """Placeholder for one constant lifted out of a normalized pattern.
-
-    Renders as ``?`` (index-free) so the canonical key of ``year = 2006``
-    and ``year = 2010`` is the same string — two users filtering on
-    different constants share one compiled plan. The index survives on the
-    placeholder itself so :meth:`NormalizedPattern.bind` can put every
-    constant back exactly where it came from.
-    """
-
-    index: int
-
-    def __repr__(self) -> str:
-        return "?"
-
-    def __str__(self) -> str:
-        return "?"
+# The one stand-in for every constant a plan key lifts, so ``year =
+# 2006`` and ``year = 2010`` share a key.
+_PARAMETER = "?"
 
 
-def _lift_condition(condition: Condition, params: list) -> Condition:
-    """Replace comparison / ``IN`` / ``LIKE`` constants with placeholders.
+def _lift_condition(condition: Condition) -> Condition:
+    """``condition`` with its comparison / ``IN`` / ``LIKE`` constants
+    replaced by the placeholder.
 
-    Appends each lifted constant to ``params`` (depth-first, structural
-    order) and returns the templated condition. Identity conditions
-    (``NodeIs`` / ``NodeIn``) stay structural: a Single/SeeAll action's node
-    id *is* the query shape, and lifting it would make unrelated drill-downs
-    share a plan keyed only on "some identity probe".
+    Identity conditions (``NodeIs`` / ``NodeIn``) stay structural: a
+    Single/SeeAll action's node id *is* the query shape, and lifting it
+    would make unrelated drill-downs share a plan keyed only on "some
+    identity probe".
     """
     if isinstance(condition, AttributeCompare):
-        params.append(condition.value)
-        return replace(condition, value=PlanParameter(len(params) - 1))
+        return replace(condition, value=_PARAMETER)
     if isinstance(condition, AttributeIn):
-        # The whole value tuple is one parameter, so the canonical key is
+        # The whole value tuple is one placeholder, so the key is
         # arity-independent: ``year in (2006, 2007)`` and a three-year IN
-        # share the same compiled plan.
-        params.append(tuple(condition.values))
-        return replace(condition, values=(PlanParameter(len(params) - 1),))
-    if isinstance(condition, AttributeLike):
-        params.append(condition.pattern)
-        return replace(condition, pattern=PlanParameter(len(params) - 1))
-    if isinstance(condition, LabelLike):
-        params.append(condition.pattern)
-        return replace(condition, pattern=PlanParameter(len(params) - 1))
+        # share one compiled plan.
+        return replace(condition, values=(_PARAMETER,))
+    if isinstance(condition, (AttributeLike, LabelLike)):
+        return replace(condition, pattern=_PARAMETER)
     if isinstance(condition, NeighborSatisfies):
-        return replace(condition, inner=_lift_condition(condition.inner, params))
+        return replace(condition, inner=_lift_condition(condition.inner))
     if isinstance(condition, (AndCondition, OrCondition)):
         return replace(
             condition,
-            operands=tuple(
-                _lift_condition(operand, params) for operand in condition.operands
-            ),
+            operands=tuple(_lift_condition(o) for o in condition.operands),
         )
     if isinstance(condition, NotCondition):
-        return replace(condition, operand=_lift_condition(condition.operand, params))
-    return condition
-
-
-def _bind_condition(condition: Condition, params: Sequence) -> Condition:
-    """Exact inverse of :func:`_lift_condition` for one templated condition."""
-    if isinstance(condition, AttributeCompare):
-        if isinstance(condition.value, PlanParameter):
-            return replace(condition, value=params[condition.value.index])
-        return condition
-    if isinstance(condition, AttributeIn):
-        if len(condition.values) == 1 and isinstance(
-            condition.values[0], PlanParameter
-        ):
-            return replace(
-                condition, values=tuple(params[condition.values[0].index])
-            )
-        return condition
-    if isinstance(condition, AttributeLike):
-        if isinstance(condition.pattern, PlanParameter):
-            return replace(condition, pattern=params[condition.pattern.index])
-        return condition
-    if isinstance(condition, LabelLike):
-        if isinstance(condition.pattern, PlanParameter):
-            return replace(condition, pattern=params[condition.pattern.index])
-        return condition
-    if isinstance(condition, NeighborSatisfies):
-        return replace(condition, inner=_bind_condition(condition.inner, params))
-    if isinstance(condition, (AndCondition, OrCondition)):
-        return replace(
-            condition,
-            operands=tuple(
-                _bind_condition(operand, params) for operand in condition.operands
-            ),
-        )
-    if isinstance(condition, NotCondition):
-        return replace(condition, operand=_bind_condition(condition.operand, params))
+        return replace(condition, operand=_lift_condition(condition.operand))
     return condition
 
 
@@ -637,69 +578,20 @@ def canonical_pattern_key(pattern: QueryPattern) -> tuple:
     return (pattern.primary_key, nodes, edges)
 
 
-@dataclass(frozen=True)
-class NormalizedPattern:
-    """A pattern with its filter constants lifted out (edgedb-style).
+def plan_key(pattern: QueryPattern) -> tuple:
+    """The canonical key of ``pattern`` with its constants lifted out.
 
-    ``key`` is the canonical constant-free cache key: patterns differing
-    only in comparison / ``IN`` / ``LIKE`` constants — or in node /
-    condition / combinator-operand order — share it, so a compiled plan
-    built for one serves them all. ``template`` preserves the *original*
-    structural order with :class:`PlanParameter` placeholders where the
-    constants were; ``params`` holds the lifted constants, indexed by
-    placeholder. ``bind()`` is the exact inverse of
-    :func:`normalize_pattern`.
+    Patterns differing only in comparison / ``IN`` / ``LIKE`` constants —
+    or in node / condition / combinator-operand order — share it, so one
+    compiled plan serves them all (edgedb-style normalization).
     """
-
-    key: tuple
-    template: QueryPattern
-    params: tuple
-
-    def bind(self, params: Sequence | None = None) -> QueryPattern:
-        """The template with constants substituted back in.
-
-        With no argument, rebinds this normalization's own constants —
-        ``normalize_pattern(p).bind() == p`` exactly. Pass another
-        pattern's parameter vector (same normalized key) to transplant its
-        constants into this shape.
-        """
-        values = self.params if params is None else tuple(params)
-        nodes = tuple(
-            replace(
-                node,
-                conditions=tuple(
-                    _bind_condition(c, values) for c in node.conditions
-                ),
-            )
-            for node in self.template.nodes
-        )
-        return replace(self.template, nodes=nodes)
-
-
-def normalize_pattern(pattern: QueryPattern) -> NormalizedPattern:
-    """Lift constants out of ``pattern`` into a parameter vector.
-
-    The parameter order is the depth-first structural order of the original
-    pattern (nodes, then each node's conditions, then combinator operands),
-    so binding is position-exact regardless of how the canonical key sorts
-    things for cache identity.
-    """
-    params: list = []
     nodes = tuple(
-        replace(
-            node,
-            conditions=tuple(
-                _lift_condition(c, params) for c in node.conditions
-            ),
-        )
+        replace(node, conditions=tuple(
+            _lift_condition(c) for c in node.conditions
+        ))
         for node in pattern.nodes
     )
-    template = replace(pattern, nodes=nodes)
-    return NormalizedPattern(
-        key=canonical_pattern_key(template),
-        template=template,
-        params=tuple(params),
-    )
+    return canonical_pattern_key(replace(pattern, nodes=nodes))
 
 
 # ----------------------------------------------------------------------

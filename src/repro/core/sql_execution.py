@@ -40,7 +40,7 @@ from repro.relational.sqlite import SqliteDatabase
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import SchemaGraph
 from repro.translate.schema_translator import TranslationMap
-from repro.core.etable import ColumnKind, ETable
+from repro.core.etable import ETable
 from repro.core.query_pattern import PatternEdge, QueryPattern
 from repro.core.sql_translation import (
     _Translator,
@@ -62,9 +62,6 @@ class PatternSqlResult:
     primary_keys: list[Any]
     cells: dict[Any, dict[str, frozenset]]
     queries: list[str] = field(default_factory=list)
-
-    def as_comparable(self) -> dict[Any, dict[str, frozenset]]:
-        return self.cells
 
     def key_set(self) -> frozenset:
         return frozenset(self.primary_keys)

@@ -242,10 +242,6 @@ def _ref_cache(graph: InstanceGraph) -> dict[int, EntityRef]:
     return entry[1]
 
 
-def _entity_ref(graph: InstanceGraph, node_id: int) -> EntityRef:
-    return _node_ref(graph.node(node_id), graph.schema)
-
-
 def _node_ref(node: Node, schema) -> EntityRef:
     return EntityRef(
         node_id=node.node_id,

@@ -21,6 +21,7 @@ from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, table_schema
 from repro.datasets import names
+from repro.translate import TgdbTranslation, translate_database
 
 
 @dataclass
@@ -328,6 +329,17 @@ def generate_academic(
     if problems:  # pragma: no cover - generator invariant
         raise AssertionError(f"generator produced inconsistent data: {problems[:3]}")
     return db, report
+
+
+def academic_tgdb(config: AcademicConfig | None = None) -> TgdbTranslation:
+    """The generated corpus, translated with Figure 4's categorical
+    attributes and Figure 1's labels."""
+    db, _report = generate_academic(config)
+    return translate_database(
+        db,
+        categorical_attributes=default_categorical_attributes(),
+        label_overrides=default_label_overrides(),
+    )
 
 
 # ----------------------------------------------------------------------

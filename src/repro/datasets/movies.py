@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, table_schema
+from repro.translate import TgdbTranslation, translate_database
 
 _STUDIOS = [
     ("Pinnacle Pictures", "USA"),
@@ -104,14 +105,6 @@ def movies_schema() -> list:
     ]
 
 
-def movies_categorical_attributes() -> dict[str, list[str]]:
-    return {"Movies": ["decade"], "Studios": ["country"]}
-
-
-def movies_label_overrides() -> dict[str, str]:
-    return {"Movies": "title", "People": "name", "Studios": "name"}
-
-
 def generate_movies(config: MoviesConfig | None = None) -> Database:
     """Generate the movie database; deterministic for a fixed config."""
     config = config or MoviesConfig()
@@ -166,3 +159,14 @@ def generate_movies(config: MoviesConfig | None = None) -> Database:
         for genre in rng.sample(_GENRES, rng.randint(1, 3)):
             db.insert("Movie_Genres", {"movie_id": movie_id, "genre": genre})
     return db
+
+
+def movies_tgdb(config: MoviesConfig | None = None) -> TgdbTranslation:
+    """The generated movie database, translated with decade and studio
+    country as categorical node types."""
+    return translate_database(
+        generate_movies(config),
+        categorical_attributes={"Movies": ["decade"], "Studios": ["country"]},
+        label_overrides={"Movies": "title", "People": "name",
+                         "Studios": "name"},
+    )

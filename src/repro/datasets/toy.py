@@ -11,7 +11,8 @@ print the same intermediate graph relation and final table.
 from __future__ import annotations
 
 from repro.relational.database import Database
-from repro.datasets.academic import academic_schema
+from repro.datasets.academic import academic_schema, default_label_overrides
+from repro.translate import TgdbTranslation, translate_database
 
 # (id, acronym, title)
 _CONFERENCES = [
@@ -116,6 +117,17 @@ def generate_toy() -> Database:
     for row in _PAPER_REFERENCES:
         db.insert("Paper_References", row)
     return db
+
+
+def toy_tgdb() -> TgdbTranslation:
+    """The Figure 8 database, translated with the academic corpus's
+    categorical attributes and labels."""
+    return translate_database(
+        generate_toy(),
+        categorical_attributes={"Institutions": ["country"],
+                                "Papers": ["year"]},
+        label_overrides=default_label_overrides(),
+    )
 
 
 # The expected final ETable of Figure 8: author name -> set of paper ids.

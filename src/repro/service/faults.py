@@ -9,14 +9,14 @@ threads zero-cost hooks through its failure-prone seams::
     faults.fire("journal.write")          # may raise / delay
     data = faults.mangle("journal.write", data)   # may truncate / corrupt
 
-and both are strict no-ops unless an injector is armed — via the
-``REPRO_FAULTS`` environment variable or programmatically with
-:func:`arm`.
+and both are strict no-ops unless an injector is armed with :func:`arm`
+(``examples/serve.py --faults`` and a fleet worker spec's ``"faults"``
+entry both arm one).
 
 Spec grammar (comma-separated rules)::
 
-    REPRO_FAULTS="journal.write:raise:0.05,router.recv:delay:0.1@2.0"
-                  ^point        ^mode ^probability         ^optional arg
+    journal.write:raise:0.05,router.recv:delay:0.1@2.0
+    ^point        ^mode ^probability         ^optional arg
 
 * ``raise``    — raise :class:`InjectedFault` (an ``OSError``) at the point;
 * ``delay``    — sleep ``arg`` seconds (default 0.05) at the point;
@@ -24,15 +24,14 @@ Spec grammar (comma-separated rules)::
 * ``corrupt``  — flip one character of the data being written.
 
 ``raise``/``delay`` apply at :func:`fire` hooks, ``truncate``/``corrupt``
-at :func:`mangle` hooks. The seed comes from ``REPRO_FAULTS_SEED``
-(default 0) or the ``seed=`` argument. Known points are listed in
+at :func:`mangle` hooks. The seed is :meth:`FaultInjector.parse`'s
+``seed=`` argument (default 0). Known points are listed in
 :data:`FAULT_POINTS`; unknown names are rejected so a typo cannot
 silently arm nothing.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -161,14 +160,6 @@ class FaultInjector:
             raise ServiceError(f"empty fault spec: {spec!r}")
         return cls(rules, seed=seed)
 
-    @classmethod
-    def from_env(cls, environ=None) -> "FaultInjector | None":
-        environ = os.environ if environ is None else environ
-        spec = environ.get("REPRO_FAULTS", "").strip()
-        if not spec:
-            return None
-        return cls.parse(spec, seed=int(environ.get("REPRO_FAULTS_SEED", "0")))
-
     @property
     def spec(self) -> str:
         """The rule list re-serialized — what a worker spec dict carries."""
@@ -223,53 +214,38 @@ class FaultInjector:
 
 # ----------------------------------------------------------------------
 # Process-wide armed injector. ``fire``/``mangle`` below are the hooks
-# production code calls; they are strict no-ops until something arms an
-# injector (REPRO_FAULTS in the environment, or arm()).
+# production code calls; they are strict no-ops until arm() installs an
+# injector.
 # ----------------------------------------------------------------------
 _ACTIVE: FaultInjector | None = None
-_ENV_CHECKED = False
-_ARM_LOCK = threading.Lock()
 
 
 def active() -> FaultInjector | None:
-    """The armed injector, lazily loading ``REPRO_FAULTS`` exactly once."""
-    global _ACTIVE, _ENV_CHECKED
-    with _ARM_LOCK:
-        if _ACTIVE is None and not _ENV_CHECKED:
-            _ENV_CHECKED = True
-            _ACTIVE = FaultInjector.from_env()
-        return _ACTIVE
+    """The armed injector, or ``None``."""
+    return _ACTIVE
 
 
 def arm(injector: FaultInjector) -> FaultInjector:
-    """Programmatically arm ``injector`` process-wide (wins over env)."""
-    global _ACTIVE, _ENV_CHECKED
-    with _ARM_LOCK:
-        _ENV_CHECKED = True
-        _ACTIVE = injector
+    """Arm ``injector`` process-wide."""
+    global _ACTIVE
+    _ACTIVE = injector
     return injector
 
 
 def disarm() -> None:
     """Drop the armed injector; subsequent hooks are no-ops again."""
-    global _ACTIVE, _ENV_CHECKED
-    with _ARM_LOCK:
-        _ENV_CHECKED = True
-        _ACTIVE = None
+    global _ACTIVE
+    _ACTIVE = None
 
 
 def fire(point: str) -> None:
-    if _ACTIVE is None and _ENV_CHECKED:  # fast path: nothing armed
-        return
-    injector = active()
+    injector = _ACTIVE
     if injector is not None:
         injector.fire(point)
 
 
 def mangle(point: str, data):
-    if _ACTIVE is None and _ENV_CHECKED:  # fast path: nothing armed
-        return data
-    injector = active()
+    injector = _ACTIVE
     if injector is None:
         return data
     return injector.mangle(point, data)

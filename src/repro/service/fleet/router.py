@@ -61,9 +61,13 @@ from repro.service.fleet.hashring import HashRing
 from repro.service.fleet.worker import fleet_worker_main
 from repro.service.resilience import CircuitBreaker, HealthProbe, RetryPolicy
 
-# Every routed request and control round trip, retries included, finishes
-# within this budget.
+# A routed request, retries included, and a control round trip each
+# finish within this budget.
 _REQUEST_TIMEOUT_S = 60.0
+# Shutdown budget: each worker gets this long to acknowledge its stop op,
+# and all of them together this long to exit before the rest are killed.
+_STOP_REPLY_S = 2.0
+_STOP_EXIT_S = 10.0
 # Consecutive failures that open a worker's circuit breaker.
 _BREAKER_THRESHOLD = 5
 
@@ -175,11 +179,12 @@ class _WorkerHandle:
         )
 
     def _acquire(self, timeout: float) -> socket.socket:
+        """A pooled or new connection, bounded by this call's timeout."""
         with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-        sock = socket.create_connection(("127.0.0.1", self.port),
-                                        timeout=timeout)
+            sock = self._pool.pop() if self._pool else None
+        if sock is None:
+            sock = socket.create_connection(("127.0.0.1", self.port),
+                                            timeout=timeout)
         sock.settimeout(timeout)
         return sock
 
@@ -313,8 +318,8 @@ class FleetRouter:
         try:
             if handle.alive():
                 try:
-                    self._control(handle, "drain", attempts=1)
-                    self._control(handle, "shutdown", attempts=1)
+                    self._control(handle, "drain")
+                    self._control(handle, "shutdown")
                 except (OSError, ServiceError):
                     pass  # already dying; journals are the safety net
                 handle.process.join(timeout=30.0)
@@ -345,8 +350,7 @@ class FleetRouter:
             handles = list(self._workers.values())
         for handle in handles:
             try:
-                self._control(handle, "rebalance", {"members": members},
-                              attempts=1)
+                self._control(handle, "rebalance", {"members": members})
             except (OSError, ServiceError):
                 # A dead worker has nothing to release — but count the
                 # skip so chaos runs can prove nothing was silently lost.
@@ -359,32 +363,13 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def _control(self, handle: _WorkerHandle, op: str,
                  args: dict[str, Any] | None = None,
-                 attempts: int | None = None) -> dict[str, Any]:
-        """One control round trip under the same retry policy as user
-        traffic. Control ops are idempotent (and carry a request id for
-        the worker's dedup cache anyway); ``attempts=1`` opts out for
-        callers that own their failure handling (probe, drain, stats)."""
+                 timeout: float = _REQUEST_TIMEOUT_S) -> dict[str, Any]:
+        """One control round trip, never retried: each caller owns its
+        failure (the probe counts it, ``stats`` reports the worker as not
+        alive, a drain or a stop leaves its sessions to the journals)."""
         control = protocol.WorkerControl(op=op, args=args or {},
                                          request_id=uuid.uuid4().hex)
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if attempts is None else attempts
-        deadline = time.monotonic() + _REQUEST_TIMEOUT_S
-        attempt = 0
-        while True:
-            remaining = deadline - time.monotonic()
-            try:
-                reply = handle.call(control.to_json(), max(0.05, remaining))
-                break
-            except WorkerFailure:
-                attempt += 1
-                remaining = deadline - time.monotonic()
-                if (attempt >= max_attempts or remaining <= 0
-                        or not handle.alive()):
-                    raise
-                with self._lock:
-                    self.retries += 1
-                time.sleep(min(policy.delay(attempt), remaining))
-        response = _decoded(reply)
+        response = _decoded(handle.call(control.to_json(), timeout))
         if not response.ok:
             raise protocol.exception_from_response(response)
         return response.result or {}
@@ -461,13 +446,7 @@ class FleetRouter:
                 self.routed_requests += 1
                 owner = self._ring.owner(session_id)
                 handle = self._workers[owner]
-                breaker = self._breakers.setdefault(
-                    owner,
-                    CircuitBreaker(
-                        failure_threshold=_BREAKER_THRESHOLD,
-                        reset_timeout=self._breaker_reset,
-                    ),
-                )
+            breaker = self._breaker_for(owner)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise WorkerFailure(
@@ -544,7 +523,7 @@ class FleetRouter:
         for name, handle in sorted(handles.items()):
             breaker = self._breaker_for(name)
             try:
-                self._control(handle, "ping", attempts=1)
+                self._control(handle, "ping")
             except (OSError, ServiceError):
                 if breaker.record_failure():
                     with self._lock:
@@ -638,7 +617,7 @@ class FleetRouter:
                   "evicted": 0, "actions": 0}
         for name, handle in sorted(handles.items()):
             try:
-                worker_stats = self._control(handle, "stats", attempts=1)
+                worker_stats = self._control(handle, "stats")
             except (OSError, ServiceError):
                 per_worker[name] = {"alive": False}
                 continue
@@ -661,7 +640,11 @@ class FleetRouter:
         return {**totals, "fleet": fleet}
 
     def shutdown(self) -> None:
-        """Graceful fleet stop: drain + shutdown every worker, then join."""
+        """Graceful fleet stop: ask every worker to shut down, then join
+        them all within one deadline. Each stop op waits at most
+        ``_STOP_REPLY_S`` for its reply, and a worker still running
+        ``_STOP_EXIT_S`` after the last one (a stopped or wedged process)
+        is killed; its journals hold its sessions."""
         if self._probe is not None:
             self._probe.stop()
             self._probe = None
@@ -670,15 +653,17 @@ class FleetRouter:
             self._ring = HashRing()
         for handle in handles.values():
             try:
-                self._control(handle, "shutdown", attempts=1)
+                self._control(handle, "shutdown", timeout=_STOP_REPLY_S)
             except (OSError, ServiceError):
-                pass  # already dead; journals hold its sessions
+                pass  # already dead, or not answering
             handle.close_pool()
+        deadline = time.monotonic() + _STOP_EXIT_S
         for handle in handles.values():
-            handle.process.join(timeout=30.0)
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
+            handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        for handle in handles.values():
+            if handle.process.is_alive():
                 handle.process.kill()
-                handle.process.join(timeout=10.0)
+                handle.process.join(timeout=_STOP_EXIT_S)
 
 
 def _decoded(response: protocol.Response) -> protocol.Response:

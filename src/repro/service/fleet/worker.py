@@ -60,6 +60,12 @@ _DEDUP_CAPACITY = 512
 _DEDUPED_ACTIONS = protocol.MUTATING_ACTIONS | {"create_session",
                                                 "close_session"}
 
+# The spec keys a worker hands to its SessionManager as they are; a key
+# the spec leaves out keeps the manager's default.
+_MANAGER_SETTINGS = ("row_limit", "max_sessions", "ttl_seconds",
+                     "journal_dir", "compact_every", "require_auth",
+                     "quota_actions", "quota_window", "fsync_journal")
+
 
 def resolve_factory(factory: str):
     """``"pkg.module:callable"`` or ``"/path/file.py:callable"`` -> callable."""
@@ -92,15 +98,7 @@ class FleetWorker:
         tgdb = resolve_factory(spec["factory"])(**spec.get("factory_kwargs", {}))
         self.manager = SessionManager(
             tgdb.schema, tgdb.graph,
-            row_limit=spec.get("row_limit"),
-            max_sessions=spec.get("max_sessions", 256),
-            ttl_seconds=spec.get("ttl_seconds", 1800.0),
-            journal_dir=spec["journal_dir"],
-            compact_every=spec.get("compact_every", 64),
-            require_auth=spec.get("require_auth", False),
-            quota_actions=spec.get("quota_actions"),
-            quota_window=spec.get("quota_window", 60.0),
-            fsync_journal=spec.get("fsync_journal", False),
+            **{key: spec[key] for key in _MANAGER_SETTINGS if key in spec},
         )
         self._server = socket.create_server(("127.0.0.1", 0))
         self._server.settimeout(0.2)
@@ -284,10 +282,10 @@ def fleet_worker_main(spec: dict[str, Any], conn) -> None:
     ``{"port": n}`` on success or ``{"error": str}`` on boot failure and
     is then closed — all later traffic rides the socket.
 
-    A ``"faults"`` spec entry (the ``REPRO_FAULTS`` grammar, seeded by
-    ``"faults_seed"``) arms fault injection inside this process before
-    anything else runs — chaos tests inject journal faults worker-side
-    this way. Spec-armed faults win over the inherited environment.
+    A ``"faults"`` spec entry (the :mod:`repro.service.faults` spec
+    grammar, seeded by ``"faults_seed"``) arms fault injection inside this
+    process before anything else runs — chaos tests inject journal faults
+    worker-side this way.
     """
     try:
         if spec.get("faults"):

@@ -40,7 +40,7 @@ that crashed.
 **Long sessions compact too.** A session that never reverts would still
 grow its journal (and replay cost) without bound, so the manager
 checkpoints append-only journals every N mutating actions
-(``SessionManager(compact_every=64)``); :attr:`ActionJournal.
+(``SessionManager(compact_every=N)``); :attr:`ActionJournal.
 actions_since_checkpoint` tracks the trigger across restarts. Compaction
 reuses the same atomic write-tmp-then-replace path as reverts: a crash
 mid-checkpoint leaves either the complete old journal (plus a stale

@@ -21,11 +21,11 @@ selectivity and join-fanout estimates (``repro.core.planner``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import GraphIntegrityError, TgmError, UnknownNodeType
 from repro.tgm.conditions import Condition
-from repro.tgm.schema_graph import EdgeType, NodeType, SchemaGraph
+from repro.tgm.schema_graph import SchemaGraph
 
 
 @dataclass
@@ -403,19 +403,6 @@ class InstanceGraph:
         """The attribute index over the type's label attribute."""
         label_attr = self.schema.node_type(type_name).label_attribute
         return self.attribute_index(type_name, label_attr)
-
-    def find_ids_by_attribute(
-        self, type_name: str, attribute: str, value: Any
-    ) -> list[int]:
-        """Node ids with ``attribute == value``, via the hash index."""
-        try:
-            return list(self.attribute_index(type_name, attribute).get(value, ()))
-        except TypeError:  # unhashable probe value
-            return [
-                node.node_id
-                for node in self.nodes_of_type(type_name)
-                if node.attributes.get(attribute) == value
-            ]
 
     @property
     def version(self) -> int:

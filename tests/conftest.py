@@ -10,66 +10,41 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
-from repro.datasets.movies import (
-    MoviesConfig,
-    generate_movies,
-    movies_categorical_attributes,
-    movies_label_overrides,
-)
-from repro.datasets.toy import generate_toy
+from repro.datasets.academic import AcademicConfig, academic_tgdb
+from repro.datasets.movies import MoviesConfig, movies_tgdb
+from repro.datasets.toy import toy_tgdb
 from repro.relational import SqliteDatabase
-from repro.translate import translate_database
 
 
 @pytest.fixture(scope="session")
-def academic_db():
-    db, _report = generate_academic(AcademicConfig(papers=300, seed=7))
-    return db
-
-
-@pytest.fixture(scope="session")
-def academic(academic_db):
+def academic():
     """The translated academic TGDB (schema, graph, mapping, database)."""
-    return translate_database(
-        academic_db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    return academic_tgdb(AcademicConfig(papers=300, seed=7))
 
 
 @pytest.fixture(scope="session")
-def toy_db():
-    return generate_toy()
+def academic_db(academic):
+    return academic.database
 
 
 @pytest.fixture(scope="session")
-def toy(toy_db):
-    return translate_database(
-        toy_db,
-        categorical_attributes={"Institutions": ["country"],
-                                "Papers": ["year"]},
-        label_overrides=default_label_overrides(),
-    )
+def toy():
+    return toy_tgdb()
 
 
 @pytest.fixture(scope="session")
-def movies_db():
-    return generate_movies(MoviesConfig(movies=80, people=60, seed=11))
+def toy_db(toy):
+    return toy.database
 
 
 @pytest.fixture(scope="session")
-def movies(movies_db):
-    return translate_database(
-        movies_db,
-        categorical_attributes=movies_categorical_attributes(),
-        label_overrides=movies_label_overrides(),
-    )
+def movies():
+    return movies_tgdb(MoviesConfig(movies=80, people=60, seed=11))
+
+
+@pytest.fixture(scope="session")
+def movies_db(movies):
+    return movies.database
 
 
 @pytest.fixture(scope="session")

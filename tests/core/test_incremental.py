@@ -22,6 +22,7 @@ from repro.core.cache import (
 from repro.core.matching import match
 from repro.core.operators import add, initiate, select
 from repro.core.session import EtableSession
+from repro.datasets.toy import toy_tgdb
 from repro.service import protocol
 
 
@@ -100,20 +101,8 @@ class TestMutationInvalidation:
     """Regression (ISSUE satellite): lineage and prefix caches must drop on
     InstanceGraph mutation-version bumps, mid-session."""
 
-    def _tgdb(self):
-        from repro.datasets.academic import default_label_overrides
-        from repro.datasets.toy import generate_toy
-        from repro.translate import translate_database
-
-        return translate_database(
-            generate_toy(),
-            categorical_attributes={"Institutions": ["country"],
-                                    "Papers": ["year"]},
-            label_overrides=default_label_overrides(),
-        )
-
     def test_incremental_session_sees_mid_session_mutation(self):
-        tgdb = self._tgdb()
+        tgdb = toy_tgdb()
         graph = tgdb.graph
         session = EtableSession(tgdb.schema, graph, engine="incremental")
         session.open("Papers")
@@ -131,7 +120,7 @@ class TestMutationInvalidation:
                 == protocol.etable_to_json(oracle.current))
 
     def test_mutation_between_delta_steps_forces_replan(self):
-        tgdb = self._tgdb()
+        tgdb = toy_tgdb()
         graph = tgdb.graph
         executor = IncrementalExecutor(CachingExecutor(graph))
         pattern = initiate(tgdb.schema, "Papers")
@@ -146,7 +135,7 @@ class TestMutationInvalidation:
         assert len(relation) >= 1
 
     def test_lineage_store_invalidates_on_version_bump(self):
-        tgdb = self._tgdb()
+        tgdb = toy_tgdb()
         graph = tgdb.graph
         lineage = ResultLineage(graph)
         pattern = initiate(tgdb.schema, "Papers")
@@ -159,7 +148,7 @@ class TestMutationInvalidation:
         assert lineage.invalidations == 1
 
     def test_caching_executor_prefixes_invalidate_on_mutation(self):
-        tgdb = self._tgdb()
+        tgdb = toy_tgdb()
         graph = tgdb.graph
         executor = CachingExecutor(graph)
         pattern = add(initiate(tgdb.schema, "Conferences"),
@@ -225,16 +214,7 @@ class TestSessionSurface:
         assert "select" in text
 
     def test_shared_executor_must_match_graph(self, toy):
-        from repro.datasets.academic import default_label_overrides
-        from repro.datasets.toy import generate_toy
-        from repro.translate import translate_database
-
-        other = translate_database(
-            generate_toy(),
-            categorical_attributes={"Institutions": ["country"],
-                                    "Papers": ["year"]},
-            label_overrides=default_label_overrides(),
-        )
+        other = toy_tgdb()
         from repro.errors import InvalidAction
 
         with pytest.raises(InvalidAction):

@@ -44,6 +44,7 @@ import time
 import pytest
 
 from repro.core.session import EtableSession
+from repro.datasets.toy import toy_tgdb
 from repro.errors import ServiceError, WorkerFailure
 from repro.service import faults, protocol
 from repro.service.fleet import FleetRouter
@@ -52,7 +53,6 @@ from repro.service.resilience import RetryPolicy
 from test_session_fuzz import (  # noqa: E402 - sibling test module
     _etable_payload,
     _next_action,
-    _toy_tgdb,
     _wire,
 )
 
@@ -71,7 +71,7 @@ def chaos_fleet():
     journal_dir = tempfile.mkdtemp(prefix="chaos-fleet-")
     router = FleetRouter(
         {
-            "factory": f"{os.path.abspath(__file__)}:build_chaos_tgdb",
+            "factory": "repro.datasets.toy:toy_tgdb",
             "journal_dir": journal_dir,
             "faults": WORKER_FAULTS,
             "faults_seed": CHAOS_SEED,
@@ -88,10 +88,6 @@ def chaos_fleet():
     finally:
         faults.disarm()
         router.shutdown()
-
-
-def build_chaos_tgdb():
-    return _toy_tgdb()
 
 
 def _fail(seed, script, step, message):
@@ -139,7 +135,7 @@ def _run_chaos_sequence(tgdb, router, seed):
 
 
 def test_chaos_fuzz_zero_divergence_under_faults(chaos_fleet):
-    tgdb = _toy_tgdb()
+    tgdb = toy_tgdb()
     master = random.Random(CHAOS_SEED)
     seeds = [master.randrange(2**31) for _ in range(CHAOS_SEQUENCES)]
     total = 0
@@ -153,8 +149,8 @@ def test_chaos_fuzz_zero_divergence_under_faults(chaos_fleet):
     assert injector is not None
     assert injector.stats().get("router.recv:raise", 0) > 0, injector.stats()
     # The per-worker stats calls themselves run under the 5% fault regime
-    # (attempts=1, degraded to {"alive": False} on a flake), so retry the
-    # sweep until both workers actually answered.
+    # (one round trip each, degraded to {"alive": False} on a flake), so
+    # retry the sweep until both workers actually answered.
     for _ in range(10):
         stats = chaos_fleet.stats()["fleet"]
         per_worker = stats["per_worker"]

@@ -78,6 +78,13 @@ from repro.core.cache import CachingExecutor
 from repro.core.engines import ENGINES
 from repro.core.etable import ColumnKind
 from repro.core.session import EtableSession
+from repro.datasets import (
+    AcademicConfig,
+    MoviesConfig,
+    academic_tgdb,
+    movies_tgdb,
+    toy_tgdb,
+)
 from repro.service import protocol
 from repro.service.stream import FrameSource, StreamStats, coalesce_frame, fold_frame
 
@@ -109,56 +116,17 @@ _IN_PROCESS = {
 # the number of sequences, not the corpus size)
 # ----------------------------------------------------------------------
 def _academic_tgdb():
-    from repro.datasets.academic import (
-        AcademicConfig,
-        default_categorical_attributes,
-        default_label_overrides,
-        generate_academic,
-    )
-    from repro.translate import translate_database
-
-    db, _ = generate_academic(AcademicConfig(papers=48, seed=13))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    return academic_tgdb(AcademicConfig(papers=48, seed=13))
 
 
 def _movies_tgdb():
-    from repro.datasets.movies import (
-        MoviesConfig,
-        generate_movies,
-        movies_categorical_attributes,
-        movies_label_overrides,
-    )
-    from repro.translate import translate_database
-
-    db = generate_movies(MoviesConfig(movies=40, people=30, seed=13))
-    return translate_database(
-        db,
-        categorical_attributes=movies_categorical_attributes(),
-        label_overrides=movies_label_overrides(),
-    )
-
-
-def _toy_tgdb():
-    from repro.datasets.academic import default_label_overrides
-    from repro.datasets.toy import generate_toy
-    from repro.translate import translate_database
-
-    return translate_database(
-        generate_toy(),
-        categorical_attributes={"Institutions": ["country"],
-                                "Papers": ["year"]},
-        label_overrides=default_label_overrides(),
-    )
+    return movies_tgdb(MoviesConfig(movies=40, people=30, seed=13))
 
 
 _BUILDERS = {
     "academic": _academic_tgdb,
     "movies": _movies_tgdb,
-    "toy": _toy_tgdb,
+    "toy": toy_tgdb,
 }
 
 

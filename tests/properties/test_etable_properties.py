@@ -12,12 +12,10 @@ user can reach through the interface. Invariants:
 * replaying the same walk is deterministic.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.academic import default_label_overrides
-from repro.datasets.toy import generate_toy
+from repro.datasets.toy import toy_tgdb
 from repro.tgm.conditions import (
     AndCondition,
     AttributeCompare,
@@ -27,7 +25,6 @@ from repro.tgm.conditions import (
     NodeIn,
     NotCondition,
 )
-from repro.translate import translate_database
 from repro.core.matching import match
 from repro.core.operators import add, initiate, select, shift
 from repro.core.sql_execution import (
@@ -39,12 +36,7 @@ from repro.core.sql_execution import (
 from repro.core.transform import execute_pattern
 
 # Module-level fixture data (hypothesis functions cannot take fixtures).
-_DB = generate_toy()
-_TGDB = translate_database(
-    _DB,
-    categorical_attributes={"Institutions": ["country"], "Papers": ["year"]},
-    label_overrides=default_label_overrides(),
-)
+_TGDB = toy_tgdb()
 
 _CONDITIONS = {
     "Papers": [

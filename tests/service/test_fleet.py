@@ -14,59 +14,41 @@ import contextlib
 import json
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.core.session import EtableSession
-from repro.datasets.academic import (
-    AcademicConfig,
-    default_categorical_attributes,
-    default_label_overrides,
-    generate_academic,
-)
-from repro.datasets.toy import generate_toy
+from repro.datasets.academic import AcademicConfig, academic_tgdb
+from repro.datasets.toy import toy_tgdb
 from repro.errors import AuthError, QuotaExceeded, ServiceError, WorkerFailure
 from repro.service import AsyncNavigationServer, faults, protocol
 from repro.service.fleet import FleetRouter, FleetWorker, HashRing
+from repro.service.fleet import router as router_module
 from repro.service.fleet.router import _WorkerHandle
 from repro.service.fleet.worker import reply_bytes
 from repro.service.journal import JOURNAL_SUFFIX
-from repro.translate import translate_database
 
-# The worker factory must be importable by path inside the worker
-# process; the spec dict carries this "file.py:callable" string.
-_FACTORY = f"{os.path.abspath(__file__)}:build_toy_tgdb"
+# The spec dict names the worker factory as a "module:callable" string;
+# the worker process imports it and builds its own graph.
+_FACTORY = "repro.datasets.toy:toy_tgdb"
 
 FILTER = {"condition": {"kind": "compare", "attribute": "year",
                         "op": ">", "value": 2001}}
-
-
-def build_toy_tgdb():
-    return translate_database(
-        generate_toy(),
-        categorical_attributes={"Institutions": ["country"],
-                                "Papers": ["year"]},
-        label_overrides=default_label_overrides(),
-    )
 
 
 def build_toy_tgdb_once(marker):
     """Boots one worker: every later call (other workers, boot retries)
     finds ``marker`` and raises ``FileExistsError``."""
     os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-    return build_toy_tgdb()
+    return toy_tgdb()
 
 
 def build_academic_tgdb(papers):
     """The academic corpus (seed 7) that serve.py and the e2e bench host."""
-    db, _report = generate_academic(AcademicConfig(papers=papers, seed=7))
-    return translate_database(
-        db,
-        categorical_attributes=default_categorical_attributes(),
-        label_overrides=default_label_overrides(),
-    )
+    return academic_tgdb(AcademicConfig(papers=papers, seed=7))
 
 
 @contextlib.contextmanager
@@ -335,6 +317,36 @@ class TestFleetBoot:
         assert leaked == []
 
 
+class TestFleetShutdown:
+    def test_a_stopped_worker_cannot_stall_shutdown(self, tmp_path,
+                                                    monkeypatch):
+        """A SIGSTOPped worker never answers its stop op and never exits.
+        shutdown() waits _STOP_REPLY_S for the reply, on the socket the
+        stats sweep pooled, and kills the worker at one shared
+        _STOP_EXIT_S deadline; the healthy worker still exits cleanly."""
+        monkeypatch.setattr(router_module, "_STOP_REPLY_S", 0.5)
+        monkeypatch.setattr(router_module, "_STOP_EXIT_S", 2.0)
+        router = FleetRouter({"factory": _FACTORY,
+                              "journal_dir": str(tmp_path / "j")},
+                             workers=2, probe_interval=None)
+        healthy = router._workers["worker-0"]
+        stopped = router._workers["worker-1"]
+        try:
+            router.stats()  # pools one connection per worker
+            assert len(stopped._pool) == 1
+            os.kill(stopped.process.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            router.shutdown()
+            elapsed = time.monotonic() - started
+        finally:
+            if stopped.process.is_alive():
+                stopped.process.kill()
+                stopped.process.join()
+        assert elapsed < 0.5 + 2.0 + 1.0, elapsed
+        assert healthy.process.exitcode == 0
+        assert stopped.process.exitcode == -signal.SIGKILL
+
+
 class TestRouterRestart:
     def test_rolling_restart_keeps_sessions_and_quota(self, tmp_path):
         """Satellite regression: quota state must ride the journal through
@@ -417,6 +429,10 @@ class _StubWorkerSocket:
         self.sent = b""
         self.reads = 0
         self.closed = False
+        self.timeouts = []
+
+    def settimeout(self, timeout):
+        self.timeouts.append(timeout)
 
     def sendall(self, data):
         self.sent += data
@@ -462,6 +478,11 @@ class TestReplyFraming:
         assert reply.decoded().result == {"rows": [[1, [], []]]}
         assert sock.sent == b'{"action":"etable"}\n'
         assert handle._pool == [sock] and not sock.closed
+        # A pooled socket waits as long as the call that takes it asks,
+        # not as long as the call that opened it did.
+        sock.chunks = [framed]
+        handle.call({"action": "etable"}, timeout=0.2)
+        assert sock.timeouts == [1.0, 0.2]
 
     def test_failure_header_carries_the_error_type(self):
         failure = protocol.Response.failure(ServiceError("no"))

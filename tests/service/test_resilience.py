@@ -235,13 +235,3 @@ class TestProcessWideArming:
         finally:
             faults.disarm()
         faults.fire("journal.write")  # disarmed again: no-op
-
-    def test_from_env_reads_spec_and_seed(self):
-        injector = FaultInjector.from_env(
-            {"REPRO_FAULTS": "router.recv:raise:0.25",
-             "REPRO_FAULTS_SEED": "17"}
-        )
-        assert injector is not None
-        assert injector.spec == "router.recv:raise:0.25"
-        assert injector.seed == 17
-        assert FaultInjector.from_env({}) is None
