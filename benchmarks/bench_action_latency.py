@@ -20,8 +20,8 @@ scripted session's delta-hit rate must be at least
 |current ETable| instead of |database|.
 
 Results land in ``results/action_latency.json``. Env knobs:
-``REPRO_ACTION_BENCH_PAPERS`` (corpus size; CI smoke uses a small corpus and
-a relaxed speedup floor).
+``REPRO_BENCH_PAPERS`` (corpus size, default 4800; CI smoke uses a small
+corpus and a relaxed speedup floor).
 """
 
 import os
@@ -35,7 +35,7 @@ from repro.tgm.conditions import AttributeCompare, AttributeLike
 
 from bench_scalability import SIZES
 
-PAPERS = int(os.environ.get("REPRO_ACTION_BENCH_PAPERS", str(max(SIZES))))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", str(max(SIZES))))
 MIN_SPEEDUP = float(os.environ.get("REPRO_ACTION_MIN_SPEEDUP", "2.0"))
 MIN_DELTA_HIT = float(os.environ.get("REPRO_ACTION_MIN_DELTA_HIT", "0.7"))
 ROW_LIMIT = 50  # the interface paginates; matching is always complete

@@ -19,7 +19,7 @@ re-fetch the page. This bench measures:
   request/response client would fetch for the same session.
 
 Saves ``results/async_streaming.json``. Env knobs:
-``REPRO_STREAM_BENCH_PAPERS`` (corpus, default 1200),
+``REPRO_BENCH_PAPERS`` (corpus, default 1200),
 ``REPRO_STREAM_BENCH_IDLE`` (idle streams, default 1000),
 ``REPRO_STREAM_BENCH_CLIENTS`` / ``REPRO_STREAM_BENCH_ACTIONS`` (throughput
 shape, defaults 8 x 30), ``REPRO_STREAM_MAX_DELTA_BYTES`` (wire fraction
@@ -39,7 +39,7 @@ from repro.service import AsyncNavigationServer, protocol
 from repro.service.manager import SessionManager
 from repro.service.stream import FrameSource, payload_bytes
 
-PAPERS = int(os.environ.get("REPRO_STREAM_BENCH_PAPERS", "1200"))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 IDLE_SESSIONS = int(os.environ.get("REPRO_STREAM_BENCH_IDLE", "1000"))
 CLIENTS = int(os.environ.get("REPRO_STREAM_BENCH_CLIENTS", "8"))
 ACTIONS_PER_CLIENT = int(os.environ.get("REPRO_STREAM_BENCH_ACTIONS", "30"))

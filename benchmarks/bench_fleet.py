@@ -18,7 +18,7 @@ processes cannot outrun a single-worker fleet on a single-core
 container, and a bench that fails for lack of hardware would just get
 its floor deleted. The JSON records whether the floor was enforced.
 
-Env knobs: ``REPRO_FLEET_BENCH_PAPERS`` (corpus size),
+Env knobs: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
 ``REPRO_FLEET_MIN_SPEEDUP`` (floor), ``REPRO_FLEET_ENFORCE=1`` (force
 the floor regardless of core count).
 """
@@ -32,7 +32,7 @@ from repro.bench import banner, format_table, report, save_result
 from repro.service import protocol
 from repro.service.fleet import FleetRouter
 
-PAPERS = int(os.environ.get("REPRO_FLEET_BENCH_PAPERS", "1200"))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_FLEET_MIN_SPEEDUP", "1.5"))
 FLEET_SIZES = [1, 2, 4]
 CLIENTS = 8  # concurrent sessions per round

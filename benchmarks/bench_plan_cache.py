@@ -17,7 +17,7 @@ plan-cache hit rate over the whole run must be ``>= MIN_HIT_RATE``
 is ~97%). Per-action latency p50 rides along, and everything saves to
 ``results/plan_cache.json``.
 
-Env knobs: ``REPRO_PLAN_CACHE_BENCH_PAPERS`` (corpus size, default 1200),
+Env knobs: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
 ``REPRO_PLAN_CACHE_BENCH_SESSIONS`` (users, default 32),
 ``REPRO_PLAN_CACHE_MIN_HIT_RATE`` (the bar, default 0.9).
 """
@@ -30,7 +30,7 @@ from repro.bench import banner, format_table, report, save_result
 from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
-PAPERS = int(os.environ.get("REPRO_PLAN_CACHE_BENCH_PAPERS", "1200"))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 SESSIONS = int(os.environ.get("REPRO_PLAN_CACHE_BENCH_SESSIONS", "32"))
 MIN_HIT_RATE = float(os.environ.get("REPRO_PLAN_CACHE_MIN_HIT_RATE", "0.9"))
 ROW_LIMIT = 50

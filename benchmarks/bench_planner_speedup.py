@@ -28,8 +28,8 @@ wall time varies ~25% with machine load between runs, so the prefix floor
 carries head-room; its absolute time and cache counters are the stable
 regression signal), and saves ``results/planner_speedup.json``.
 
-Env knobs: ``REPRO_PLANNER_BENCH_PAPERS`` overrides the corpus size (the CI
-smoke run uses a small corpus and a relaxed speedup floor).
+Env knobs: ``REPRO_BENCH_PAPERS`` overrides the corpus size (default 4800;
+the CI smoke run uses a small corpus and a relaxed speedup floor).
 """
 
 import os
@@ -43,7 +43,7 @@ from repro.tgm.conditions import AttributeCompare, AttributeLike, NeighborSatisf
 
 from bench_scalability import SIZES
 
-PAPERS = int(os.environ.get("REPRO_PLANNER_BENCH_PAPERS", str(max(SIZES))))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", str(max(SIZES))))
 MIN_SPEEDUP = float(os.environ.get("REPRO_PLANNER_MIN_SPEEDUP", "3.0"))
 MIN_REUSE_SPEEDUP = float(
     os.environ.get("REPRO_PLANNER_MIN_REUSE_SPEEDUP", "2.5")

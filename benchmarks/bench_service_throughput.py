@@ -23,7 +23,7 @@ on a fresh single-user manager — per-session isolation under concurrency
 has to produce exactly the serial answer.
 
 Saves ``results/service_throughput.json``. Env knobs:
-``REPRO_SERVICE_BENCH_PAPERS`` (corpus size, default 1200),
+``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
 ``REPRO_SERVICE_BENCH_SESSIONS`` (concurrent users, default 32).
 """
 
@@ -36,7 +36,7 @@ from repro.bench import banner, format_table, report, save_result
 from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
-PAPERS = int(os.environ.get("REPRO_SERVICE_BENCH_PAPERS", "1200"))
+PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 SESSIONS = int(os.environ.get("REPRO_SERVICE_BENCH_SESSIONS", "32"))
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
 

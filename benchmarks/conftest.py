@@ -1,8 +1,10 @@
 """Benchmark fixtures.
 
-The default corpus is 1,200 papers so the full bench suite completes in a
-few minutes. Set ``REPRO_BENCH_PAPERS=38000`` to run at the paper's scale
-(Section 7.1: ~38,000 papers from 19 conferences).
+The default corpus is 1,200 papers (4,800 for the planner-speedup and
+action-latency benches) so the full bench suite completes in a few minutes.
+``REPRO_BENCH_PAPERS`` overrides that default in every bench that browses
+one corpus; set it to 38000 to run at the paper's scale (Section 7.1:
+~38,000 papers from 19 conferences).
 """
 
 from __future__ import annotations

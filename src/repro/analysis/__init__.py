@@ -2,12 +2,11 @@
 
 PRs 3-5 turned the reproduction into a concurrent, multi-engine service
 whose correctness rests on conventions no test can see directly: which
-attributes a lock guards, which dataclasses the wire protocol must
-round-trip, and which graph mutations must bump the cache version. This
-package makes those conventions *machine-checked at lint time* — the
-"compile-time contract" discipline server codebases such as edgedb apply
-to their cores — so the next concurrency changes fail in CI instead of in
-a fuzzer stack trace.
+attributes a lock guards and which dataclasses the wire protocol must
+round-trip. This package makes those conventions *machine-checked at lint
+time* — the "compile-time contract" discipline server codebases such as
+edgedb apply to their cores — so the next concurrency changes fail in CI
+instead of in a fuzzer stack trace.
 
 Check catalog
 =============
@@ -25,12 +24,6 @@ RPA103    **Protocol field coverage.** Every dataclass serialized by
           serialize side and restored by the constructor call on the
           deserialize side — adding a field without wire support
           fails lint instead of fuzz.
-RPA105    **Mutation-version discipline.** Methods of a class that
-          mutate attributes declared ``# versioned-state`` must bump
-          the mutation version (``self._version``) or call an
-          invalidation helper — caches keyed on the version
-          (``PrefixStore``, ``GraphStatistics``, the plan cache)
-          must never outlive the data they summarize.
 ========  ==========================================================
 
 Running
@@ -40,7 +33,7 @@ Running
 
     PYTHONPATH=src python -m repro.analysis src examples benchmarks
     PYTHONPATH=src python -m repro.analysis --list-checks
-    PYTHONPATH=src python -m repro.analysis --select RPA101,RPA105 src
+    PYTHONPATH=src python -m repro.analysis --select RPA101,RPA103 src
 
 Findings are reported one per line as ``file:line:col: CODE message``;
 the process exits non-zero when any finding survives, so the CI ``lint``

@@ -17,7 +17,7 @@ from repro.analysis.runner import analyze_paths, format_finding
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Run the repo's AST invariant checks (RPA101-RPA105).",
+        description="Run the repo's AST invariant checks (RPA101, RPA103).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

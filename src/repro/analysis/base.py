@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.runner import Project
 
-# ``# repro: noqa`` or ``# repro: noqa-RPA101[,RPA105]``; plain-flake8
+# ``# repro: noqa`` or ``# repro: noqa-RPA101[,RPA103]``; plain-flake8
 # ``# noqa`` is deliberately NOT honoured — suppressions of repo
 # invariants should be greppable as a policy decision, not a reflex.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:-(?P<codes>[A-Z0-9,\-]+))?")

@@ -3,5 +3,4 @@
 from repro.analysis.checks import (  # noqa: F401  (import for side effect)
     locks,
     protocol,
-    versions,
 )

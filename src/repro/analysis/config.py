@@ -26,16 +26,3 @@ FROM_SUFFIX = "_from_json"
 #: Method-style serializer names on dataclasses.
 TO_METHOD = "to_json"
 FROM_METHOD = "from_json"
-
-# --- RPA105 mutation-version discipline -------------------------------
-#: On an ``__init__`` assignment of logical graph state.
-VERSIONED_STATE_MARKER = "versioned-state"
-#: Attribute whose increment counts as a version bump.
-VERSION_ATTRIBUTE = "_version"
-#: Calling any of these methods also counts (they bump internally).
-VERSION_BUMP_HELPERS = frozenset({"_invalidate_indexes"})
-#: Method names on an attribute chain that mutate the container.
-MUTATOR_METHOD_NAMES = frozenset({
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "update", "setdefault", "add", "discard", "sort", "reverse",
-})

@@ -37,9 +37,10 @@ Candidate sets are not cached: every execution evaluates its conditions
 as sets of node ids (:func:`repro.core.planner.condition_ids`), so the
 executor's memory stays within the size budgets of the stores above.
 
-Because patterns, conditions, and the instance graph are immutable during a
-browsing session, cached entries stay valid; the ETable is rebuilt per
-call so presentation state never leaks between hits.
+Patterns and conditions are immutable, and the instance graph is read-only
+once a plan has read its statistics (``repro.tgm.instance_graph``), so cached
+entries stay valid; the ETable is rebuilt per call so presentation state
+never leaks between hits.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from repro.analysis.runtime import assert_locked
 from repro.tgm.graph_relation import GraphRelation
 from repro.tgm.instance_graph import InstanceGraph
 from repro.core.etable import ETable
@@ -98,29 +98,16 @@ class CompiledPlanCache:
     the estimates of the pattern that first compiled the plan — cosmetic
     for ``explain``, irrelevant for execution.
 
-    Entries are valid only for the graph snapshot they were planned over:
-    every access checks the graph's mutation version and drops the whole
-    cache when it moved (statistics — and therefore join order — may have
-    changed). Thread-safe behind one lock, like the executor that owns it.
+    Thread-safe behind one lock, like the executor that owns it.
     """
 
-    def __init__(self, graph: InstanceGraph, max_entries: int = 512) -> None:
-        self._graph = graph
+    def __init__(self, max_entries: int = 512) -> None:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._plans: OrderedDict[tuple, Plan] = OrderedDict()  # guarded-by: self._lock
-        self._graph_version = graph.version  # guarded-by: self._lock
         self.hits = 0  # guarded-by: self._lock
         self.misses = 0  # guarded-by: self._lock
         self.evictions = 0  # guarded-by: self._lock
-        self.invalidations = 0  # guarded-by: self._lock
-
-    def _check_version(self) -> None:  # requires-lock
-        assert_locked(self._lock, "CompiledPlanCache._lock")
-        if self._graph_version != self._graph.version:
-            self._plans.clear()
-            self._graph_version = self._graph.version
-            self.invalidations += 1
 
     def get(self, key: tuple, pattern: QueryPattern) -> Plan | None:
         """The cached plan for ``key``, rebound to ``pattern`` — or None.
@@ -130,7 +117,6 @@ class CompiledPlanCache:
         the caller's own conditions in the cached join order.
         """
         with self._lock:
-            self._check_version()
             plan = self._plans.get(key)
             if plan is None:
                 self.misses += 1
@@ -141,7 +127,6 @@ class CompiledPlanCache:
 
     def put(self, key: tuple, plan: Plan) -> None:
         with self._lock:
-            self._check_version()
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.max_entries:
@@ -151,10 +136,6 @@ class CompiledPlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._plans)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
 
     def stats(self) -> dict:
         """Counters for ``stats_payload()["plan_cache"]`` (JSON-able)."""
@@ -167,7 +148,6 @@ class CompiledPlanCache:
                 "misses": self.misses,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }
 
 
@@ -185,25 +165,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class ResultLineage(PrefixStore):
-    """Per-session store of the reference-ordered relation chain a session's
-    history panel implies.
-
-    Every executed action's full relation is retained under its canonical
-    pattern key, so revert-heavy browsing is O(1): the history entry's
-    pattern looks its relation straight back up instead of re-matching.
-    Shares :class:`~repro.core.planner.PrefixStore`'s size-weighted LRU
-    eviction accounting (cells = rows × attributes, admission cap) and its
-    mutation-version invalidation — a lineage must never serve a relation
-    computed over a graph snapshot that no longer exists.
-    """
-
-    def __init__(self, graph: InstanceGraph, max_entries: int = 64,
-                 max_cells: int | None = 2_000_000) -> None:
-        super().__init__(max_entries=max_entries, max_cells=max_cells,
-                         graph=graph)
 
 
 class IncrementalStats:
@@ -305,20 +266,16 @@ class CachingExecutor:
         self.max_entries = max_entries
         # Compiled plans are shared across every session this executor
         # serves — the fleet-wide normalized plan cache of ROADMAP item 3.
-        self.plans = CompiledPlanCache(graph, max_entries=max_plans)
+        self.plans = CompiledPlanCache(max_entries=max_plans)
         self.stats = CacheStats()  # guarded-by: self._lock
-        # Both stores are graph-bound: a mutation-version bump drops them on
-        # the next lookup, so a mutated graph can never serve stale tuples.
         self.prefixes = PrefixStore(max_entries=max_prefix_entries,  # guarded-by: self._lock
-                                    max_cells=max_prefix_cells,
-                                    graph=graph)
+                                    max_cells=max_prefix_cells)
         # Whole-pattern results share the PrefixStore LRU mechanics (a hit
         # refreshes the entry so hot patterns survive eviction pressure) but
         # live in their own store: flat relations are reference-ordered and
         # keyed with their primary node, reductions keyed without it.
         self._store = PrefixStore(max_entries=max_entries,  # guarded-by: self._lock
-                                  max_cells=max_cells,
-                                  graph=graph)
+                                  max_cells=max_cells)
         self._lock = threading.RLock()
 
     def match(self, pattern: QueryPattern) -> GraphRelation:
@@ -449,20 +406,13 @@ class CachingExecutor:
             "plan_cache": self.plans.stats(),
         }
 
-    def invalidate(self) -> None:
-        """Drop everything (call after mutating the instance graph)."""
-        with self._lock:
-            self._store.clear()
-            self.prefixes.clear()
-            self.plans.clear()
-
 
 class IncrementalExecutor:
     """Per-session incremental engine: ``engine="incremental"``.
 
     Layers the :class:`~repro.core.planner.DeltaPlanner` over a (shareable)
     :class:`CachingExecutor`. Each ``match`` first consults the session's
-    :class:`ResultLineage` (reverts and exact repeats are O(1) lookups),
+    lineage (reverts and exact repeats are O(1) lookups),
     then tries to classify the pattern as a monotone delta of the *previous
     action's* relation — a filter becomes a row-selection, a pivot one
     delta join, a shift a re-rank — and only falls back to the base
@@ -488,29 +438,22 @@ class IncrementalExecutor:
         self.base = base
         self.graph = base.graph
         self.planner = DeltaPlanner(base.graph)
-        self.lineage = ResultLineage(base.graph,
-                                     max_entries=max_lineage_entries,
-                                     max_cells=max_lineage_cells)
+        # The lineage keeps every executed action's full relation under its
+        # canonical pattern key: a revert looks its relation straight back
+        # up instead of re-matching.
+        self.lineage = PrefixStore(max_entries=max_lineage_entries,
+                                   max_cells=max_lineage_cells)
         self.stats = IncrementalStats()
         self.last_delta: DeltaPlan | None = None
         self.last_outcome: str = ""
         self._previous: tuple[QueryPattern, GraphRelation] | None = None
-        self._previous_version = base.graph.version
 
     def _remember(self, pattern: QueryPattern, relation: GraphRelation,
                   key: tuple) -> None:
         self._previous = (pattern, relation)
-        self._previous_version = self.graph.version
         self.lineage.put(key, relation)
 
     def match(self, pattern: QueryPattern) -> GraphRelation:
-        if self._previous is not None and (
-            self._previous_version != self.graph.version
-        ):
-            # The graph mutated under the session: the previous relation
-            # describes a snapshot that no longer exists (the lineage
-            # version guard clears itself on the next lookup).
-            self._previous = None
         key = pattern_cache_key(pattern)
         cached = self.lineage.get(key)
         if cached is not None:
@@ -566,9 +509,3 @@ class IncrementalExecutor:
         payload["incremental_session"] = self.stats.payload()
         payload["lineage"] = self.lineage.stats()
         return payload
-
-    def invalidate(self) -> None:
-        """Drop the session chain (the base executor is invalidated by its
-        owner — it may be shared)."""
-        self.lineage.clear()
-        self._previous = None

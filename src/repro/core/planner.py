@@ -661,20 +661,12 @@ class PrefixStore:
     budget is respected, and a single relation larger than the whole budget
     is refused outright — one huge intermediate can neither pin the cache
     nor wipe it.
-
-    With a ``graph``, every lookup checks the graph's mutation-version
-    counter and drops the whole store when it changed: cached relations are
-    only valid for the graph snapshot they were computed over, and a store
-    that outlives a mutation must never serve stale tuples.
     """
 
     def __init__(self, max_entries: int = 512,
-                 max_cells: int | None = None,
-                 graph: InstanceGraph | None = None) -> None:
+                 max_cells: int | None = None) -> None:
         self.max_entries = max_entries
         self.max_cells = max_cells
-        self._graph = graph
-        self._graph_version = graph.version if graph is not None else None
         self._store: OrderedDict[tuple, Any] = OrderedDict()
         self._weights: dict[tuple, int] = {}
         self.total_cells = 0
@@ -683,22 +675,11 @@ class PrefixStore:
         self.rejected = 0
         self.lookups = 0
         self.hits = 0
-        self.invalidations = 0
-
-    def check_version(self) -> bool:
-        """Drop everything if the bound graph mutated; True when dropped."""
-        if self._graph is None or self._graph.version == self._graph_version:
-            return False
-        self.clear()
-        self._graph_version = self._graph.version
-        self.invalidations += 1
-        return True
 
     def __len__(self) -> int:
         return len(self._store)
 
     def __contains__(self, key: tuple) -> bool:
-        self.check_version()
         return key in self._store
 
     @property
@@ -707,7 +688,6 @@ class PrefixStore:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def get(self, key: tuple) -> Any:
-        self.check_version()
         self.lookups += 1
         relation = self._store.get(key)
         if relation is not None:
@@ -719,7 +699,6 @@ class PrefixStore:
             weight: int | None = None) -> None:
         """Store ``relation`` under ``key``, weighing it ``weight`` cells
         (default: :func:`relation_cells`; at least one)."""
-        self.check_version()
         weight = relation_cells(relation) if weight is None else max(1, weight)
         if self.max_cells is not None and weight > self.max_cells:
             # Admission policy: a relation larger than the entire budget
@@ -765,7 +744,6 @@ class PrefixStore:
             "evictions": self.evictions,
             "evicted_cells": self.evicted_cells,
             "rejected": self.rejected,
-            "invalidations": self.invalidations,
         }
 
     def clear(self) -> None:
@@ -1077,20 +1055,13 @@ def _semi_join(
 # ----------------------------------------------------------------------
 # Reference-order restoration
 # ----------------------------------------------------------------------
-# Adjacency-rank dictionaries are pure functions of the (immutable during a
-# session) adjacency lists, so they are shared across restorations of one
-# graph; the version guard drops them after a mutation.
-_RANK_CACHES: "WeakKeyDictionary[InstanceGraph, tuple[int, dict]]" = (
+# Adjacency-rank dictionaries are pure functions of the adjacency lists,
+# which no write changes once the graph has built its statistics (the first
+# thing restore_reference_order does), so they are shared across
+# restorations of one graph.
+_RANK_CACHES: "WeakKeyDictionary[InstanceGraph, dict[tuple, dict[int, int]]]" = (
     WeakKeyDictionary()
 )
-
-
-def _graph_rank_cache(graph: InstanceGraph) -> dict[tuple[int, str], dict[int, int]]:
-    entry = _RANK_CACHES.get(graph)
-    if entry is None or entry[0] != graph.version:
-        entry = (graph.version, {})
-        _RANK_CACHES[graph] = entry
-    return entry[1]
 
 
 def restore_reference_order(
@@ -1109,10 +1080,11 @@ def restore_reference_order(
     order) reproduces the reference output bit-for-bit, so ETable row order
     and cell order are preserved no matter what order the planner joined in.
     """
+    stats = graph.statistics()
     order = pattern.traversal_order()
     positions = [relation.position(key) for key, _ in order]
     columns = relation.columns_view()
-    rank_cache = _graph_rank_cache(graph)
+    rank_cache = _RANK_CACHES.setdefault(graph, {})
     primary_type = pattern.node(order[0][0]).type_name
     root_rank = rank_cache.get(("type", primary_type))
     if root_rank is None:
@@ -1151,7 +1123,6 @@ def restore_reference_order(
     # equals the positional lexicographic comparison the reference's nested
     # loops produce — and sorts much faster than tuple keys.
     size = len(relation)
-    stats = graph.statistics()
     root_column = columns[positions[0]]
     sort_keys = [root_rank[node_id] for node_id in root_column]
     for (parent_position, traversal), position in zip(parents, positions[1:]):

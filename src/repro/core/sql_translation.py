@@ -419,52 +419,19 @@ class _Translator:
         sub._alias_counter = self._alias_counter + 100  # avoid alias clashes
         sub._bind_root(edge_type.target)
         sub._render_node_conditions(edge_type.target)
-        target_binding = sub.bindings[edge_type.target]
-        correlation = self._correlate(
-            mapping.kind, mapping.data, binding, target_binding, sub
+        # Distinct endpoint keys keep a self-loop edge's two sides apart.
+        correlation = correlate_pattern_edge(
+            PatternEdge(condition.edge_type, "outer", "inner"),
+            mapping.kind,
+            mapping.data,
+            "outer",
+            binding,
+            sub.bindings[edge_type.target],
+            sub,
         )
         from_clause = ", ".join(f"{t} {a}" for t, a in sub.from_items)
         where = " AND ".join(sub.conditions + correlation)
         return f"EXISTS (SELECT 1 FROM {from_clause} WHERE {where})"
-
-    def _correlate(
-        self,
-        kind: str,
-        data: dict[str, str],
-        outer: _Binding,
-        inner: _Binding,
-        sub: "_Translator",
-    ) -> list[str]:
-        if kind == "fk_forward":
-            return [f"{outer.alias}.{data['fk_column']} = "
-                    f"{inner.alias}.{data['ref_pk']}"]
-        if kind == "fk_reverse":
-            return [f"{inner.alias}.{data['fk_column']} = "
-                    f"{outer.alias}.{data['ref_pk']}"]
-        if kind in ("mn_forward", "mn_reverse"):
-            junction_alias = sub.add_table(data["junction_table"])
-            if kind == "mn_forward":
-                return [
-                    f"{junction_alias}.{data['source_fk']} = "
-                    f"{outer.alias}.{data['source_pk']}",
-                    f"{junction_alias}.{data['target_fk']} = "
-                    f"{inner.alias}.{data['target_pk']}",
-                ]
-            return [
-                f"{junction_alias}.{data['target_fk']} = "
-                f"{outer.alias}.{data['target_pk']}",
-                f"{junction_alias}.{data['source_fk']} = "
-                f"{inner.alias}.{data['source_pk']}",
-            ]
-        if kind == "mv_forward":
-            return [f"{inner.alias}.{data['owner_fk']} = "
-                    f"{outer.alias}.{data['owner_pk']}"]
-        if kind == "cat_forward":
-            # Inner binding is an alias over the owner table itself.
-            return [f"{inner.key_expr} = {outer.alias}.{data['column']}"]
-        raise TranslationError(
-            f"neighbor filters over {kind!r} edges are not supported in SQL"
-        )
 
 
 def correlate_pattern_edge(
@@ -477,8 +444,9 @@ def correlate_pattern_edge(
     sub: "_Translator",
 ) -> list[str]:
     """Correlation conditions tying an outer binding to a subquery binding
-    across one pattern edge (used by the partitioned execution strategy's
-    semijoin EXISTS clauses, Section 6.2).
+    across one pattern edge (used by neighbor filters' EXISTS subqueries,
+    Section 6.1, and the partitioned execution strategy's semijoin EXISTS
+    clauses, Section 6.2).
 
     ``sub`` is the subquery's translator — junction/attribute tables needed
     by the correlation are added to *its* FROM list.

@@ -190,7 +190,7 @@ def _assemble(
             )
         )
 
-    refs = _ref_cache(graph)
+    refs = _REF_CACHES.setdefault(graph, {})
 
     def ref_of(node_id: int) -> EntityRef:
         ref = refs.get(node_id)
@@ -225,21 +225,13 @@ def _assemble(
     return etable
 
 
-# EntityRefs are immutable and depend only on a node's label, so one cache
-# per graph version serves every transform over that graph. WeakKeyDictionary
-# keeps dropped graphs collectable; the version check drops stale labels
-# after a mutation.
-_REF_CACHES: "WeakKeyDictionary[InstanceGraph, tuple[int, dict[int, EntityRef]]]" = (
+# EntityRefs are immutable and depend only on a node's label, which no
+# graph write changes (a write only adds nodes and edges), so one cache per
+# graph serves every transform over it. WeakKeyDictionary keeps dropped
+# graphs collectable.
+_REF_CACHES: "WeakKeyDictionary[InstanceGraph, dict[int, EntityRef]]" = (
     WeakKeyDictionary()
 )
-
-
-def _ref_cache(graph: InstanceGraph) -> dict[int, EntityRef]:
-    entry = _REF_CACHES.get(graph)
-    if entry is None or entry[0] != graph.version:
-        entry = (graph.version, {})
-        _REF_CACHES[graph] = entry
-    return entry[1]
 
 
 def _node_ref(node: Node, schema) -> EntityRef:

@@ -64,9 +64,10 @@ from repro.service.resilience import CircuitBreaker, HealthProbe, RetryPolicy
 # A routed request, retries included, and a control round trip each
 # finish within this budget.
 _REQUEST_TIMEOUT_S = 60.0
-# Shutdown budget: each worker gets this long to acknowledge its stop op,
-# and all of them together this long to exit before the rest are killed.
-_STOP_REPLY_S = 2.0
+# A health ping and a stop op each wait this long for the worker's reply,
+# so a hung worker fails its probe fast and cannot stall shutdown; all
+# workers together get _STOP_EXIT_S to exit before the rest are killed.
+_CONTROL_REPLY_S = 2.0
 _STOP_EXIT_S = 10.0
 # Consecutive failures that open a worker's circuit breaker.
 _BREAKER_THRESHOLD = 5
@@ -523,7 +524,7 @@ class FleetRouter:
         for name, handle in sorted(handles.items()):
             breaker = self._breaker_for(name)
             try:
-                self._control(handle, "ping")
+                self._control(handle, "ping", timeout=_CONTROL_REPLY_S)
             except (OSError, ServiceError):
                 if breaker.record_failure():
                     with self._lock:
@@ -642,7 +643,7 @@ class FleetRouter:
     def shutdown(self) -> None:
         """Graceful fleet stop: ask every worker to shut down, then join
         them all within one deadline. Each stop op waits at most
-        ``_STOP_REPLY_S`` for its reply, and a worker still running
+        ``_CONTROL_REPLY_S`` for its reply, and a worker still running
         ``_STOP_EXIT_S`` after the last one (a stopped or wedged process)
         is killed; its journals hold its sessions."""
         if self._probe is not None:
@@ -653,7 +654,7 @@ class FleetRouter:
             self._ring = HashRing()
         for handle in handles.values():
             try:
-                self._control(handle, "shutdown", timeout=_STOP_REPLY_S)
+                self._control(handle, "shutdown", timeout=_CONTROL_REPLY_S)
             except (OSError, ServiceError):
                 pass  # already dead, or not answering
             handle.close_pool()

@@ -5,8 +5,8 @@ the schema graph. The graph maintains adjacency indexes in *both* directions
 of every edge-type twin pair, so a neighbor lookup — the operation behind
 every entity-reference cell in an ETable — is a hash probe plus a list scan.
 
-Beyond adjacency, the graph keeps two families of *secondary indexes* built
-lazily and invalidated on mutation:
+Beyond adjacency, the graph keeps two families of *secondary indexes*, built
+lazily on first use:
 
 * an attribute-equality hash index per ``(type, attribute)`` pair, turning
   ``attribute = value`` selections into probes instead of full type scans;
@@ -16,6 +16,14 @@ lazily and invalidated on mutation:
 A :class:`GraphStatistics` summary (per-type cardinalities, per-edge-type
 degree histograms, per-attribute distinct counts) feeds the query planner's
 selectivity and join-fanout estimates (``repro.core.planner``).
+
+Translation (``repro.translate``) and ``load_graph`` (``repro.tgm.storage``)
+write a graph once, before anything queries it. From the first time the
+graph builds an attribute index or its statistics it is read-only:
+``add_node`` and ``add_edge`` raise :class:`~repro.errors.GraphIntegrityError`.
+So nothing derived from a graph ever goes stale, and no cache over it checks
+for writes. A graph that only the naive matcher has read derived nothing and
+stays writable.
 """
 
 from __future__ import annotations
@@ -84,13 +92,13 @@ class EdgeTypeStats:
 
 
 class GraphStatistics:
-    """Cheap summary statistics over one :class:`InstanceGraph` snapshot.
+    """Cheap summary statistics over one read-only :class:`InstanceGraph`.
 
-    Built once per graph version (the graph drops its cached statistics on
-    mutation); all lookups afterwards are dictionary probes. The planner
-    uses these for selectivity estimation and sizes the reference-order
-    sort key by ``max_degree``, so they are always computed from the graph
-    they describe, on first use, and never persisted.
+    Built once, on first use, which makes the graph read-only; all lookups
+    afterwards are dictionary probes. The planner uses these for
+    selectivity estimation and sizes the reference-order sort key by
+    ``max_degree``, so they are always computed from the graph they
+    describe and never persisted.
     """
 
     def __init__(self, graph: "InstanceGraph") -> None:
@@ -197,27 +205,23 @@ class InstanceGraph:
 
     def __init__(self, schema: SchemaGraph) -> None:
         self.schema = schema
-        # Logical graph state: every mutation must bump self._version (or
-        # go through _invalidate_indexes) — checked statically by RPA105.
-        self._nodes: dict[int, Node] = {}  # versioned-state
-        self._nodes_by_type: dict[str, list[int]] = {  # versioned-state
+        self._nodes: dict[int, Node] = {}
+        self._nodes_by_type: dict[str, list[int]] = {
             node_type.name: [] for node_type in schema.node_types
         }
-        self._edges: list[Edge] = []  # versioned-state
+        self._edges: list[Edge] = []
         # (node_id, edge_type_name) -> [neighbor node ids]
-        self._adjacency: dict[tuple[int, str], list[int]] = {}  # versioned-state
+        self._adjacency: dict[tuple[int, str], list[int]] = {}
         # (type_name, source_key) -> node_id, for translation lookups
-        self._by_source_key: dict[tuple[str, Any], int] = {}  # versioned-state
+        self._by_source_key: dict[tuple[str, Any], int] = {}
         self._next_id = 1
-        # Lazily-built secondary indexes and statistics; dropped on mutation.
+        # Lazily-built secondary indexes and statistics; building either
+        # makes the graph read-only (see _require_writable).
         # (type_name, attribute) -> value -> [node ids, insertion order]
         self._attribute_indexes: dict[
             tuple[str, str], dict[Any, list[int]]
         ] = {}
         self._statistics: GraphStatistics | None = None
-        # Monotonic mutation counter so external caches (statistics users,
-        # the transform layer's entity-ref cache) can detect staleness.
-        self._version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -228,6 +232,7 @@ class InstanceGraph:
         attributes: dict[str, Any],
         source_key: Any = None,
     ) -> Node:
+        self._require_writable()
         node_type = self.schema.node_type(type_name)
         unknown = set(attributes) - set(node_type.attributes)
         if unknown:
@@ -239,7 +244,6 @@ class InstanceGraph:
         self._next_id += 1
         self._nodes[node.node_id] = node
         self._nodes_by_type[type_name].append(node.node_id)
-        self._invalidate_indexes(type_name)
         if source_key is not None:
             key = (type_name, source_key)
             if key in self._by_source_key:
@@ -257,6 +261,7 @@ class InstanceGraph:
         attributes: dict[str, Any] | None = None,
     ) -> Edge:
         """Add one edge; adjacency is indexed for the reverse twin too."""
+        self._require_writable()
         edge_type = self.schema.edge_type(edge_type_name)
         source = self.node(source_id)
         target = self.node(target_id)
@@ -282,9 +287,15 @@ class InstanceGraph:
             self._adjacency.setdefault(
                 (target_id, edge_type.reverse_name), []
             ).append(source_id)
-        self._version += 1
-        self._statistics = None  # degree histograms are stale
         return edge
+
+    def _require_writable(self) -> None:
+        """Refuse a write once anything has been derived from the graph."""
+        if self._statistics is not None or self._attribute_indexes:
+            raise GraphIntegrityError(
+                "the instance graph is read-only once queried: it has "
+                "built an attribute index or its statistics"
+            )
 
     # ------------------------------------------------------------------
     # Lookup
@@ -371,17 +382,17 @@ class InstanceGraph:
         return None
 
     # ------------------------------------------------------------------
-    # Secondary indexes (lazy; invalidated by add_node / add_edge)
+    # Secondary indexes (lazy; building one makes the graph read-only)
     # ------------------------------------------------------------------
     def attribute_index(
         self, type_name: str, attribute: str
     ) -> dict[Any, list[int]]:
         """Hash index ``value -> [node ids]`` for one ``(type, attribute)``.
 
-        Built on first use and cached until the type gains a node. NULLs and
-        unhashable values are omitted (an equality probe can never match
-        NULL, and unhashable attribute values fall back to scans upstream).
-        Buckets keep node-insertion order.
+        Built on first use and kept: from then on the graph is read-only.
+        NULLs and unhashable values are omitted (an equality probe can never
+        match NULL, and unhashable attribute values fall back to scans
+        upstream). Buckets keep node-insertion order.
         """
         key = (type_name, attribute)
         index = self._attribute_indexes.get(key)
@@ -404,24 +415,12 @@ class InstanceGraph:
         label_attr = self.schema.node_type(type_name).label_attribute
         return self.attribute_index(type_name, label_attr)
 
-    @property
-    def version(self) -> int:
-        """Bumped on every mutation; caches key their entries by it."""
-        return self._version
-
-    def _invalidate_indexes(self, type_name: str) -> None:
-        self._version += 1
-        self._statistics = None
-        if self._attribute_indexes:
-            stale = [key for key in self._attribute_indexes if key[0] == type_name]
-            for key in stale:
-                del self._attribute_indexes[key]
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def statistics(self) -> GraphStatistics:
-        """Summary statistics for the planner (cached per graph version)."""
+        """Summary statistics for the planner, built once: from then on
+        the graph is read-only."""
         if self._statistics is None:
             self._statistics = GraphStatistics(self)
         return self._statistics

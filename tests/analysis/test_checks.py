@@ -68,16 +68,3 @@ class TestProtocolCoverage:
                     tmp_path / "serializers.py")
         assert analyze_paths([tmp_path], select=["RPA103"]) == []
 
-
-class TestMutationVersionDiscipline:
-    def test_bad_fixture_fires(self):
-        findings = run("RPA105", "rpa105_bad.py")
-        texts = messages(findings)
-        assert len(findings) == 2
-        assert any("'Graph.add_node' mutates versioned state "
-                   "'self._nodes'" in t for t in texts)
-        assert any("'Graph.add_edge' mutates versioned state "
-                   "'self._edges'" in t for t in texts)
-
-    def test_good_fixture_silent(self):
-        assert run("RPA105", "rpa105_good.py") == []

@@ -52,17 +52,17 @@ class TestParsedFile:
         source = (
             "a = 1  # repro: noqa\n"
             "b = 2  # repro: noqa-RPA101\n"
-            "c = 3  # repro: noqa-RPA101,RPA105\n"
+            "c = 3  # repro: noqa-RPA101,RPA103\n"
         )
         parsed = ParsedFile(Path("x.py"), source)
         assert parsed.noqa[1] is None
         assert parsed.noqa[2] == {"RPA101"}
-        assert parsed.noqa[3] == {"RPA101", "RPA105"}
+        assert parsed.noqa[3] == {"RPA101", "RPA103"}
 
     def test_is_suppressed_code_match(self):
         parsed = ParsedFile(Path("x.py"), "b = 2  # repro: noqa-RPA101\n")
         hit = Finding(Path("x.py"), 1, 0, "RPA101", "m")
-        miss = Finding(Path("x.py"), 1, 0, "RPA105", "m")
+        miss = Finding(Path("x.py"), 1, 0, "RPA103", "m")
         assert parsed.is_suppressed(hit)
         assert not parsed.is_suppressed(miss)
 
@@ -90,7 +90,7 @@ class TestReporting:
             analyze_paths([FIXTURES / "rpa101_good.py"], select=["RPA999"])
 
     def test_registry_has_all_four_checks(self):
-        assert set(all_checks()) == {"RPA101", "RPA103", "RPA105"}
+        assert set(all_checks()) == {"RPA101", "RPA103"}
 
 
 class TestCli:
@@ -106,7 +106,7 @@ class TestCli:
         assert "finding" in result.stderr  # count summary on stderr
 
     def test_select_filters_checks(self):
-        result = run_cli("--select", "RPA105", str(FIXTURES / "rpa101_bad.py"))
+        result = run_cli("--select", "RPA103", str(FIXTURES / "rpa101_bad.py"))
         assert result.returncode == 0
 
     def test_missing_path_exit_two(self):
@@ -116,7 +116,7 @@ class TestCli:
     def test_list_checks(self):
         result = run_cli("--list-checks")
         assert result.returncode == 0
-        for code in ("RPA101", "RPA103", "RPA105"):
+        for code in ("RPA101", "RPA103"):
             assert code in result.stdout
-        assert "RPA102" not in result.stdout
-        assert "RPA104" not in result.stdout
+        for code in ("RPA102", "RPA104", "RPA105"):
+            assert code not in result.stdout

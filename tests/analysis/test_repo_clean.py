@@ -44,8 +44,7 @@ def src_copy(tmp_path):
 
 class TestMutationSanity:
     def test_unmutated_copy_is_clean(self, src_copy):
-        findings = analyze_paths([src_copy],
-                                 select=["RPA101", "RPA103", "RPA105"])
+        findings = analyze_paths([src_copy], select=["RPA101", "RPA103"])
         assert findings == []
 
     def test_deleting_a_lock_guard_fails_lint(self, src_copy):
@@ -70,14 +69,3 @@ class TestMutationSanity:
             "'history_entry_to_json' never reads field 'sort'" in f.message
             for f in findings
         ), [f.message for f in findings]
-
-    def test_forgetting_a_version_bump_fails_lint(self, src_copy):
-        graph = src_copy / "repro" / "tgm" / "instance_graph.py"
-        source = graph.read_text()
-        assert "self._invalidate_indexes(type_name)" in source
-        graph.write_text(
-            source.replace("self._invalidate_indexes(type_name)", "pass", 1)
-        )
-        findings = analyze_paths([graph], select=["RPA105"])
-        assert findings, "dropping the invalidation call must trip RPA105"
-        assert all(f.code == "RPA105" for f in findings)

@@ -210,14 +210,6 @@ class TestCachingExecutor:
         executor.execute(paper_pattern(2001))  # still cached
         assert executor.stats.hits == 2
 
-    def test_invalidate(self, toy):
-        executor = CachingExecutor(toy.graph)
-        pattern = initiate(toy.schema, "Papers")
-        executor.execute(pattern)
-        executor.invalidate()
-        executor.execute(pattern)
-        assert executor.stats.misses == 2
-
     def test_hit_rate(self, toy):
         executor = CachingExecutor(toy.graph)
         pattern = initiate(toy.schema, "Papers")

@@ -2,8 +2,7 @@
 
 Covers the per-session :class:`~repro.core.cache.IncrementalExecutor`
 (delta answering, lineage replays, cost/classification fallbacks, stats),
-the :class:`~repro.core.cache.ResultLineage` store, the mutation-version
-invalidation regression, and the session surface of
+the read-only graph under a planned session, and the session surface of
 ``engine="incremental"``, alone and over a shared executor. Bit-for-bit
 equivalence against the other engines at scale lives in
 tests/integration/test_session_fuzz.py.
@@ -11,13 +10,12 @@ tests/integration/test_session_fuzz.py.
 
 import pytest
 
+from repro.errors import GraphIntegrityError
 from repro.tgm.conditions import AttributeCompare, AttributeLike
 from repro.core.cache import (
     CachingExecutor,
     IncrementalExecutor,
     IncrementalStats,
-    ResultLineage,
-    pattern_cache_key,
 )
 from repro.core.matching import match
 from repro.core.operators import add, initiate, select
@@ -87,78 +85,41 @@ class TestIncrementalExecutor:
         assert payload["incremental_session"]["delta_hit_rate"] == 0.0
         assert "incremental" not in payload
 
-    def test_invalidate_drops_the_session_chain(self, toy):
-        executor = _executor(toy)
-        pattern = initiate(toy.schema, "Papers")
-        executor.match(pattern)
-        executor.invalidate()
-        assert len(executor.lineage) == 0
-        executor.match(pattern)  # no previous: replans, does not crash
-        assert executor.stats.replans == 2
 
+class TestGraphReadOnlyOnceQueried:
+    """No cache checks the graph for writes: the first planned action makes
+    the graph refuse them, while the naive matcher derives nothing."""
 
-class TestMutationInvalidation:
-    """Regression (ISSUE satellite): lineage and prefix caches must drop on
-    InstanceGraph mutation-version bumps, mid-session."""
-
-    def test_incremental_session_sees_mid_session_mutation(self):
-        tgdb = toy_tgdb()
+    @pytest.mark.parametrize("engine", ["planned", "incremental"])
+    def test_a_write_after_the_first_action_raises(self, engine):
+        tgdb = toy_tgdb()  # private graph: the test writes to it
         graph = tgdb.graph
-        session = EtableSession(tgdb.schema, graph, engine="incremental")
+        session = EtableSession(tgdb.schema, graph, engine=engine)
         session.open("Papers")
-        before_rows = len(session.current)
-        # Mutate the graph mid-session: a new paper arrives.
-        graph.add_node("Papers", {"title": "Freshly Added Paper",
-                                  "year": 2024})
-        # Re-executing the same pattern must see the new node, not a stale
-        # lineage/whole-pattern entry.
-        session.revert(0)
-        assert len(session.current) == before_rows + 1
+        paper = graph.node_ids_of_type("Papers")[0]
+        author = graph.node_ids_of_type("Authors")[-1]
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_node("Papers", {"title": "Freshly Added Paper",
+                                      "year": 2024})
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_edge("Papers->Authors", paper, author)
         oracle = EtableSession(tgdb.schema, graph, engine="naive")
-        oracle.open("Papers")
+        for each in (session, oracle):
+            each.open("Papers")
+            each.filter_attribute("year", ">", 2005)
         assert (protocol.etable_to_json(session.current)
                 == protocol.etable_to_json(oracle.current))
 
-    def test_mutation_between_delta_steps_forces_replan(self):
+    def test_the_naive_matcher_leaves_the_graph_writable(self):
         tgdb = toy_tgdb()
         graph = tgdb.graph
-        executor = IncrementalExecutor(CachingExecutor(graph))
-        pattern = initiate(tgdb.schema, "Papers")
-        executor.match(pattern)
-        graph.add_node("Papers", {"title": "Another", "year": 2024})
-        filtered = select(pattern, AttributeCompare("year", "=", 2024))
-        relation = executor.match(filtered)
-        # The previous relation predates the mutation, so the delta path is
-        # off the table; the replanned result must include the new node.
-        assert executor.stats.replans == 2
-        assert relation.tuples == match(filtered, graph).tuples
-        assert len(relation) >= 1
-
-    def test_lineage_store_invalidates_on_version_bump(self):
-        tgdb = toy_tgdb()
-        graph = tgdb.graph
-        lineage = ResultLineage(graph)
-        pattern = initiate(tgdb.schema, "Papers")
-        key = pattern_cache_key(pattern)
-        relation = match(pattern, graph)
-        lineage.put(key, relation)
-        assert lineage.get(key) is relation
-        graph.add_node("Papers", {"title": "X", "year": 1999})
-        assert lineage.get(key) is None
-        assert lineage.invalidations == 1
-
-    def test_caching_executor_prefixes_invalidate_on_mutation(self):
-        tgdb = toy_tgdb()
-        graph = tgdb.graph
-        executor = CachingExecutor(graph)
-        pattern = add(initiate(tgdb.schema, "Conferences"),
-                      tgdb.schema, "Conferences->Papers")
-        executor.match(pattern)
-        assert len(executor.prefixes) > 0
-        graph.add_node("Papers", {"title": "Y", "year": 2000})
-        relation = executor.match(pattern)
-        assert relation.tuples == match(pattern, graph).tuples
-        assert executor.prefixes.invalidations >= 1
+        session = EtableSession(tgdb.schema, graph, engine="naive")
+        session.open("Papers")
+        before_rows = len(session.current)
+        graph.add_node("Papers", {"title": "Freshly Added Paper",
+                                  "year": 2024})
+        session.revert(0)
+        assert len(session.current) == before_rows + 1
 
 
 class TestIncrementalStats:

@@ -86,9 +86,6 @@ class TestGraphStatistics:
         assert stats.distinct_count("Papers", "year") == len(years)
 
     def test_statistics_object_is_cached(self, toy):
-        # Invalidation on mutation is covered by
-        # TestSecondaryIndexes.test_index_invalidated_by_add_node (the toy
-        # fixture is session-scoped, so it must not be mutated here).
         assert toy.graph.statistics() is toy.graph.statistics()
 
 
@@ -133,21 +130,6 @@ class TestSecondaryIndexes:
         unlabeled = graph.add_node("T", {})
         found = graph.find_by_label("T", None)
         assert found is not None and found.node_id == unlabeled.node_id
-
-    def test_index_invalidated_by_add_node(self):
-        from repro.tgm.instance_graph import InstanceGraph
-        from repro.tgm.schema_graph import NodeType, SchemaGraph
-
-        schema = SchemaGraph()
-        schema.add_node_type(NodeType("T", ("name",), "name"))
-        graph = InstanceGraph(schema)
-        graph.add_node("T", {"name": "a"})
-        assert graph.find_by_label("T", "b") is None  # builds the index
-        added = graph.add_node("T", {"name": "b"})  # invalidates it
-        found = graph.find_by_label("T", "b")
-        assert found is not None and found.node_id == added.node_id
-        # Statistics are also rebuilt after mutation.
-        assert graph.statistics().cardinality("T") == 2
 
 
 # ----------------------------------------------------------------------
@@ -684,16 +666,6 @@ class TestPrefixStore:
         assert executor.match(one).tuples == [(first.node_id,)]
         assert executor.match(other).tuples == [(second.node_id,)]
 
-    def test_invalidate_clears_prefixes_and_memo(self, toy):
-        executor = CachingExecutor(toy.graph)
-        pattern = initiate(toy.schema, "Papers")
-        executor.match(pattern)
-        assert len(executor.prefixes) > 0
-        executor.invalidate()
-        assert len(executor.prefixes) == 0
-        executor.match(pattern)
-        assert executor.stats.misses == 2
-
 
 # ----------------------------------------------------------------------
 # GraphRelation construction boundaries
@@ -940,32 +912,3 @@ class TestDeltaPlanner:
         stats = toy.graph.statistics()
         assert estimate_delta_cost(delta, 10, pattern, toy.graph, stats) >= 1.0
         assert estimate_replan_cost(pattern, toy.graph, stats) >= 1.0
-
-
-class TestPrefixStoreVersionGuard:
-    def test_mutation_drops_entries(self):
-        from repro.tgm.instance_graph import InstanceGraph
-        from repro.tgm.schema_graph import NodeType, SchemaGraph
-
-        schema = SchemaGraph()
-        schema.add_node_type(NodeType("T", ("name",), "name"))
-        graph = InstanceGraph(schema)
-        graph.add_node("T", {"name": "a"})
-        store = PrefixStore(graph=graph)
-        relation = GraphRelation([GraphAttribute("T", "T")], [(1,)])
-        store.put(("k",), relation)
-        assert store.get(("k",)) is relation
-        graph.add_node("T", {"name": "b"})  # version bump
-        assert store.get(("k",)) is None
-        assert store.invalidations == 1
-        assert store.stats()["invalidations"] == 1
-        # The store keeps working against the new version.
-        store.put(("k",), relation)
-        assert store.get(("k",)) is relation
-
-    def test_unbound_store_never_invalidates(self):
-        store = PrefixStore()
-        relation = GraphRelation([GraphAttribute("T", "T")], [(1,)])
-        store.put(("k",), relation)
-        assert not store.check_version()
-        assert store.get(("k",)) is relation

@@ -1,6 +1,12 @@
 """Unit tests for the monolithic vs partitioned execution strategies."""
 
-from repro.tgm.conditions import AttributeCompare, AttributeLike
+import pytest
+
+from repro.tgm.conditions import (
+    AttributeCompare,
+    AttributeLike,
+    NeighborSatisfies,
+)
 from repro.core.operators import add, initiate, select, shift
 from repro.core.sql_execution import (
     build_partitioned_queries,
@@ -9,6 +15,7 @@ from repro.core.sql_execution import (
     graph_result_summary,
     results_equal,
 )
+from repro.core.transform import execute_pattern
 
 
 def korea_pattern(tgdb):
@@ -151,3 +158,31 @@ class TestStrategies:
         graph = graph_result_summary(pattern, academic.graph)
         assert results_equal(mono, graph)
         assert results_equal(part, graph)
+
+
+# Edges from an attribute value (categorical or multivalued) back to the
+# entities that hold it: their neighbor filters correlate the EXISTS
+# subquery the other way round from the forward edges.
+_REVERSE_ATTRIBUTE_FILTERS = {
+    "Institutions: country->Institutions": AttributeLike("name", "%a%"),
+    "Papers: year->Papers": AttributeLike("title", "%a%"),
+    "Paper_Keywords: keyword->Papers": AttributeCompare("year", ">", 2005),
+}
+
+
+@pytest.mark.parametrize("dataset", ["toy", "academic"])
+@pytest.mark.parametrize("edge_type", sorted(_REVERSE_ATTRIBUTE_FILTERS))
+def test_neighbor_filter_over_reverse_attribute_edge(request, dataset,
+                                                     edge_type):
+    tgdb = request.getfixturevalue(dataset)
+    engine = request.getfixturevalue(f"{dataset}_sql")
+    pattern = initiate(tgdb.schema, tgdb.schema.edge_type(edge_type).source)
+    pattern = select(pattern, NeighborSatisfies(
+        edge_type, _REVERSE_ATTRIBUTE_FILTERS[edge_type]))
+    naive = graph_result_summary(
+        execute_pattern(pattern, tgdb.graph, engine="naive"))
+    assert naive.primary_keys
+    for execute in (execute_monolithic, execute_partitioned):
+        result = execute(engine, pattern, tgdb.schema, tgdb.mapping,
+                         tgdb.graph)
+        assert results_equal(result, naive), execute.__name__

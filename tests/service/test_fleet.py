@@ -321,10 +321,10 @@ class TestFleetShutdown:
     def test_a_stopped_worker_cannot_stall_shutdown(self, tmp_path,
                                                     monkeypatch):
         """A SIGSTOPped worker never answers its stop op and never exits.
-        shutdown() waits _STOP_REPLY_S for the reply, on the socket the
+        shutdown() waits _CONTROL_REPLY_S for the reply, on the socket the
         stats sweep pooled, and kills the worker at one shared
         _STOP_EXIT_S deadline; the healthy worker still exits cleanly."""
-        monkeypatch.setattr(router_module, "_STOP_REPLY_S", 0.5)
+        monkeypatch.setattr(router_module, "_CONTROL_REPLY_S", 0.5)
         monkeypatch.setattr(router_module, "_STOP_EXIT_S", 2.0)
         router = FleetRouter({"factory": _FACTORY,
                               "journal_dir": str(tmp_path / "j")},
@@ -345,6 +345,31 @@ class TestFleetShutdown:
         assert elapsed < 0.5 + 2.0 + 1.0, elapsed
         assert healthy.process.exitcode == 0
         assert stopped.process.exitcode == -signal.SIGKILL
+
+    def test_a_stopped_worker_fails_its_health_ping_fast(self, tmp_path,
+                                                         monkeypatch):
+        """A SIGSTOPped worker never answers its ping. The sweep waits
+        _CONTROL_REPLY_S for it, not the 60 s request budget, and counts
+        one failure on that worker's breaker only."""
+        monkeypatch.setattr(router_module, "_CONTROL_REPLY_S", 0.5)
+        router = FleetRouter({"factory": _FACTORY,
+                              "journal_dir": str(tmp_path / "j")},
+                             workers=2, probe_interval=None)
+        stopped = router._workers["worker-1"]
+        try:
+            os.kill(stopped.process.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            router._probe_once()
+            elapsed = time.monotonic() - started
+            breakers = {name: router._breaker_for(name).stats()
+                        for name in ("worker-0", "worker-1")}
+        finally:
+            stopped.process.kill()
+            stopped.process.join()
+            router.shutdown()
+        assert elapsed < 0.5 + 1.0, elapsed
+        assert breakers["worker-1"]["consecutive_failures"] == 1
+        assert breakers["worker-0"]["consecutive_failures"] == 0
 
 
 class TestRouterRestart:

@@ -128,3 +128,29 @@ class TestEdges:
     def test_to_ascii(self, graph):
         text = graph.to_ascii()
         assert "Papers (1)" in text and "edges: 2" in text
+
+
+class TestReadOnlyOnceQueried:
+    """Nothing derived from a graph can go stale: once it has built an
+    attribute index or its statistics, it refuses every write."""
+
+    @pytest.mark.parametrize("query", [
+        lambda graph: graph.statistics(),
+        lambda graph: graph.find_by_label("Authors", "Kahng"),
+    ], ids=["statistics", "find_by_label"])
+    def test_writes_raise_once_queried(self, graph, query):
+        query(graph)
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_node("Authors", {"id": 12, "name": "Navathe"})
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_edge("Papers->Authors", 1, 2)
+        assert graph.type_counts() == {"Papers": 1, "Authors": 2}
+        assert graph.edge_count == 2
+
+    def test_lookups_that_derive_nothing_leave_it_writable(self, graph):
+        graph.neighbors(1, "Papers->Authors")
+        graph.find_nodes("Authors", AttributeCompare("name", "=", "Chau"))
+        graph.find_by_label("Authors", None)  # NULL probes scan
+        added = graph.add_node("Authors", {"id": 12, "name": "Navathe"})
+        graph.add_edge("Papers->Authors", 1, added.node_id)
+        assert graph.find_by_label("Authors", "Navathe") == added

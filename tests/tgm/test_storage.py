@@ -1,5 +1,8 @@
 """Unit tests for the four-table TGDB storage (Section 6.2)."""
 
+import pytest
+
+from repro.errors import GraphIntegrityError
 from repro.tgm.storage import (
     EDGE_TYPES_TABLE,
     EDGES_TABLE,
@@ -76,9 +79,9 @@ class TestRoundTrip:
 
 class TestStatisticsPersistence:
     """Statistics are not persisted: a loaded graph computes its own on
-    first use, and drops them when it changes."""
+    first use, and is read-only from then on."""
 
-    def test_warm_statistics_dropped_on_mutation(self, toy):
+    def test_loaded_graph_computes_its_own_statistics(self, toy):
         db = save_graph(toy.schema, toy.graph)
         assert sorted(db.table_names) == sorted(
             [NODE_TYPES_TABLE, EDGE_TYPES_TABLE, NODES_TABLE, EDGES_TABLE]
@@ -86,5 +89,6 @@ class TestStatisticsPersistence:
         _schema, graph = load_graph(db)
         before = graph.statistics().cardinality("Papers")
         assert before == toy.graph.statistics().cardinality("Papers")
-        graph.add_node("Papers", {"title": "New", "year": 2016})
-        assert graph.statistics().cardinality("Papers") == before + 1
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_node("Papers", {"title": "New", "year": 2016})
+        assert graph.statistics().cardinality("Papers") == before
