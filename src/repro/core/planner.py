@@ -14,7 +14,13 @@ interactivity claim (Section 7) and its future-work item #2 (Section 9,
   buckets (``InstanceGraph.attribute_index``, one test per distinct value),
   reverse adjacency (a neighbor condition is the image of its inner set)
   and set algebra (``And``/``Or``/``Not``) instead of one evaluation per
-  node — the candidate layer;
+  node — the candidate layer. A ``LIKE`` whose pattern holds a run of
+  three or more ASCII characters other than ``%`` and ``_`` first narrows
+  the distinct values to those whose lowercase form holds every trigram
+  of those runs (``InstanceGraph.trigram_index``), and its regex tests
+  only those. Non-ASCII values are tested whatever their trigrams, because
+  ``re.IGNORECASE`` matches ``'s'`` to ``'ſ'`` and ``'i'`` to ``'İ'``,
+  which no lowercased trigram finds;
 * a **greedy join-order planner** that starts from the most selective
   pattern node and repeatedly joins the frontier node with the smallest
   estimated result growth, emitting an inspectable :class:`Plan` with
@@ -40,8 +46,10 @@ row walk over it reproduces the ETable that
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Any, Callable
 from weakref import WeakKeyDictionary
 
@@ -159,6 +167,16 @@ def condition_ids(
     ``NeighborSatisfies`` is the reverse-adjacency image of its inner set,
     the in-memory form of the ``EXISTS`` subquery of Section 6.1; and
     ``And``/``Or``/``Not`` are set algebra over the type's ids.
+
+    A ``LIKE`` (``AttributeLike`` or ``LabelLike``) takes the trigram
+    prefilter when its pattern has a run of three or more ASCII characters;
+    ``%``, ``_`` and any non-ASCII character end a run. Only the distinct
+    ASCII strings holding every lowercased trigram of those runs can match,
+    so the regex tests those alone. It also tests every non-ASCII string,
+    since ``re.IGNORECASE`` folds some of them onto ASCII letters (``'ſ'``
+    onto ``'s'``, the Kelvin sign U+212A onto ``'k'``) in ways no
+    lowercased trigram records, and every non-string or unhashable value,
+    by its ``str()``. Any other pattern tests every distinct value.
     """
     if isinstance(condition, AndCondition):
         ids: frozenset[int] | None = None
@@ -191,6 +209,10 @@ def condition_ids(
         label = graph.schema.node_type(type_name).label_attribute
         condition = AttributeLike(label, condition.pattern)
     if isinstance(condition, AttributeLike):
+        trigrams = _like_trigrams(condition.pattern)
+        if trigrams:
+            return _prefiltered_like_ids(graph, type_name, condition,
+                                         trigrams)
         match = compile_like(condition.pattern).match
         negate = condition.negate
         return _attribute_ids(
@@ -237,13 +259,55 @@ def _attribute_ids(
             )
         elif test(value):
             ids.extend(bucket)
-    if sum(map(len, index.values())) < graph.type_counts()[type_name]:
-        indexed = {node_id for bucket in index.values() for node_id in bucket}
-        for node_id in graph.node_ids_of_type(type_name):
-            value = node_of(node_id).attributes.get(attribute)
-            if value is not None and node_id not in indexed and test(value):
-                ids.append(node_id)
+    for node_id in graph.unindexed_ids(type_name, attribute):
+        if test(node_of(node_id).attributes[attribute]):
+            ids.append(node_id)
     return frozenset(ids)
+
+
+# A literal run of a LIKE pattern: ASCII characters other than the
+# wildcards. A non-ASCII character ends a run, because re.IGNORECASE may
+# match it to a character its lowercase form is not.
+_LIKE_RUN = re.compile(r"[^%_\x80-\U0010ffff]{3,}")
+
+
+def _like_trigrams(pattern: str) -> set[str]:
+    """The lowercased trigrams of ``pattern``'s literal ASCII runs of three
+    or more characters; empty when it has no such run."""
+    return {
+        run[start:start + 3]
+        for run in map(str.lower, _LIKE_RUN.findall(pattern))
+        for start in range(len(run) - 2)
+    }
+
+
+def _prefiltered_like_ids(
+    graph: InstanceGraph,
+    type_name: str,
+    condition: AttributeLike,
+    trigrams: set[str],
+) -> frozenset[int]:
+    """:func:`_attribute_ids` for a ``LIKE`` whose pattern has
+    ``trigrams``: the regex tests only the strings the trigram index
+    cannot rule out, plus the nodes whose value it does not cover. A
+    negated pattern holds for the type's non-NULL ids outside that set."""
+    attribute = condition.attribute
+    index = graph.attribute_index(type_name, attribute)
+    trigram_index = graph.trigram_index(type_name, attribute)
+    match = compile_like(condition.pattern).match
+    node_of = graph.node
+    ids: list[int] = []
+    for value in trigram_index.candidates(trigrams):
+        if match(value) is not None:
+            ids.extend(index[value])
+    for node_id in trigram_index.other_ids:
+        if match(str(node_of(node_id).attributes[attribute])) is not None:
+            ids.append(node_id)
+    if not condition.negate:
+        return frozenset(ids)
+    non_null = chain(chain.from_iterable(index.values()),
+                     graph.unindexed_ids(type_name, attribute))
+    return frozenset(non_null).difference(ids)
 
 
 def _neighbor_ids(

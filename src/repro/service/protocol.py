@@ -469,6 +469,16 @@ def _list(payload: dict[str, Any], name: str, kind: str) -> list:
     return value
 
 
+def _bool(payload: dict[str, Any], name: str, kind: str) -> bool:
+    value = payload.get(name, False)
+    if not isinstance(value, bool):
+        raise ProtocolError(
+            f"condition of kind {kind!r} needs a boolean {name!r}, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def _scalar(value: Any, kind: str) -> Any:
     if not isinstance(value, _JSON_SCALARS):
         raise ProtocolError(
@@ -502,7 +512,7 @@ def condition_from_json(payload: dict[str, Any]) -> Condition:
         if kind == "like":
             return AttributeLike(_string(payload, "attribute", kind),
                                  _string(payload, "pattern", kind),
-                                 negate=bool(payload.get("negate", False)))
+                                 negate=_bool(payload, "negate", kind))
         if kind == "in":
             return AttributeIn(
                 _string(payload, "attribute", kind),

@@ -5,13 +5,16 @@ the schema graph. The graph maintains adjacency indexes in *both* directions
 of every edge-type twin pair, so a neighbor lookup — the operation behind
 every entity-reference cell in an ETable — is a hash probe plus a list scan.
 
-Beyond adjacency, the graph keeps two families of *secondary indexes*, built
-lazily on first use:
+Beyond adjacency, the graph keeps three families of *secondary indexes*,
+built lazily on first use:
 
 * an attribute-equality hash index per ``(type, attribute)`` pair, turning
   ``attribute = value`` selections into probes instead of full type scans;
 * a label index per type (the attribute index over the type's label
-  attribute), backing ``find_by_label`` and Single/SeeAll-style lookups.
+  attribute), backing ``find_by_label`` and Single/SeeAll-style lookups;
+* a trigram index per ``(type, attribute)`` pair (:class:`TrigramIndex`),
+  over the attribute's distinct strings, which narrows a ``LIKE`` to the
+  values that can hold its literal text before its regex runs.
 
 A :class:`GraphStatistics` summary (per-type cardinalities, per-edge-type
 degree histograms, per-attribute distinct counts) feeds the query planner's
@@ -19,7 +22,7 @@ selectivity and join-fanout estimates (``repro.core.planner``).
 
 Translation (``repro.translate``) and ``load_graph`` (``repro.tgm.storage``)
 write a graph once, before anything queries it. From the first time the
-graph builds an attribute index or its statistics it is read-only:
+graph builds a secondary index or its statistics it is read-only:
 ``add_node`` and ``add_edge`` raise :class:`~repro.errors.GraphIntegrityError`.
 So nothing derived from a graph ever goes stale, and no cache over it checks
 for writes. A graph that only the naive matcher has read derived nothing and
@@ -29,7 +32,7 @@ stays writable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import GraphIntegrityError, TgmError, UnknownNodeType
 from repro.tgm.conditions import Condition
@@ -200,6 +203,66 @@ class GraphStatistics:
         return 1.0 - p_no_match
 
 
+class TrigramIndex:
+    """Trigram postings over the distinct strings of one ``(type, attribute)``.
+
+    ``values`` holds the attribute's distinct ASCII strings. ``postings``
+    maps each trigram of their lowercase forms to a bitmap (a Python int)
+    whose bit ``i`` is set when ``values[i]`` holds that trigram; a bitmap
+    per trigram takes a fraction of the memory of a set of positions.
+
+    The index covers every node whose value is not NULL. The distinct
+    non-ASCII strings are kept apart in ``non_ascii``, because their
+    lowercase trigrams do not fold as ``re.IGNORECASE`` does: ``'ſ'``
+    matches ``'s'`` and ``'İ'`` matches ``'i'``, yet neither lowercases to
+    it. ``other_ids`` lists the nodes whose value is not a string, or is
+    one the attribute index skips; their buckets merge values such as
+    ``1``, ``1.0`` and ``True``, which ``str()`` tells apart.
+    """
+
+    def __init__(self, buckets: dict[Any, list[int]],
+                 unindexed: Sequence[int]) -> None:
+        self.values: list[str] = []
+        self.non_ascii: list[str] = []
+        self.other_ids: list[int] = list(unindexed)
+        for value, bucket in buckets.items():
+            if type(value) is not str:
+                self.other_ids.extend(bucket)
+            elif value.isascii():
+                self.values.append(value)
+            else:
+                self.non_ascii.append(value)
+        positions: dict[str, list[int]] = {}
+        for position, value in enumerate(self.values):
+            lowered = value.lower()
+            for trigram in {lowered[i:i + 3] for i in range(len(lowered) - 2)}:
+                positions.setdefault(trigram, []).append(position)
+        size = len(self.values) // 8 + 1
+        self.postings: dict[str, int] = {}
+        for trigram, where in positions.items():
+            bitmap = bytearray(size)
+            for position in where:
+                bitmap[position >> 3] |= 1 << (position & 7)
+            self.postings[trigram] = int.from_bytes(bitmap, "little")
+
+    def candidates(self, trigrams: Iterable[str]) -> list[str]:
+        """The distinct strings that may hold every one of ``trigrams``
+        (given in lowercase): the ASCII values whose lowercase form holds
+        them all, and every non-ASCII value."""
+        bits = (1 << len(self.values)) - 1
+        for trigram in trigrams:
+            bits &= self.postings.get(trigram, 0)
+            if not bits:
+                break
+        found = list(self.non_ascii)
+        digits = bin(bits)[:1:-1]  # bit i is digits[i]
+        position = digits.find("1")
+        while position >= 0:
+            found.append(self.values[position])
+            position = digits.find("1", position + 1)
+        return found
+
+
 class InstanceGraph:
     """A typed instance graph ``GI = (V, E)`` conforming to a schema graph."""
 
@@ -215,12 +278,14 @@ class InstanceGraph:
         # (type_name, source_key) -> node_id, for translation lookups
         self._by_source_key: dict[tuple[str, Any], int] = {}
         self._next_id = 1
-        # Lazily-built secondary indexes and statistics; building either
-        # makes the graph read-only (see _require_writable).
-        # (type_name, attribute) -> value -> [node ids, insertion order]
+        # Lazily-built secondary indexes and statistics; building any of
+        # them makes the graph read-only (see _require_writable).
+        # (type_name, attribute) -> (value -> [node ids, insertion order],
+        # the ids of the nodes whose value is unhashable)
         self._attribute_indexes: dict[
-            tuple[str, str], dict[Any, list[int]]
+            tuple[str, str], tuple[dict[Any, list[int]], tuple[int, ...]]
         ] = {}
+        self._trigram_indexes: dict[tuple[str, str], TrigramIndex] = {}
         self._statistics: GraphStatistics | None = None
 
     # ------------------------------------------------------------------
@@ -291,10 +356,11 @@ class InstanceGraph:
 
     def _require_writable(self) -> None:
         """Refuse a write once anything has been derived from the graph."""
-        if self._statistics is not None or self._attribute_indexes:
+        if (self._statistics is not None or self._attribute_indexes
+                or self._trigram_indexes):
             raise GraphIntegrityError(
                 "the instance graph is read-only once queried: it has "
-                "built an attribute index or its statistics"
+                "built a secondary index or its statistics"
             )
 
     # ------------------------------------------------------------------
@@ -391,14 +457,26 @@ class InstanceGraph:
 
         Built on first use and kept: from then on the graph is read-only.
         NULLs and unhashable values are omitted (an equality probe can never
-        match NULL, and unhashable attribute values fall back to scans
-        upstream). Buckets keep node-insertion order.
+        match NULL, and the nodes holding unhashable values are listed by
+        :meth:`unindexed_ids` for callers to test one by one). Buckets keep
+        node-insertion order.
         """
+        return self._attribute_entry(type_name, attribute)[0]
+
+    def unindexed_ids(self, type_name: str, attribute: str) -> tuple[int, ...]:
+        """Ids of the ``type_name`` nodes whose ``attribute`` value is not
+        NULL but unhashable, which :meth:`attribute_index` skips."""
+        return self._attribute_entry(type_name, attribute)[1]
+
+    def _attribute_entry(
+        self, type_name: str, attribute: str
+    ) -> tuple[dict[Any, list[int]], tuple[int, ...]]:
         key = (type_name, attribute)
-        index = self._attribute_indexes.get(key)
-        if index is None:
+        entry = self._attribute_indexes.get(key)
+        if entry is None:
             self.schema.node_type(type_name)  # raises UnknownNodeType
-            index = {}
+            index: dict[Any, list[int]] = {}
+            unindexed: list[int] = []
             for node_id in self._nodes_by_type.get(type_name, ()):
                 value = self._nodes[node_id].attributes.get(attribute)
                 if value is None:
@@ -406,8 +484,22 @@ class InstanceGraph:
                 try:
                     index.setdefault(value, []).append(node_id)
                 except TypeError:
-                    continue
-            self._attribute_indexes[key] = index
+                    unindexed.append(node_id)
+            # One store publishes the finished entry: a thread racing on
+            # first use builds its own copy and never sees half of one.
+            entry = (index, tuple(unindexed))
+            self._attribute_indexes[key] = entry
+        return entry
+
+    def trigram_index(self, type_name: str, attribute: str) -> TrigramIndex:
+        """The :class:`TrigramIndex` over one ``(type, attribute)``'s
+        distinct strings, built on first use and kept: from then on the
+        graph is read-only."""
+        key = (type_name, attribute)
+        index = self._trigram_indexes.get(key)
+        if index is None:
+            index = TrigramIndex(*self._attribute_entry(type_name, attribute))
+            self._trigram_indexes[key] = index
         return index
 
     def label_index(self, type_name: str) -> dict[Any, list[int]]:

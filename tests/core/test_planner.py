@@ -6,7 +6,12 @@ text), and the prefix store. Integration-level equivalence against the
 reference matcher lives in tests/integration/test_planner_equivalence.py.
 """
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.errors import TgmError
 from repro.tgm.conditions import (
@@ -267,6 +272,28 @@ def _nth(graph, type_name, index):
     return graph.node_ids_of_type(type_name)[index]
 
 
+def _text_graph(values):
+    """One node of type ``T`` per value of its label attribute ``value``."""
+    schema = SchemaGraph()
+    schema.add_node_type(NodeType("T", ("value",), "value"))
+    graph = InstanceGraph(schema)
+    for value in values:
+        graph.add_node("T", {"value": value})
+    return graph
+
+
+# Strings that re.IGNORECASE matches unlike their lowercase forms ('ſ'
+# matches 's', 'İ' and 'ı' match 'i', the Kelvin sign matches 'k', and 'ß'
+# does not match 'ss'), an all-caps one and one with a newline, which '_'
+# crosses (DOTALL).
+_UNICODE_VALUES = ("\u017ftream", "\u0130st", "\u0131st", "\u212aelvin",
+                   "\u00dfi", "STREAM", "data\nbase")
+
+
+def _unicode_graph():
+    return _text_graph(_UNICODE_VALUES)
+
+
 # (graph, type, condition built over that graph)
 _CANDIDATE_CASES = {
     "equality-probe": (
@@ -312,13 +339,80 @@ _CANDIDATE_CASES = {
         ))),
     "empty-and": ("mixed", "T", lambda g: AndCondition(())),
     "empty-or": ("mixed", "T", lambda g: OrCondition(())),
+    # Prefiltered LIKEs (a literal run of three or more ASCII characters).
+    "like-long-s": ("unicode", "T", lambda g: AttributeLike("value", "%str%")),
+    "like-dotted-and-dotless-i": (
+        "unicode", "T", lambda g: AttributeLike("value", "%ist%")),
+    "like-kelvin-sign": ("unicode", "T", lambda g: LabelLike("%kel%")),
+    "like-sharp-s-unfolded": (
+        "unicode", "T", lambda g: AttributeLike("value", "%ssi%")),
+    "like-run-split-across-newline": (
+        "unicode", "T", lambda g: AttributeLike("value", "%ata_bas%")),
+    "not-like-prefiltered": (
+        "unicode", "T",
+        lambda g: AttributeLike("value", "%STR%", negate=True)),
+    "like-absent-trigram": (
+        "unicode", "T", lambda g: AttributeLike("value", "%strx%")),
 }
+
+
+# A pattern's choice of path: its literal ASCII runs of three or more
+# characters, which '%', '_' and any non-ASCII character end.
+_PATH_CASES = {
+    "%ab%": False,
+    "%a_bc%": False,
+    "%st\u212ael%": False,
+    "%ata_bas%": True,
+    "abc": True,
+    "%\u017fTREAM%": True,
+}
+
+
+# Random LIKE cases. Values are any text, text built from pieces that put
+# the characters above next to ASCII letters (where a trigram can miss
+# them), non-strings, a list and NULL. A pattern is a fragment of a value,
+# often cut at a non-ASCII character, with its case changed or folded to
+# the ASCII letters re.IGNORECASE matches, some characters turned to '_',
+# and '%' or '_' put around or inside it.
+_LIKE_PIECES = ("\u017ftr", "\u0130st", "\u0131st", "\u212ael", "\u00dfi",
+                "STR", "data", "ba", "\n", " ")
+_ASCII_FOLD = str.maketrans("\u017f\u0130\u0131\u212a", "siik")
+_CASE_CHANGES = (lambda text: text.translate(_ASCII_FOLD),
+                 str.upper, str.swapcase, str.lower, str)
+_LIKE_VALUES = st.lists(
+    st.one_of(st.lists(st.sampled_from(_LIKE_PIECES), min_size=1,
+                       max_size=3).map("".join),
+              st.text(max_size=8),
+              st.sampled_from((1, 1.0, True, "1.0", [1, 2], None))),
+    min_size=1, max_size=10)
+
+
+@st.composite
+def _like_cases(draw):
+    values = draw(_LIKE_VALUES)
+    texts = [value for value in values if isinstance(value, str)] or [""]
+    text = draw(st.sampled_from(texts))
+    folding = [i for i, char in enumerate(text) if not char.isascii()]
+    start = draw(st.one_of(st.sampled_from(folding or [0]),
+                           st.integers(0, len(text))))
+    fragment = draw(st.sampled_from(_CASE_CHANGES))(
+        text[start:start + draw(st.integers(3, 8))])
+    blanks = draw(st.sets(st.integers(0, max(0, len(fragment) - 1)),
+                          max_size=2))
+    pattern = "".join("_" if i in blanks else char
+                      for i, char in enumerate(fragment))
+    inside = draw(st.integers(0, len(pattern)))
+    pattern = (draw(st.sampled_from(("%", "", "_")))
+               + pattern[:inside] + draw(st.sampled_from(("", "%")))
+               + pattern[inside:] + draw(st.sampled_from(("%", "", "_"))))
+    return values, pattern, draw(st.booleans())
 
 
 class TestCandidateIds:
     @pytest.fixture(scope="class")
     def graphs(self, toy):
-        return {"toy": toy.graph, "mixed": _mixed_graph()}
+        return {"toy": toy.graph, "mixed": _mixed_graph(),
+                "unicode": _unicode_graph()}
 
     @pytest.mark.parametrize("case", sorted(_CANDIDATE_CASES))
     def test_equals_matching_nodes_in_type_order(self, graphs, case):
@@ -332,6 +426,78 @@ class TestCandidateIds:
             if condition.matches(node, graph)
         ]
         assert candidate_ids(graph, type_name, condition) == expected
+
+    @pytest.mark.parametrize("pattern, expected", [
+        ("%str%", ["\u017ftream", "STREAM"]),
+        ("%ist%", ["\u0130st", "\u0131st"]),
+        ("%kel%", ["\u212aelvin"]),
+        ("%ssi%", []),
+        ("%ata_bas%", ["data\nbase"]),
+    ])
+    def test_prefilter_keeps_what_the_regex_folds(self, pattern, expected):
+        graph = _unicode_graph()
+        ids = candidate_ids(graph, "T", AttributeLike("value", pattern))
+        assert [graph.node(i).attributes["value"] for i in ids] == expected
+
+    @pytest.mark.parametrize("pattern", sorted(_PATH_CASES))
+    def test_pattern_chooses_the_path(self, pattern, monkeypatch):
+        graph = _unicode_graph()
+        built = []
+        trigram_index = graph.trigram_index
+
+        def spy(*key):
+            built.append(key)
+            return trigram_index(*key)
+
+        monkeypatch.setattr(graph, "trigram_index", spy)
+        candidate_ids(graph, "T", AttributeLike("value", pattern))
+        assert bool(built) is _PATH_CASES[pattern]
+
+    def test_threads_racing_on_first_use_get_correct_indexes(self):
+        """Every thread that builds the attribute and trigram indexes at
+        once reads a finished index, whichever copy it gets."""
+        graph = _text_graph([f"{'STREAM' if i % 3 else 'pool'} {i}"
+                             for i in range(3000)])
+        condition = AttributeLike("value", "%strea%")
+        expected = [node.node_id for node in graph.nodes_of_type("T")
+                    if condition.matches(node, graph)]
+        barrier = threading.Barrier(8)
+        results = []
+
+        def evaluate():
+            barrier.wait(timeout=30)
+            results.append(candidate_ids(graph, "T", condition))
+
+        threads = [threading.Thread(target=evaluate) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+
+    @seed(26)
+    @settings(max_examples=300, deadline=None)
+    @given(_like_cases())
+    def test_like_equals_matching_nodes(self, case):
+        """Prefiltered or scanned, a LIKE selects the nodes ``matches``
+        accepts, over strings that ``re.IGNORECASE`` folds unlike their
+        lowercase forms and values that are not strings or not hashable."""
+        values, pattern, negate = case
+        graph = _text_graph(values)
+        for condition in (AttributeLike("value", pattern, negate),
+                          LabelLike(pattern)):
+            expected = [
+                node.node_id
+                for node in graph.nodes_of_type("T")
+                if condition.matches(node, graph)
+            ]
+            assert candidate_ids(graph, "T", condition) == expected
 
 
 # ----------------------------------------------------------------------

@@ -197,11 +197,20 @@ def _attribute_pool(graph, type_name, rng):
 
 
 def _like_pattern(value, rng):
-    """A ``%fragment%`` LIKE pattern cut from ``value``'s safe characters."""
+    """A ``%fragment%`` LIKE pattern cut from ``value``'s safe characters.
+
+    The fragment holds 1-6 of them, and in about one draw in five an inner
+    one becomes ``_``: so patterns both take the planner's trigram
+    prefilter (a run of three or more literal characters) and scan, with
+    their literal runs whole and split.
+    """
     safe = "".join(c for c in value if c in _LIKE_SAFE)
     if len(safe) >= 2:
         start = rng.randrange(0, max(1, len(safe) - 1))
-        fragment = safe[start:start + rng.randint(1, 4)]
+        fragment = safe[start:start + rng.randint(1, 6)]
+        if rng.random() < 0.2 and len(fragment) >= 3:
+            inner = rng.randrange(1, len(fragment) - 1)
+            fragment = fragment[:inner] + "_" + fragment[inner + 1:]
     else:
         fragment = safe or "%"
     return f"%{fragment}%"

@@ -98,6 +98,9 @@ MALFORMED_CONDITIONS = [
     {"kind": "in", "attribute": "year", "values": [[1]]},
     {"kind": "like", "attribute": "title", "pattern": 5},
     {"kind": "like", "attribute": 5, "pattern": "%a%"},
+    {"kind": "like", "attribute": "title", "pattern": "%a%",
+     "negate": "false"},
+    {"kind": "like", "attribute": "title", "pattern": "%a%", "negate": 1},
     {"kind": "label_like", "pattern": 5},
     {"kind": "compare", "attribute": ["year"], "op": "=", "value": 2005},
     {"kind": "compare", "attribute": "year", "op": ["="], "value": 2005},

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import GraphIntegrityError, TgmError, UnknownNodeType
-from repro.tgm.conditions import AttributeCompare
+from repro.tgm.conditions import AttributeCompare, AttributeLike
 from repro.tgm.instance_graph import InstanceGraph
 from repro.tgm.schema_graph import (
     EdgeTypeCategory,
     NodeType,
     SchemaGraph,
 )
+from repro.core.planner import candidate_ids
 
 
 @pytest.fixture
@@ -146,6 +147,12 @@ class TestReadOnlyOnceQueried:
             graph.add_edge("Papers->Authors", 1, 2)
         assert graph.type_counts() == {"Papers": 1, "Authors": 2}
         assert graph.edge_count == 2
+
+    def test_writes_raise_after_a_prefiltered_like(self, graph):
+        ids = candidate_ids(graph, "Authors", AttributeLike("name", "%ahn%"))
+        assert [graph.node(i).attributes["name"] for i in ids] == ["Kahng"]
+        with pytest.raises(GraphIntegrityError, match="read-only"):
+            graph.add_node("Authors", {"id": 12, "name": "Navathe"})
 
     def test_lookups_that_derive_nothing_leave_it_writable(self, graph):
         graph.neighbors(1, "Papers->Authors")
