@@ -11,19 +11,18 @@ re-fetch the page. This bench measures:
   open SSE stream against one server process (no thread per connection);
   a sampled session must still receive action frames while the rest idle.
 * **throughput** — actions/s of ``CLIENTS`` keep-alive clients replaying
-  scripted actions (recorded, not gated).
+  ``ACTIONS_PER_CLIENT`` (30) scripted actions each (recorded, not
+  gated).
 * **bytes on wire** — a 30-action refinement session (the Figure 1 access
   pattern: filters, sorts, neighbor filters, one pivot round-trip,
   reverts); the summed delta-frame bytes must be at most
-  ``MAX_DELTA_FRACTION`` of the full-page re-fetch bytes a
+  ``MAX_DELTA_FRACTION`` (25%) of the full-page re-fetch bytes a
   request/response client would fetch for the same session.
 
 Saves ``results/async_streaming.json``. Env knobs:
 ``REPRO_BENCH_PAPERS`` (corpus, default 1200),
 ``REPRO_STREAM_BENCH_IDLE`` (idle streams, default 1000),
-``REPRO_STREAM_BENCH_CLIENTS`` / ``REPRO_STREAM_BENCH_ACTIONS`` (throughput
-shape, defaults 8 x 30), ``REPRO_STREAM_MAX_DELTA_BYTES`` (wire fraction
-ceiling, default 0.25).
+``REPRO_STREAM_BENCH_CLIENTS`` (throughput clients, default 8).
 """
 
 import json
@@ -42,9 +41,8 @@ from repro.service.stream import FrameSource, payload_bytes
 PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
 IDLE_SESSIONS = int(os.environ.get("REPRO_STREAM_BENCH_IDLE", "1000"))
 CLIENTS = int(os.environ.get("REPRO_STREAM_BENCH_CLIENTS", "8"))
-ACTIONS_PER_CLIENT = int(os.environ.get("REPRO_STREAM_BENCH_ACTIONS", "30"))
-MAX_DELTA_FRACTION = float(
-    os.environ.get("REPRO_STREAM_MAX_DELTA_BYTES", "0.25"))
+ACTIONS_PER_CLIENT = 30
+MAX_DELTA_FRACTION = 0.25
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
 
 

@@ -12,15 +12,13 @@ changes what they compute. Each client reads its final page as the HTTP
 frontend does: the router relays the worker's reply bytes, and the
 client decodes them.
 
-The ``>= REPRO_FLEET_MIN_SPEEDUP`` (default 1.5x at 4 workers) floor is
-*enforced only when the host actually has >= 4 usable cores*: worker
+The ``>= MIN_SPEEDUP`` (1.5x at 4 workers) floor is
+*enforced exactly when the host has >= 4 usable cores*: worker
 processes cannot outrun a single-worker fleet on a single-core
 container, and a bench that fails for lack of hardware would just get
 its floor deleted. The JSON records whether the floor was enforced.
 
-Env knobs: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
-``REPRO_FLEET_MIN_SPEEDUP`` (floor), ``REPRO_FLEET_ENFORCE=1`` (force
-the floor regardless of core count).
+Env knob: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200).
 """
 
 import os
@@ -33,7 +31,7 @@ from repro.service import protocol
 from repro.service.fleet import FleetRouter
 
 PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
-MIN_SPEEDUP = float(os.environ.get("REPRO_FLEET_MIN_SPEEDUP", "1.5"))
+MIN_SPEEDUP = 1.5
 FLEET_SIZES = [1, 2, 4]
 CLIENTS = 8  # concurrent sessions per round
 ROUNDS = 2  # best-of timing per fleet size
@@ -130,9 +128,7 @@ def test_fleet_worker_scaling():
         usable_cores = len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         usable_cores = cpu_count
-    enforce_floor = (
-        os.environ.get("REPRO_FLEET_ENFORCE") == "1" or usable_cores >= 4
-    )
+    enforce_floor = usable_cores >= 4
     floor_note = (
         "enforced: host has enough cores for 4 workers"
         if enforce_floor

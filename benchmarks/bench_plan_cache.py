@@ -13,13 +13,11 @@ raw result cache miss on every constant-bearing pattern (distinct results
 really are distinct) while the normalized plan cache is hit by everyone
 after the first user compiles the shape. The acceptance bar: the
 plan-cache hit rate over the whole run must be ``>= MIN_HIT_RATE``
-(default 0.9 — with 32 sessions and one compiling user the expected rate
-is ~97%). Per-action latency p50 rides along, and everything saves to
+(0.9 — with 32 sessions and one compiling user the expected rate is
+~97%). Per-action latency p50 rides along, and everything saves to
 ``results/plan_cache.json``.
 
-Env knobs: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
-``REPRO_PLAN_CACHE_BENCH_SESSIONS`` (users, default 32),
-``REPRO_PLAN_CACHE_MIN_HIT_RATE`` (the bar, default 0.9).
+Env knob: ``REPRO_BENCH_PAPERS`` (corpus size, default 1200).
 """
 
 import os
@@ -31,8 +29,8 @@ from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
 PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
-SESSIONS = int(os.environ.get("REPRO_PLAN_CACHE_BENCH_SESSIONS", "32"))
-MIN_HIT_RATE = float(os.environ.get("REPRO_PLAN_CACHE_MIN_HIT_RATE", "0.9"))
+SESSIONS = 32
+MIN_HIT_RATE = 0.9
 ROW_LIMIT = 50
 
 

@@ -22,9 +22,8 @@ ETable and history are compared against a serial replay of the same script
 on a fresh single-user manager — per-session isolation under concurrency
 has to produce exactly the serial answer.
 
-Saves ``results/service_throughput.json``. Env knobs:
-``REPRO_BENCH_PAPERS`` (corpus size, default 1200),
-``REPRO_SERVICE_BENCH_SESSIONS`` (concurrent users, default 32).
+Saves ``results/service_throughput.json``. Env knob:
+``REPRO_BENCH_PAPERS`` (corpus size, default 1200).
 """
 
 import os
@@ -37,7 +36,7 @@ from repro.datasets.academic import AcademicConfig, academic_tgdb
 from repro.service.manager import SessionManager
 
 PAPERS = int(os.environ.get("REPRO_BENCH_PAPERS", "1200"))
-SESSIONS = int(os.environ.get("REPRO_SERVICE_BENCH_SESSIONS", "32"))
+SESSIONS = 32
 ROW_LIMIT = 50  # the interface paginates; matching is always complete
 
 

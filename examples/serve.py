@@ -30,12 +30,14 @@ replayed at boot, and each session is rebuilt from its journal on its
 first request.
 
 ``--self-test`` boots on an ephemeral port, drives a full scripted session
-end-to-end over localhost (open → filter → pivot → sort → revert — with
-a lockstep client folding the session's SSE stream), stops the service,
-restarts it on the same journal directory, and verifies that the session
-comes back on its first request, identical and with its original token —
-the CI smoke path. ``--self-test --fleet N`` does the same through a
-worker fleet, after killing and (``--rolling-restart``) replacing workers.
+end-to-end over localhost (open → filter → pivot → sort → revert), stops
+the service, restarts it on the same journal directory, and verifies that
+the session comes back on its first request, identical and with its
+original token — the CI smoke path. One function runs it for both
+deployments: in one process a lockstep client folds the session's SSE
+stream; with ``--fleet N`` the session's worker is killed first and
+(``--rolling-restart``) every worker replaced, and ``--faults`` arms the
+chaos leg.
 """
 
 from __future__ import annotations
@@ -205,6 +207,8 @@ _SCRIPTED_ACTIONS = [
     {"action": "sort", "params": {"column": "name"}},
     {"action": "revert", "params": {"index": 1}},
 ]
+# The action that proves a migrated or restarted session is still live.
+_SORT_BY_YEAR = {"action": "sort", "params": {"column": "year"}}
 
 
 def _manager_settings(args: argparse.Namespace) -> dict:
@@ -259,25 +263,65 @@ def _build_server(args: argparse.Namespace, manager, host: str, port: int):
                                  max_inflight=args.max_inflight)
 
 
-def fleet_self_test(args: argparse.Namespace) -> int:
-    """Boot a worker fleet, drive a session, kill its worker, verify.
+def _act(base: str, session_id: str, action: dict, token: str | None):
+    """POST one scripted action; it must succeed."""
+    result = _http(f"{base}/v1/sessions/{session_id}/actions", "POST",
+                   action, token=token)
+    assert result["ok"], result
+    return result["result"]
 
-    The migration acceptance bar: after SIGKILLing the worker that owns
-    the scripted session, the next request must transparently resurrect
-    it on another worker from its journal — ETable cells, history, and
-    auth token all bit-identical. ``--rolling-restart`` additionally
-    restarts every worker one at a time and re-verifies. Last, the whole
-    fleet stops and a new one boots on the same journal directory: it
-    holds no live session until the session's first request, which must
-    answer with the same table, history and token.
+
+def _snapshot(base: str, session_id: str, token: str | None):
+    """The session's full table (history included) and its history lines."""
+    table = _http(f"{base}/v1/sessions/{session_id}/etable?include_history=1",
+                  token=token)["result"]
+    history = _http(f"{base}/v1/sessions/{session_id}/history",
+                    token=token)["result"]["lines"]
+    return table, history
+
+
+def _assert_unchanged(base: str, session_id: str, token: str | None,
+                      expected, when: str) -> None:
+    table, history = _snapshot(base, session_id, token)
+    assert history == expected[1], (expected[1], history)
+    assert table == expected[0], f"session not bit-identical {when}"
+
+
+def _assert_folded(sse: SseClient, actions: int, base: str, session_id: str,
+                   token: str | None) -> None:
+    """Once ``actions`` actions are folded, the stream's state equals a
+    fresh ``GET .../etable``."""
+    folded = sse.wait_folded(actions)
+    fetched = _http(f"{base}/v1/sessions/{session_id}/etable",
+                    token=token)["result"]["etable"]
+    assert folded == fetched, (
+        f"stream fold diverged from GET after {actions} action(s)"
+    )
+
+
+def self_test(args: argparse.Namespace) -> int:
+    """Boot, drive a scripted session over localhost, restart, verify.
+
+    One process: a lockstep client folds the session's SSE stream, and
+    its state must match a fresh ``GET .../etable`` after *every* action;
+    the restarted service must stream too. A fleet (``--fleet N``) always
+    runs with auth: the worker that owns the session is SIGKILLed, and
+    the next request must resurrect it on another worker from its
+    journal, ETable cells, history and auth token all bit-identical;
+    ``--rolling-restart`` also restarts every worker one at a time, and
+    ``--faults`` arms the same fault spec in the router and in every
+    worker. Either way the service then stops and boots again on the same
+    journal directory: it holds no live session until the session's first
+    request, which must answer with the same table, history and token.
     """
-    args.require_auth = True  # the fleet smoke always proves token survival
-    journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="etable-fleet-")
-    if args.faults:
-        # Chaos leg: the same fault spec is armed on both sides — in each
-        # worker (via the spec, where journal.* faults bite) and here in
-        # the router process (where router.send/recv faults bite). The
-        # scripted session must still come through bit-identically.
+    fleet = args.fleet > 0
+    if fleet:
+        args.require_auth = True  # the fleet smoke always proves tokens
+    journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="etable-journals-")
+    if fleet and args.faults:
+        # Chaos leg: the spec is armed in each worker (via the spec, where
+        # journal.* faults bite) and here in the router process (where
+        # router.send/recv faults bite).
         from repro.service import faults as faults_mod
 
         faults_mod.arm(faults_mod.FaultInjector.parse(
@@ -285,145 +329,17 @@ def fleet_self_test(args: argparse.Namespace) -> int:
         ))
         print(f"self-test: chaos armed ({args.faults!r}, "
               f"seed={args.faults_seed})")
-    router = _build_fleet(args, journal_dir)
-    server = _build_server(args, router, "127.0.0.1", 0).start()
+    tgdb = None if fleet else build_tgdb(args.dataset, args.papers)
+
+    def boot():
+        manager = (_build_fleet(args, journal_dir) if fleet
+                   else _build_manager(args, tgdb, journal_dir))
+        return manager, _build_server(args, manager, "127.0.0.1", 0).start()
+
+    manager, server = boot()
     base = server.url
-    print(f"self-test: fleet of {args.fleet} workers serving {args.dataset} "
-          f"at {base}")
-
-    health = _http(f"{base}/healthz")
-    assert health["ok"], health
-    tables = _http(f"{base}/v1/tables")["result"]["tables"]
-    assert "Papers" in tables, tables
-
-    created = _http(f"{base}/v1/sessions", "POST", {})["result"]
-    session_id = created["session_id"]
-    token = created["auth_token"]
-    owner = router.owner_of(session_id)
-    print(f"  session  -> {session_id} placed on {owner}")
-    for action in _SCRIPTED_ACTIONS:
-        result = _http(f"{base}/v1/sessions/{session_id}/actions", "POST",
-                       action, token=token)
-        assert result["ok"], result
-        print(f"  {action['action']:8s} -> {result['result']}")
-    before_table = _http(
-        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    before_history = _http(
-        f"{base}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
-
-    # SIGKILL the owner mid-session: no drain, no flush — the journal is
-    # the only survivor, and it must be enough.
-    router.kill_worker(owner)
-    print(f"  kill     -> {owner} SIGKILLed; rerouting {session_id}")
-    after_table = _http(
-        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    after_history = _http(
-        f"{base}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
-    assert before_history == after_history, (before_history, after_history)
-    assert before_table == after_table, "migrated session not bit-identical"
-    _assert_token_survived(base, session_id, token)
-    new_owner = router.owner_of(session_id)
-    fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
-    assert fleet_stats["migrations"] >= 1, fleet_stats
-    print(f"  resume   -> bit-identical on {new_owner} "
-          f"(history, ETable cells, auth token); "
-          f"migrations={fleet_stats['migrations']}")
-
-    if args.rolling_restart:
-        router.rolling_restart()
-        rolled_table = _http(
-            f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-            token=token,
-        )["result"]
-        assert rolled_table == before_table, (
-            "session not bit-identical after rolling restart"
-        )
-        _assert_token_survived(base, session_id, token)
-        fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
-        assert fleet_stats["worker_restarts"] >= 1, fleet_stats
-        print(f"  rolling  -> every worker restarted, session intact "
-              f"(worker_restarts={fleet_stats['worker_restarts']})")
-
-    # The migrated session must stay *live*, not just readable.
-    result = _http(f"{base}/v1/sessions/{session_id}/actions", "POST",
-                   {"action": "sort", "params": {"column": "year"}},
-                   token=token)
-    assert result["ok"], result
-    if args.faults:
-        from repro.service import faults as faults_mod
-
-        fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
-        injector = faults_mod.active()
-        fired = injector.stats() if injector is not None else {}
-        faults_mod.disarm()
-        assert any(fired.values()) or fleet_stats["retries"] > 0, (
-            "chaos leg ran but neither a fault fired nor a retry happened "
-            f"(fired={fired}, fleet={fleet_stats})"
-        )
-        print(f"  chaos    -> survived with faults fired={fired}, "
-              f"retries={fleet_stats['retries']}, "
-              f"breaker_opens={fleet_stats['breaker_opens']}")
-    final_table = _http(
-        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    final_history = _http(
-        f"{base}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
-
-    # Full fleet restart on the same journal directory: the new workers
-    # replay nothing at boot; the session comes back on its ring owner at
-    # its first request.
-    server.shutdown()
-    router.shutdown()
-    router = _build_fleet(args, journal_dir)
-    server = _build_server(args, router, "127.0.0.1", 0).start()
-    base = server.url
-    health = _http(f"{base}/healthz")["result"]
-    assert health["live_sessions"] == 0, health
-    restarted_table = _http(
-        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    restarted_history = _http(
-        f"{base}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
-    assert restarted_history == final_history, (final_history,
-                                                restarted_history)
-    assert restarted_table == final_table, (
-        "session not bit-identical after a fleet restart"
-    )
-    _assert_token_survived(base, session_id, token)
-    resumed = _http(f"{base}/v1/stats")["result"]["resumed"]
-    assert resumed == 1, resumed
-    print(f"  restart  -> new fleet resumed {session_id} on its first "
-          f"request, bit-identical with its original token")
-    server.shutdown()
-    router.shutdown()
-    print("self-test: OK (fleet)")
-    return 0
-
-
-def self_test(args: argparse.Namespace) -> int:
-    """Boot, drive a scripted session over localhost, restart, verify.
-
-    The scripted session is also observed over SSE by a lockstep folding
-    client whose state must match a fresh ``GET .../etable`` after *every*
-    action, and the restarted service must stream too.
-    """
-    tgdb = build_tgdb(args.dataset, args.papers)
-    journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="etable-journals-")
-
-    manager = _build_manager(args, tgdb, journal_dir)
-    server = _build_server(args, manager, "127.0.0.1", 0).start()
-    base = server.url
-    print(f"self-test: serving {args.dataset} at {base}")
+    print(f"self-test: serving {args.dataset} at {base}"
+          + (f" from a fleet of {args.fleet} workers" if fleet else ""))
 
     health = _http(f"{base}/healthz")
     assert health["ok"], health
@@ -434,79 +350,94 @@ def self_test(args: argparse.Namespace) -> int:
     session_id = created["session_id"]
     token = created.get("auth_token")
     assert bool(token) == args.require_auth, created
+    if fleet:
+        owner = manager.owner_of(session_id)
+        print(f"  session  -> {session_id} placed on {owner}")
 
-    sse = SseClient(server.host, server.port, session_id, token=token)
+    # SSE is single-process only: over a fleet, /stream is a typed 400.
+    sse = None if fleet else SseClient(server.host, server.port, session_id,
+                                       token=token)
     for index, action in enumerate(_SCRIPTED_ACTIONS, start=1):
-        result = _http(f"{base}/v1/sessions/{session_id}/actions", "POST",
-                       action, token=token)
-        assert result["ok"], result
-        print(f"  {action['action']:8s} -> {result['result']}")
-        folded = sse.wait_folded(index)
-        fetched = _http(f"{base}/v1/sessions/{session_id}/etable",
-                        token=token)["result"]["etable"]
-        assert folded == fetched, (
-            f"stream fold diverged from GET after {action['action']}"
-        )
-    kinds = [frame.kind for frame in sse.frames]
-    print(f"  stream   -> {len(sse.frames)} frames ({kinds}), "
-          f"fold == GET after every action")
-    sse.close()
-    before_table = _http(
-        f"{base}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    before_history = _http(
-        f"{base}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
+        result = _act(base, session_id, action, token)
+        print(f"  {action['action']:8s} -> {result}")
+        if sse is not None:
+            _assert_folded(sse, index, base, session_id, token)
+    if sse is not None:
+        kinds = [frame.kind for frame in sse.frames]
+        print(f"  stream   -> {len(sse.frames)} frames ({kinds}), "
+              f"fold == GET after every action")
+        sse.close()
+    expected = _snapshot(base, session_id, token)
 
-    # "Kill" the service and restart it on the same journal directory: the
-    # replayed session must be identical (the acceptance bar of the
-    # durable-journal design). shutdown() drains in-flight requests and
-    # manager.shutdown() flushes journals — the SIGTERM path.
+    if fleet:
+        # SIGKILL the owner mid-session: no drain, no flush — the journal
+        # is the only survivor, and it must be enough.
+        manager.kill_worker(owner)
+        print(f"  kill     -> {owner} SIGKILLed; rerouting {session_id}")
+        _assert_unchanged(base, session_id, token, expected, "after a kill")
+        _assert_token_survived(base, session_id, token)
+        fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
+        assert fleet_stats["migrations"] >= 1, fleet_stats
+        print(f"  resume   -> bit-identical on "
+              f"{manager.owner_of(session_id)} (history, ETable cells, "
+              f"auth token); migrations={fleet_stats['migrations']}")
+        if args.rolling_restart:
+            manager.rolling_restart()
+            _assert_unchanged(base, session_id, token, expected,
+                              "after rolling restart")
+            _assert_token_survived(base, session_id, token)
+            fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
+            assert fleet_stats["worker_restarts"] >= 1, fleet_stats
+            print(f"  rolling  -> every worker restarted, session intact "
+                  f"(worker_restarts={fleet_stats['worker_restarts']})")
+        # The migrated session must stay *live*, not just readable.
+        _act(base, session_id, _SORT_BY_YEAR, token)
+        if args.faults:
+            fleet_stats = _http(f"{base}/v1/stats")["result"]["fleet"]
+            injector = faults_mod.active()
+            fired = injector.stats() if injector is not None else {}
+            faults_mod.disarm()
+            assert any(fired.values()) or fleet_stats["retries"] > 0, (
+                "chaos leg ran but neither a fault fired nor a retry "
+                f"happened (fired={fired}, fleet={fleet_stats})"
+            )
+            print(f"  chaos    -> survived with faults fired={fired}, "
+                  f"retries={fleet_stats['retries']}, "
+                  f"breaker_opens={fleet_stats['breaker_opens']}")
+        expected = _snapshot(base, session_id, token)
+
+    # Stop the service (shutdown() drains in-flight requests, and the
+    # manager's shutdown() flushes journals — the SIGTERM path) and boot
+    # it again on the same journal directory. Nothing is replayed at boot:
+    # the session comes back on its first request, identical, with the
+    # token its client already holds.
     server.shutdown()
     manager.shutdown()
-    manager2 = _build_manager(args, tgdb, journal_dir)
-    server2 = _build_server(args, manager2, "127.0.0.1", 0).start()
-    base2 = server2.url
-    # Nothing is replayed at boot: the session comes back on its first
-    # request, with the token its client already holds.
-    health = _http(f"{base2}/healthz")["result"]
+    manager, server = boot()
+    base = server.url
+    health = _http(f"{base}/healthz")["result"]
     assert health["live_sessions"] == 0, health
-    after_table = _http(
-        f"{base2}/v1/sessions/{session_id}/etable?include_history=1",
-        token=token,
-    )["result"]
-    after_history = _http(
-        f"{base2}/v1/sessions/{session_id}/history", token=token
-    )["result"]["lines"]
-    assert before_history == after_history, (before_history, after_history)
-    assert before_table == after_table
+    _assert_unchanged(base, session_id, token, expected, "after a restart")
     if args.require_auth:
-        _assert_token_survived(base2, session_id, token)
-    # The restarted service must stream the resumed session too.
-    sse2 = SseClient(server2.host, server2.port, session_id, token=token)
-    sse2.wait_frames(1)  # the subscribe-time snapshot
-    result = _http(f"{base2}/v1/sessions/{session_id}/actions", "POST",
-                   {"action": "sort", "params": {"column": "year"}},
-                   token=token)
-    assert result["ok"], result
-    folded = sse2.wait_folded(1)
-    fetched = _http(f"{base2}/v1/sessions/{session_id}/etable",
-                    token=token)["result"]["etable"]
-    assert folded == fetched
-    stream_stats = _http(f"{base2}/v1/stats")["result"]["stream"]
-    assert stream_stats["frames"] >= 2, stream_stats
-    print(f"  stream   -> resumed session streams after restart "
-          f"({stream_stats})")
-    sse2.close()
-    stats = _http(f"{base2}/v1/stats")["result"]
-    assert stats["resumed"] == 1, stats["resumed"]
-    print(f"  restart  -> replayed {len(after_history)} history steps "
-          f"bit-identically on the first request "
-          f"(cache hits: {stats['cache']['hits']})")
-    server2.shutdown()
-    manager2.shutdown()
-    print("self-test: OK")
+        _assert_token_survived(base, session_id, token)
+    if sse is not None:
+        # The restarted service must stream the resumed session too.
+        sse = SseClient(server.host, server.port, session_id, token=token)
+        sse.wait_frames(1)  # the subscribe-time snapshot
+        _act(base, session_id, _SORT_BY_YEAR, token)
+        _assert_folded(sse, 1, base, session_id, token)
+        stream_stats = _http(f"{base}/v1/stats")["result"]["stream"]
+        assert stream_stats["frames"] >= 2, stream_stats
+        print(f"  stream   -> resumed session streams after restart "
+              f"({stream_stats})")
+        sse.close()
+    resumed = _http(f"{base}/v1/stats")["result"]["resumed"]
+    assert resumed == 1, resumed
+    print(f"  restart  -> resumed {session_id} on its first request, "
+          f"{len(expected[1])} history steps bit-identical")
+    server.shutdown()
+    manager.shutdown()
+    print("self-test: OK" + (" (fleet)" if fleet else ""))
     return 0
 
 
@@ -580,8 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.self_test:
-        if args.fleet:
-            return fleet_self_test(args)
         return self_test(args)
 
     if args.faults:

@@ -101,13 +101,6 @@ class ETable:
             # pattern keys, and edge-type names never collide (edge types
             # embed '->' and pattern keys are type names or 'Type#n').
             self._by_key[column.key] = column
-        # Row lookup indexes, built lazily (rows may be appended right after
-        # construction, e.g. by the set operations) and rebuilt when the row
-        # list changes size; the attribute index is order-sensitive (it maps
-        # to the *first* row in display order) so sorting invalidates it.
-        self._row_by_node: dict[int, ETableRow] | None = None
-        self._attr_rows: dict[str, dict[Any, ETableRow]] = {}
-        self._attr_rows_size = len(rows)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -168,48 +161,20 @@ class ETable:
             ) from None
 
     def row_for_node(self, node_id: int) -> ETableRow:
-        """O(1) row lookup by primary node id (hash index, built lazily)."""
-        index = self._row_by_node
-        if index is None or len(index) != len(self.rows):
-            index = {row.node_id: row for row in self.rows}
-            self._row_by_node = index
-        row = index.get(node_id)
-        if row is None:
-            raise InvalidAction(f"no ETable row for node id {node_id}")
-        return row
+        """The row of primary node ``node_id``. A scan: callers append,
+        sort and edit rows freely, and no hot path looks rows up."""
+        for row in self.rows:
+            if row.node_id == node_id:
+                return row
+        raise InvalidAction(f"no ETable row for node id {node_id}")
 
     def find_row_by_attribute(self, attribute: str, value: Any) -> ETableRow:
-        """First row whose base attribute equals ``value`` (test helper and
-        the programmatic stand-in for 'the row the user is looking at').
-
-        Backed by a lazily-built per-attribute hash index mapping each value
-        to its first row in display order. Because ``ETableRow.attributes``
-        is a public mutable dict, index hits are verified against the live
-        value and misses fall back to an authoritative scan (which also
-        drops the stale index) — only failing or post-mutation lookups pay
-        the O(n) cost.
-        """
-        row: ETableRow | None = None
-        try:
-            if self._attr_rows_size != len(self.rows):
-                self._attr_rows.clear()
-                self._attr_rows_size = len(self.rows)
-            index = self._attr_rows.get(attribute)
-            if index is None:
-                index = {}
-                for candidate in self.rows:
-                    index.setdefault(candidate.attributes.get(attribute),
-                                     candidate)
-                self._attr_rows[attribute] = index
-            row = index.get(value)
-        except TypeError:  # unhashable attribute or probe value
-            row = None
-        if row is not None and row.attributes.get(attribute) == value:
-            return row
-        for candidate in self.rows:
-            if candidate.attributes.get(attribute) == value:
-                self._attr_rows.pop(attribute, None)  # index was stale
-                return candidate
+        """First row in display order whose base attribute equals
+        ``value`` (test helper and the programmatic stand-in for 'the row
+        the user is looking at')."""
+        for row in self.rows:
+            if row.attributes.get(attribute) == value:
+                return row
         raise InvalidAction(f"no row with {attribute!r} == {value!r}")
 
     def node_of(self, row: ETableRow) -> Node:
@@ -233,9 +198,6 @@ class ETable:
         else:
             key = lambda row: row.ref_count(column.key)
         self.rows.sort(key=key, reverse=descending)
-        # The attribute index maps values to their *first* row in display
-        # order, which just changed.
-        self._attr_rows.clear()
 
     def hide_column(self, column_key: str) -> None:
         self.column(column_key)

@@ -213,7 +213,7 @@ class EtableSession:
         self, column: str | ColumnSpec, inner: Condition
     ) -> ETable:
         """Filter rows by a neighbor column's content (a subquery filter)."""
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         if spec.kind is not ColumnKind.NEIGHBOR:
             raise InvalidAction(
                 f"filter_by_neighbor needs a neighbor column, got "
@@ -230,7 +230,7 @@ class EtableSession:
 
     def pivot(self, column: str | ColumnSpec) -> ETable:
         """Pivot on an entity-reference column (action U4)."""
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         pattern, trace = user_actions.action_pivot(
             self._require_pattern(), self.schema, spec
         )
@@ -252,7 +252,7 @@ class EtableSession:
         etable = self._require_etable()
         if isinstance(row, int):
             row = etable.row(row)
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         node = etable.node_of(row)
         pattern, trace = user_actions.action_see_all(
             self._require_pattern(), self.schema, etable, node, spec
@@ -269,7 +269,7 @@ class EtableSession:
     def sort(self, column: str | ColumnSpec, descending: bool = False) -> ETable:
         """Sort rows by a base value or by reference count."""
         etable = self._require_etable()
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         etable.sort(spec.key, descending=descending)
         self._sort = (spec.key, descending)
         direction = "desc" if descending else "asc"
@@ -282,14 +282,14 @@ class EtableSession:
 
     def hide_column(self, column: str | ColumnSpec) -> ETable:
         etable = self._require_etable()
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         etable.hide_column(spec.key)
         self._log(f"Hide column {spec.display!r}", ())
         return etable
 
     def show_column(self, column: str | ColumnSpec) -> ETable:
         etable = self._require_etable()
-        spec = self._resolve_column(column)
+        spec = self.resolve_column(column)
         etable.show_column(spec.key)
         self._log(f"Show column {spec.display!r}", ())
         return etable
@@ -309,12 +309,7 @@ class EtableSession:
                 f"history index {index} out of range (0..{len(self.history) - 1})"
             )
         entry = self.history[index]
-        etable = self._execute(entry.pattern)
-        etable.hidden_columns |= set(entry.hidden)
-        if entry.sort is not None:
-            etable.sort(entry.sort[0], descending=entry.sort[1])
-        self.current = etable
-        self._sort = entry.sort
+        etable = self._restore(entry)
         self._log(f"Revert to step {index + 1}: {entry.description}", ())
         return etable
 
@@ -340,13 +335,17 @@ class EtableSession:
             self.current = None
             self._sort = None
             return None
-        last = self.history[-1]
-        etable = self._execute(last.pattern)
-        etable.hidden_columns |= set(last.hidden)
-        if last.sort is not None:
-            etable.sort(last.sort[0], descending=last.sort[1])
+        return self._restore(self.history[-1])
+
+    def _restore(self, entry: HistoryEntry) -> ETable:
+        """Make ``entry``'s state current: re-execute its pattern, then
+        re-apply its hidden columns and sort."""
+        etable = self._execute(entry.pattern)
+        etable.hidden_columns |= set(entry.hidden)
+        if entry.sort is not None:
+            etable.sort(entry.sort[0], descending=entry.sort[1])
         self.current = etable
-        self._sort = last.sort
+        self._sort = entry.sort
         return etable
 
     # ------------------------------------------------------------------
@@ -370,13 +369,9 @@ class EtableSession:
         address columns by string; exact keys are tried first so
         programmatic use stays stable, then display names.
         """
-        return self._resolve_column(column)
-
-    def _resolve_column(self, column: str | ColumnSpec) -> ColumnSpec:
         if isinstance(column, ColumnSpec):
             return column
         etable = self._require_etable()
-        # Try exact key first (stable for programmatic use), then header text.
         for spec in etable.columns:
             if spec.key == column:
                 return spec

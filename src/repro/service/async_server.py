@@ -63,7 +63,6 @@ a worker's reply reaches the client as the worker encoded it.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -399,11 +398,9 @@ class AsyncNavigationServer:
                         raw_body: bytes, auth_token: str | None
                         ) -> tuple[int, protocol.Response]:
         try:
-            body: Any = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return 400, protocol.Response.failure(
-                ProtocolError(f"request body is not JSON: {error}")
-            )
+            body: Any = protocol.decode(raw_body) if raw_body else {}
+        except ProtocolError as error:
+            return 400, protocol.Response.failure(error)
         # Shed before the executor hop: an over-cap request must not queue
         # behind the very backlog that makes the server overloaded.
         if not self.admission.try_acquire():

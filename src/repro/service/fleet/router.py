@@ -6,7 +6,7 @@ workers own *state* (the sessions themselves, each durably journaled in
 the fleet-shared journal directory). The router duck-types the
 :class:`~repro.service.manager.SessionManager` surface the frontend
 uses — ``handle_request``, ``close_session``, ``stats``,
-``with_session``, the two observer hooks and ``shutdown`` — so the HTTP
+``with_session``, ``add_observer`` and ``shutdown`` — so the HTTP
 server sits in front of a fleet unchanged. A client learns its session's
 bearer token from the ``create_session`` reply, as in one process.
 
@@ -36,8 +36,8 @@ length) followed by the encoded envelope; the router reads exactly that
 body and hands it to the frontend as a relayed
 :class:`~repro.service.protocol.Response`, whose bytes the frontend
 writes unchanged. The router decodes a body only where it reads the
-result itself: control ops and the ``apply``, ``create_session`` and
-``close_session`` conveniences.
+result itself, through one ``_result``: control ops, the ``apply`` and
+``create_session`` conveniences, and a failed ``close_session``.
 
 SSE streaming is *not* proxied across the process boundary yet: the
 stream hub needs a live in-process session. A fleet therefore serves the
@@ -370,10 +370,7 @@ class FleetRouter:
         alive, a drain or a stop leaves its sessions to the journals)."""
         control = protocol.WorkerControl(op=op, args=args or {},
                                          request_id=uuid.uuid4().hex)
-        response = _decoded(handle.call(control.to_json(), timeout))
-        if not response.ok:
-            raise protocol.exception_from_response(response)
-        return response.result or {}
+        return _result(handle.call(control.to_json(), timeout)) or {}
 
     # ------------------------------------------------------------------
     # Routed user traffic (the SessionManager-shaped surface)
@@ -557,22 +554,16 @@ class FleetRouter:
     def apply(self, session_id: str, action: str,
               params: dict[str, Any] | None = None,
               auth_token: str | None = None) -> dict[str, Any]:
-        response = _decoded(self._route(session_id, protocol.Request(
+        return _result(self._route(session_id, protocol.Request(
             action=action, params=params or {}, session_id=session_id,
             auth_token=auth_token,
-        )))
-        if not response.ok:
-            raise protocol.exception_from_response(response)
-        return response.result or {}
+        ))) or {}
 
     def create_session(self, session_id: str | None = None) -> str:
         params = {"session_id": session_id} if session_id else {}
-        response = _decoded(self.handle_request(
+        return _result(self.handle_request(
             protocol.Request(action="create_session", params=params)
-        ))
-        if not response.ok:
-            raise protocol.exception_from_response(response)
-        return response.result["session_id"]
+        ))["session_id"]
 
     def close_session(self, session_id: str, drop_journal: bool = False,
                       auth_token: str | None = None) -> None:
@@ -584,14 +575,11 @@ class FleetRouter:
             auth_token=auth_token,
         ))
         if not response.ok:
-            raise protocol.exception_from_response(_decoded(response))
+            _result(response)  # raises the reply's typed error
 
-    def add_action_observer(self, observer: Callable[..., Any]) -> None:
+    def add_observer(self, observer: Any) -> None:
         """Accepted for SessionManager duck-typing; fleet workers live in
         other processes, so in-process observers can never fire."""
-
-    def add_lifecycle_observer(self, observer: Callable[..., Any]) -> None:
-        """Accepted for SessionManager duck-typing (see above)."""
 
     def with_session(self, session_id: str, fn: Callable[..., Any],
                      auth_token: str | None = None) -> Any:
@@ -667,13 +655,16 @@ class FleetRouter:
                 handle.process.join(timeout=_STOP_EXIT_S)
 
 
-def _decoded(response: protocol.Response) -> protocol.Response:
-    """A relayed reply with its body decoded, for a caller that reads the
-    result or the error itself. A body that is not an envelope is a
-    :class:`WorkerFailure`, as a torn reply is."""
+def _result(response: protocol.Response) -> Any:
+    """The result of a relayed reply, decoded, for a caller that reads it
+    itself. A failure raises its typed error; a body that is not an
+    envelope is a :class:`WorkerFailure`, as a torn reply is."""
     try:
-        return response.decoded()
+        response = response.decoded()
     except ProtocolError as error:
         raise WorkerFailure(
             f"worker sent an undecodable reply: {error}"
         ) from error
+    if not response.ok:
+        raise protocol.exception_from_response(response)
+    return response.result

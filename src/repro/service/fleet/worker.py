@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import json
 import os
 import socket
 import threading
@@ -159,11 +158,9 @@ class FleetWorker:
 
     def _serve_line(self, line: bytes) -> protocol.Response:
         try:
-            payload = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return protocol.Response.failure(
-                ProtocolError(f"worker request is not JSON: {error}")
-            )
+            payload = protocol.decode(line)
+        except ProtocolError as error:
+            return protocol.Response.failure(error)
         request_id = _dedup_key(payload)
         if request_id is None:
             return self._serve_payload(payload)

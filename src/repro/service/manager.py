@@ -17,6 +17,15 @@ database*. The :class:`SessionManager` is that shape made concrete:
   (:mod:`repro.service.journal`) lets the manager resurrect it on the next
   request, replaying through the shared cache.
 
+A session leaves memory by one path, whatever the reason (close, drain,
+rebalance, shutdown, TTL or LRU eviction): its in-flight action finishes,
+its quota is persisted, its journal is closed, and every observer
+registered with :meth:`SessionManager.add_observer` hears
+``on_session_end(session_id, event)``, event ``"closed"`` or
+``"evicted"``. Observers also hear ``on_action(session_id, action,
+session)`` after each accepted mutating action; the stream hub is the one
+observer the service registers.
+
 The manager speaks :mod:`repro.service.protocol`; the HTTP frontend and the
 throughput bench are thin clients of :meth:`apply` / :meth:`handle_request`.
 """
@@ -129,16 +138,8 @@ class SessionManager:
         self.require_auth = require_auth
         self.quota_actions = quota_actions
         self.quota_window = quota_window
-        # Post-action hooks (the stream hub): called under the session
-        # lock after each accepted mutating action, so observers see
-        # session states in exact action order.
-        self._observers: list[Callable[[str, str, EtableSession], None]] = []
-        # Session-end hooks (the stream hub again): called with
-        # ``(session_id, event)`` after a session leaves memory — event is
-        # "closed" (deliberate close / drain) or "evicted" (TTL or LRU) —
-        # so SSE subscribers get a terminal frame instead of hanging on
-        # keepalives forever.
-        self._lifecycle_observers: list[Callable[[str, str], None]] = []
+        # Observers (the stream hub): see add_observer.
+        self._observers: list[Any] = []
         self.observer_errors = 0  # guarded-by: self._lock
         # One executor for everyone: cross-session reuse is the service's
         # whole performance story.
@@ -197,47 +198,28 @@ class SessionManager:
                 expected = self._journal_token(session_id)
             else:
                 expected = None
-            if expected is not None and auth_token != expected:
-                raise AuthError(
-                    f"session {session_id!r} requires a valid auth token"
-                )
+            _authorize(session_id, expected, auth_token)
             managed = self._sessions.pop(session_id, None)
         if managed is None and not drop_journal:
             raise UnknownSession(f"no session {session_id!r}")
-        if managed is not None and managed.journal is not None:
-            # Wait for any in-flight action before closing the journal: it
-            # was checked out before the pop above and must still be able
-            # to record its (already accepted) action.
-            with managed.lock:
-                self._persist_quota(managed)
-                managed.journal.close()
+        if managed is not None:
+            self._release(managed, "closed")
         if drop_journal and self.journal_dir is not None:
             path = self._journal_path(session_id)
             if path.exists():
                 path.unlink()
-        if managed is not None:
-            self._notify_lifecycle(session_id, "closed")
 
     def session_ids(self) -> list[str]:
         with self._lock:
             return sorted(self._sessions)
 
     def shutdown(self) -> None:
-        """Flush and close every hosted session's journal (graceful stop).
+        """Graceful stop: :meth:`release_sessions` for every live session.
 
         Journaled sessions remain resumable: a new manager over the same
         journal directory replays each one verbatim on its first request.
         """
-        with self._lock:
-            drained = list(self._sessions.values())
-            self._sessions.clear()
-        for managed in drained:
-            if managed.journal is not None:
-                # Wait for any in-flight action before closing its journal
-                # (same contract as close_session).
-                with managed.lock:
-                    self._persist_quota(managed)
-                    managed.journal.close()
+        self.release_sessions()
 
     def release_sessions(
         self, session_ids: list[str] | None = None
@@ -252,24 +234,15 @@ class SessionManager:
         skips ids that are not currently live. Returns the released ids.
         """
         with self._lock:
-            if session_ids is None:
-                targets = list(self._sessions)
-            else:
-                targets = [sid for sid in session_ids if sid in self._sessions]
+            targets = (list(self._sessions) if session_ids is None
+                       else session_ids)
             released = [
-                (sid, managed)
-                for sid in targets
+                managed for sid in targets
                 if (managed := self._sessions.pop(sid, None)) is not None
             ]
-        for session_id, managed in released:
-            if managed.journal is not None:
-                # Same contract as close_session: wait out any in-flight
-                # action before flushing quota state and closing the file.
-                with managed.lock:
-                    self._persist_quota(managed)
-                    managed.journal.close()
-            self._notify_lifecycle(session_id, "closed")
-        return [session_id for session_id, _ in released]
+        for managed in released:
+            self._release(managed, "closed")
+        return [managed.session_id for managed in released]
 
     # ------------------------------------------------------------------
     # The hot path
@@ -296,10 +269,7 @@ class SessionManager:
         render what it has. Rejected actions consume quota — the point is
         to bound a runaway client's load, not its success rate.
         """
-        if managed.auth_token is not None and auth_token != managed.auth_token:
-            raise AuthError(
-                f"session {managed.session_id!r} requires a valid auth token"
-            )
+        _authorize(managed.session_id, managed.auth_token, auth_token)
         if (
             self.quota_actions is not None
             and action in protocol.MUTATING_ACTIONS
@@ -377,7 +347,7 @@ class SessionManager:
             # in exact action order, and a frame is never emitted for an
             # action that a crash would lose.
             if self._observers and action in protocol.MUTATING_ACTIONS:
-                self._notify_observers(session_id, action, managed.session)
+                self._notify("on_action", session_id, action, managed.session)
         finally:
             managed.lock.release()
         with self._lock:
@@ -386,36 +356,23 @@ class SessionManager:
                 self.compactions += 1
         return result
 
-    def add_action_observer(
-        self, observer: Callable[[str, str, EtableSession], None]
-    ) -> None:
-        """Register a post-action hook: ``observer(session_id, action,
-        session)`` runs under the session lock after each accepted mutating
-        action. Observer exceptions are counted, not propagated — a broken
-        stream must not fail the user's action."""
+    def add_observer(self, observer: Any) -> None:
+        """Register an observer of session states and session ends.
+
+        ``observer.on_action(session_id, action, session)`` runs under the
+        session lock after each accepted mutating action, so an observer
+        sees session states in exact action order.
+        ``observer.on_session_end(session_id, event)`` runs after a session
+        leaves memory, with event ``"closed"`` or ``"evicted"``, so SSE
+        subscribers get a terminal frame instead of keepalives forever.
+        Observer exceptions are counted, not propagated: a broken stream
+        must not fail the user's action."""
         self._observers.append(observer)
 
-    def _notify_observers(self, session_id: str, action: str,
-                          session: EtableSession) -> None:
+    def _notify(self, hook: str, *args: Any) -> None:
         for observer in list(self._observers):
             try:
-                observer(session_id, action, session)
-            except Exception:
-                with self._lock:
-                    self.observer_errors += 1
-
-    def add_lifecycle_observer(
-        self, observer: Callable[[str, str], None]
-    ) -> None:
-        """Register a session-end hook: ``observer(session_id, event)``
-        runs after a session leaves memory, with event ``"closed"`` or
-        ``"evicted"``. Exceptions are counted, not propagated."""
-        self._lifecycle_observers.append(observer)
-
-    def _notify_lifecycle(self, session_id: str, event: str) -> None:
-        for observer in list(self._lifecycle_observers):
-            try:
-                observer(session_id, event)
+                getattr(observer, hook)(*args)
             except Exception:
                 with self._lock:
                     self.observer_errors += 1
@@ -433,13 +390,7 @@ class SessionManager:
         """
         managed = self._checkout_locked(session_id)
         try:
-            if (
-                managed.auth_token is not None
-                and auth_token != managed.auth_token
-            ):
-                raise AuthError(
-                    f"session {session_id!r} requires a valid auth token"
-                )
+            _authorize(session_id, managed.auth_token, auth_token)
             managed.last_used = time.monotonic()
             return fn(managed.session)
         finally:
@@ -469,7 +420,8 @@ class SessionManager:
                 session_id = self._required_session_id(request)
                 self.close_session(
                     session_id,
-                    drop_journal=bool(request.params.get("drop_journal")),
+                    drop_journal=protocol.bool_param(request.params,
+                                                     "drop_journal"),
                     auth_token=request.auth_token,
                 )
                 return protocol.Response.success({"closed": session_id}, request)
@@ -716,19 +668,37 @@ class SessionManager:
         """Evict one session if it is idle right now (never mid-action)."""
         assert_locked(self._lock, "SessionManager._lock")
         managed = self._sessions.get(session_id)
-        if managed is None:
+        if managed is None or not self._release(managed, "evicted",
+                                                wait=False):
             return False
-        if not managed.lock.acquire(blocking=False):
+        self.evicted += 1
+        return True
+
+    def _release(self, managed: ManagedSession, event: str,
+                 wait: bool = True) -> bool:
+        """Take a session out of memory: the one path every exit takes.
+
+        Waits out the session's in-flight action, which was checked out
+        before the session left ``_sessions`` and must still be able to
+        journal its accepted action. Eviction runs under the manager lock,
+        so it passes ``wait=False`` and skips a session that is mid-action.
+        Then the session leaves ``_sessions`` (the close paths have already
+        popped it), its quota is persisted, its journal closed, and the
+        observers hear ``on_session_end(session_id, event)``. Returns
+        whether the session was released.
+        """
+        if not managed.lock.acquire(blocking=wait):
             return False
         try:
-            del self._sessions[session_id]
+            with self._lock:
+                if self._sessions.get(managed.session_id) is managed:
+                    del self._sessions[managed.session_id]
             if managed.journal is not None:
                 self._persist_quota(managed)
                 managed.journal.close()
-            self.evicted += 1
         finally:
             managed.lock.release()
-        self._notify_lifecycle(session_id, "evicted")
+        self._notify("on_session_end", managed.session_id, event)
         return True
 
     def _persist_quota(self, managed: ManagedSession) -> None:
@@ -790,6 +760,14 @@ class SessionManager:
                 f"action {request.action!r} needs a session_id"
             )
         return str(session_id)
+
+
+def _authorize(session_id: str, expected: str | None,
+               presented: str | None) -> None:
+    """Refuse ``presented`` unless it is the session's token; a session
+    whose ``expected`` token is None needs none."""
+    if expected is not None and presented != expected:
+        raise AuthError(f"session {session_id!r} requires a valid auth token")
 
 
 def _valid_session_id(session_id: object) -> bool:

@@ -469,12 +469,16 @@ def _list(payload: dict[str, Any], name: str, kind: str) -> list:
     return value
 
 
-def _bool(payload: dict[str, Any], name: str, kind: str) -> bool:
-    value = payload.get(name, False)
+def bool_param(params: dict[str, Any], name: str) -> bool:
+    """A JSON boolean param or condition field; missing means false.
+
+    ``bool("false")`` is true, so a string, a number or anything else
+    that is not a JSON boolean is a :class:`ProtocolError` rather than a
+    guess."""
+    value = params.get(name, False)
     if not isinstance(value, bool):
         raise ProtocolError(
-            f"condition of kind {kind!r} needs a boolean {name!r}, "
-            f"got {value!r}"
+            f"{name!r} must be a JSON boolean, got {value!r}"
         )
     return value
 
@@ -512,7 +516,7 @@ def condition_from_json(payload: dict[str, Any]) -> Condition:
         if kind == "like":
             return AttributeLike(_string(payload, "attribute", kind),
                                  _string(payload, "pattern", kind),
-                                 negate=_bool(payload, "negate", kind))
+                                 negate=bool_param(payload, "negate"))
         if kind == "in":
             return AttributeIn(
                 _string(payload, "attribute", kind),
@@ -936,6 +940,13 @@ def _build_condition(params: dict[str, Any]) -> Condition:
     return condition_from_json(condition)
 
 
+def _column_param(params: dict[str, Any], action: str) -> str:
+    column = params.get("column")
+    if not isinstance(column, str):
+        raise ProtocolError(f"{action} needs a 'column' string param")
+    return column
+
+
 def _int_param(params: dict[str, Any], name: str, default: int | None = None,
                minimum: int | None = None) -> int:
     value = params.get(name, default)
@@ -970,18 +981,13 @@ def _act_filter(session: EtableSession, params: dict) -> dict:
 
 
 def _act_nfilter(session: EtableSession, params: dict) -> dict:
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("nfilter needs a 'column' string param")
-    session.filter_by_neighbor(column, _build_condition(params))
+    session.filter_by_neighbor(_column_param(params, "nfilter"),
+                               _build_condition(params))
     return _table_summary(session)
 
 
 def _act_pivot(session: EtableSession, params: dict) -> dict:
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("pivot needs a 'column' string param")
-    session.pivot(column)
+    session.pivot(_column_param(params, "pivot"))
     return _table_summary(session)
 
 
@@ -1001,10 +1007,7 @@ def _act_single(session: EtableSession, params: dict) -> dict:
         session.single(_int_param(params, "node_id"))
         return _table_summary(session)
     row = _resolve_row(session, params)
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("single needs a 'node_id', or a row + 'column'")
-    spec = session.resolve_column(column)
+    spec = session.resolve_column(_column_param(params, "single"))
     refs = row.refs(spec.key)
     if not refs:
         raise InvalidAction(f"cell {spec.display!r} is empty")
@@ -1019,34 +1022,23 @@ def _act_single(session: EtableSession, params: dict) -> dict:
 
 def _act_seeall(session: EtableSession, params: dict) -> dict:
     row = _resolve_row(session, params)
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("seeall needs a 'column' string param")
-    session.see_all(row, column)
+    session.see_all(row, _column_param(params, "seeall"))
     return _table_summary(session)
 
 
 def _act_sort(session: EtableSession, params: dict) -> dict:
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("sort needs a 'column' string param")
-    session.sort(column, descending=bool(params.get("descending", False)))
+    session.sort(_column_param(params, "sort"),
+                 descending=bool_param(params, "descending"))
     return _table_summary(session)
 
 
 def _act_hide(session: EtableSession, params: dict) -> dict:
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("hide needs a 'column' string param")
-    session.hide_column(column)
+    session.hide_column(_column_param(params, "hide"))
     return _table_summary(session)
 
 
 def _act_show(session: EtableSession, params: dict) -> dict:
-    column = params.get("column")
-    if not isinstance(column, str):
-        raise ProtocolError("show needs a 'column' string param")
-    session.show_column(column)
+    session.show_column(_column_param(params, "show"))
     return _table_summary(session)
 
 
@@ -1105,7 +1097,7 @@ def _act_etable(session: EtableSession, params: dict) -> dict:
                       if params.get("max_refs") is not None else None),
         )
     }
-    if params.get("include_history"):
+    if bool_param(params, "include_history"):
         payload["history"] = history_to_json(session.history)
     return payload
 

@@ -2,12 +2,15 @@
 
 Threading model — exactly two sides:
 
-* **Action side** (manager worker threads): :meth:`StreamHub.on_action` is
-  registered as a :meth:`SessionManager.add_action_observer` hook and runs
-  *under the session lock*, immediately after each accepted mutating
-  action. It serializes the session's ETable payload and hands it to the
-  event loop with ``call_soon_threadsafe`` — still under the lock, so the
-  loop receives payloads in exact action order.
+* **Action side** (manager worker threads): the hub registers itself
+  once with :meth:`SessionManager.add_observer`. Its
+  :meth:`StreamHub.on_action` runs *under the session lock*, immediately
+  after each accepted mutating action. It serializes the session's ETable
+  payload and hands it to the event loop with ``call_soon_threadsafe`` —
+  still under the lock, so the loop receives payloads in exact action
+  order. :meth:`StreamHub.on_session_end` runs after a session leaves
+  memory (closed, drained, shut down or evicted) and hands the loop a
+  terminal frame the same way.
 * **Loop side** (the asyncio thread): everything else — frame building,
   subscriber queues, coalescing — runs on the event loop, so none of it
   needs locks. The only shared state is the watcher registry (which
@@ -119,17 +122,20 @@ class StreamHub:
         self._watch_lock = threading.Lock()
         self._watchers: dict[str, int] = {}  # guarded-by: self._watch_lock
         self._closed = False  # guarded-by: self._watch_lock
-        manager.add_action_observer(self.on_action)
-        manager.add_lifecycle_observer(self.on_session_end)
+        manager.add_observer(self)
 
     # ------------------------------------------------------------------
     # Action side (manager worker threads, under the session lock)
     # ------------------------------------------------------------------
+    def _watched(self, session_id: str) -> bool:
+        """Whether an open hub has a subscriber for ``session_id``."""
+        with self._watch_lock:
+            return not self._closed and self._watchers.get(session_id, 0) > 0
+
     def on_action(self, session_id: str, action: str,
                   session: EtableSession) -> None:
-        with self._watch_lock:
-            if self._closed or self._watchers.get(session_id, 0) <= 0:
-                return
+        if not self._watched(session_id):
+            return
         payload = (
             etable_to_json(session.current)
             if session.current is not None else None
@@ -142,13 +148,12 @@ class StreamHub:
         """Lifecycle hook: the session was closed or evicted server-side.
 
         Without this, subscribers of a closed/evicted session would hang
-        on ``: ping`` keepalives forever (the bug this PR fixes). Runs on
-        the manager's action side; the terminal frame is built and fanned
-        out on the loop, like every other frame.
+        on ``: ping`` keepalives forever. Runs on the manager's action
+        side; the terminal frame is built and fanned out on the loop, like
+        every other frame.
         """
-        with self._watch_lock:
-            if self._closed or self._watchers.get(session_id, 0) <= 0:
-                return
+        if not self._watched(session_id):
+            return
         self._loop.call_soon_threadsafe(
             self._publish_closed, session_id, event
         )

@@ -125,6 +125,46 @@ class TestLifecycle:
         assert "cache" in stats and "prefixes" in stats["cache"]
 
 
+class TestObservers:
+    def test_observers_hear_every_exit(self, toy):
+        """One observer registered through add_observer hears each action
+        and every way a session leaves memory: close, drain, LRU eviction
+        and shutdown."""
+
+        class Recorder:
+            def __init__(self):
+                self.actions = []
+                self.ends = []
+
+            def on_action(self, session_id, action, session):
+                self.actions.append((session_id, action))
+
+            def on_session_end(self, session_id, event):
+                self.ends.append((session_id, event))
+
+        manager = _manager(toy, max_sessions=2, ttl_seconds=None)
+        recorder = Recorder()
+        manager.add_observer(recorder)
+        for sid in ("a", "b"):
+            manager.create_session(sid)
+            manager.apply(sid, "open", {"type": "Papers"})
+        manager.apply("a", "etable", {})  # a read: no on_action
+        assert recorder.actions == [("a", "open"), ("b", "open")]
+        manager.close_session("a")
+        assert recorder.ends == [("a", "closed")]
+        assert manager.release_sessions(["b"]) == ["b"]
+        assert recorder.ends[-1] == ("b", "closed")
+        manager.create_session("c")
+        manager.create_session("d")
+        manager.create_session("e")  # over max_sessions: evicts c (LRU)
+        assert recorder.ends[-1] == ("c", "evicted")
+        recorder.ends.clear()
+        manager.shutdown()
+        assert sorted(recorder.ends) == [("d", "closed"), ("e", "closed")]
+        assert manager.session_ids() == []
+        assert manager.observer_errors == 0
+
+
 class TestSharedCache:
     def test_one_users_work_is_anothers_hit(self, toy):
         manager = _manager(toy)

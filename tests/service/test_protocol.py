@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import InvalidAction, ProtocolError
 from repro.tgm.conditions import (
     AndCondition,
     AttributeCompare,
@@ -326,11 +326,78 @@ class TestEnvelopes:
                 {"action": "open", "session_id": sid, "version": 999})
 
 
+class TestBooleanParams:
+    """A boolean param must be a JSON boolean (``bool("false")`` is
+    true); a missing one still means false."""
+
+    @staticmethod
+    def _papers(toy) -> EtableSession:
+        session = EtableSession(toy.schema, toy.graph)
+        protocol.apply_action(session, "open", {"type": "Papers"})
+        return session
+
+    def test_sort_descending(self, toy):
+        session = self._papers(toy)
+        with pytest.raises(ProtocolError):
+            protocol.apply_action(session, "sort", {"column": "year",
+                                                    "descending": "false"})
+        assert len(session.history) == 1
+        protocol.apply_action(session, "sort", {"column": "year"})
+        assert session.history[-1].sort == ("year", False)
+
+    def test_etable_include_history(self, toy):
+        session = self._papers(toy)
+        with pytest.raises(ProtocolError):
+            protocol.apply_action(session, "etable", {"include_history": "0"})
+        assert "history" not in protocol.apply_action(session, "etable", {})
+
+    def test_close_session_drop_journal(self, toy, tmp_path):
+        from repro.service.manager import SessionManager
+
+        manager = SessionManager(toy.schema, toy.graph, journal_dir=tmp_path)
+        sid = manager.create_session()
+        response = manager.handle_request(protocol.Request(
+            action="close_session", params={"drop_journal": "false"},
+            session_id=sid,
+        ))
+        assert response.error_type == "protocol_error"
+        assert (tmp_path / f"{sid}.journal").exists()
+        assert manager.session_ids() == [sid]
+
+
 class TestApplyAction:
     def test_unknown_action_rejected(self, toy):
         session = EtableSession(toy.schema, toy.graph)
         with pytest.raises(ProtocolError):
             protocol.apply_action(session, "frobnicate", {})
+
+    @pytest.mark.parametrize("action, params", [
+        ("seeall", {"column": "Papers->Authors"}),
+        ("single", {"column": "Papers->Authors", "ref": 1}),
+    ])
+    def test_row_node_id_addresses_the_row_with_that_node(
+        self, toy, action, params
+    ):
+        sessions = []
+        for _ in range(2):
+            session = EtableSession(toy.schema, toy.graph)
+            protocol.apply_action(session, "open", {"type": "Papers"})
+            # Descending by author count: display order is not id order.
+            protocol.apply_action(session, "sort", {
+                "column": "Papers->Authors", "descending": True})
+            sessions.append(session)
+        by_index, by_node = sessions
+        row = by_index.current.row(0)
+        assert row.node_id != min(r.node_id for r in by_index.current.rows)
+        protocol.apply_action(by_index, action, dict(params, row=0))
+        protocol.apply_action(by_node, action,
+                              dict(params, row_node_id=row.node_id))
+        assert by_node.history == by_index.history
+        assert (protocol.etable_to_json(by_node.current)
+                == protocol.etable_to_json(by_index.current))
+        with pytest.raises(InvalidAction):
+            protocol.apply_action(by_node, action,
+                                  dict(params, row_node_id=10 ** 9))
 
     def test_repl_equivalence(self, toy):
         """The protocol path and the direct session API produce identical

@@ -41,7 +41,7 @@ class TestEdgeCounts:
         )
         assert total == len(academic_db.table("Paper_Authors"))
 
-    def test_mv_edges_match_attr_rows(self, academic, academic_db):
+    def test_mv_edges_match_attribute_rows(self, academic, academic_db):
         total = sum(
             academic.graph.degree(node.node_id, "Papers->Paper_Keywords")
             for node in academic.graph.nodes_of_type("Papers")
