@@ -42,9 +42,11 @@ def test_figure1_enriched_table(bench_tgdb, benchmark):
 
     assert len(etable) > 0
     for row in etable.rows:
-        keywords = {str(ref.label) for ref in row.refs("Papers->Paper_Keywords")}
+        keywords = {str(ref.label)
+                    for ref in etable.refs(row, "Papers->Paper_Keywords")}
         assert any("user" in keyword for keyword in keywords)
-        assert [str(r.label) for r in row.refs("Papers->Conferences")] == ["SIGMOD"]
+        conferences = etable.refs(row, "Papers->Conferences")
+        assert [str(r.label) for r in conferences] == ["SIGMOD"]
 
     # "If a relational database were used to obtain the same information,
     # 9 tables would need to be joined": Papers + Conferences + Paper_Authors

@@ -33,7 +33,8 @@ def test_figure2_exploration_routes(bench_tgdb, benchmark):
     # (a) click one author's name -> a single-row table.
     session_a = EtableSession(schema, graph)
     session_a.open("Papers")
-    ref = session_a.current.row_for_node(paper.node_id).refs("Papers->Authors")[0]
+    table_a = session_a.current
+    ref = table_a.refs(table_a.row_for_node(paper.node_id), "Papers->Authors")[0]
     result_a = session_a.single(ref)
     names_a = {row.attributes["name"] for row in result_a.rows}
 

@@ -54,9 +54,9 @@ def test_figure8_query_execution(toy_tgdb, benchmark):
     for row in etable.rows:
         papers = sorted(
             toy_tgdb.graph.node(ref.node_id).attributes["id"]
-            for ref in row.refs("Papers")
+            for ref in etable.refs(row, "Papers")
         )
-        confs = [str(ref.label) for ref in row.refs("Conferences")]
+        confs = [str(ref.label) for ref in etable.refs(row, "Conferences")]
         final_rows.append([
             row.attributes["id"], row.attributes["name"],
             row.attributes["institution_id"],
@@ -68,7 +68,7 @@ def test_figure8_query_execution(toy_tgdb, benchmark):
     result = {
         row.attributes["name"]: {
             toy_tgdb.graph.node(ref.node_id).attributes["id"]
-            for ref in row.refs("Papers")
+            for ref in etable.refs(row, "Papers")
         }
         for row in etable.rows
     }

@@ -99,10 +99,7 @@ def _etable_signature(etable):
     return [
         (
             row.node_id,
-            tuple(
-                (key, tuple(ref.node_id for ref in row.cells[key]))
-                for key in sorted(row.cells)
-            ),
+            tuple((key, row.cells[key]) for key in sorted(row.cells)),
         )
         for row in etable.rows
     ]

@@ -10,9 +10,13 @@ An ETable has three kinds of columns (Section 5.4.2):
   primary type (regardless of the pattern), holding direct neighbors. They
   both describe each row and *preview every possible next join*.
 
-Cells of the last two kinds hold ordered sets of :class:`EntityRef` —
-clickable labels, like hyperlinks, plus the reference count badge shown in
-the corner of each cell in Figure 1.
+Cells of the last two kinds hold ordered sets of node ids, as tuples. A
+cell is shown as clickable labels, like hyperlinks, plus the reference
+count badge in the corner of each cell in Figure 1: the count is the
+tuple's length, and a label is read from the graph's label table
+(:meth:`~repro.tgm.instance_graph.InstanceGraph.label_of`) only where a
+reference is shown. :meth:`ETable.refs` turns a cell into
+:class:`EntityRef` values for code that wants the references themselves.
 """
 
 from __future__ import annotations
@@ -62,17 +66,20 @@ class ColumnSpec:
 
 @dataclass
 class ETableRow:
-    """One row: a primary entity, its attributes, and its reference cells."""
+    """One row: a primary entity, its attributes, and its reference cells.
+
+    ``cells`` maps a reference column's key to the ids of the nodes the
+    cell references, in display order; a row built outside the builders
+    may lack a key, which reads as an empty cell. Labels are not held
+    here: :meth:`ETable.refs` reads them from the table's graph.
+    """
 
     node_id: int
     attributes: dict[str, Any]
-    cells: dict[str, list[EntityRef]] = field(default_factory=dict)
-
-    def refs(self, column_key: str) -> list[EntityRef]:
-        return self.cells.get(column_key, [])
+    cells: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def ref_count(self, column_key: str) -> int:
-        return len(self.cells.get(column_key, []))
+        return len(self.cells.get(column_key, ()))
 
 
 class ETable:
@@ -180,6 +187,16 @@ class ETable:
     def node_of(self, row: ETableRow) -> Node:
         return self.graph.node(row.node_id)
 
+    def refs(self, row: ETableRow, column_key: str) -> list[EntityRef]:
+        """The references of one cell of ``row``, labels read from the
+        graph's label table. The reference type is the column's."""
+        type_name = self.column(column_key).type_name
+        label_of = self.graph.label_of
+        return [
+            EntityRef(node_id, type_name, label_of(node_id))
+            for node_id in row.cells.get(column_key, ())
+        ]
+
     # ------------------------------------------------------------------
     # Presentation operations (Sort / Hide — Section 6.1 "additional")
     # ------------------------------------------------------------------
@@ -228,17 +245,17 @@ class ETable:
 
     def to_dicts(self, labels: bool = True) -> list[dict[str, Any]]:
         """Rows as plain dictionaries; reference cells become label lists."""
+        label_of = self.graph.label_of
         out: list[dict[str, Any]] = []
         for row in self.rows:
             item: dict[str, Any] = dict(row.attributes)
             for column in self.columns:
                 if column.kind is ColumnKind.BASE:
                     continue
-                refs = row.refs(column.key)
+                ids = row.cells.get(column.key, ())
                 item[column.display] = (
-                    [ref.label for ref in refs]
-                    if labels
-                    else [ref.node_id for ref in refs]
+                    [label_of(node_id) for node_id in ids]
+                    if labels else list(ids)
                 )
             out.append(item)
         return out

@@ -23,12 +23,14 @@ def _shorten(text: str, width: int) -> str:
 
 
 def render_cell(
+    etable: ETable,
     row: ETableRow,
     column: ColumnSpec,
     max_refs: int = 5,
     label_width: int = 10,
 ) -> str:
-    """One cell: a scalar, or ``⟨count⟩ label, label, …`` for references.
+    """One cell of ``etable``: a scalar, or ``⟨count⟩ label, label, …``
+    for references.
 
     Mirrors Figure 1: each entity-reference cell shows the reference count
     plus the first few labels, truncated (e.g. ``7│H. V. Jaga…, Adriane C…``).
@@ -36,14 +38,16 @@ def render_cell(
     if column.kind is ColumnKind.BASE:
         value = row.attributes.get(column.key)
         return "" if value is None else str(value)
-    refs = row.refs(column.key)
-    if not refs:
+    ids = row.cells.get(column.key, ())
+    if not ids:
         return "0│"
+    label_of = etable.graph.label_of
     labels = ", ".join(
-        _shorten(str(ref.label), label_width) for ref in refs[:max_refs]
+        _shorten(str(label_of(node_id)), label_width)
+        for node_id in ids[:max_refs]
     )
-    suffix = ", …" if len(refs) > max_refs else ""
-    return f"{len(refs)}│{labels}{suffix}"
+    suffix = ", …" if len(ids) > max_refs else ""
+    return f"{len(ids)}│{labels}{suffix}"
 
 
 def render_etable(
@@ -61,7 +65,7 @@ def render_etable(
         body.append(
             [
                 _shorten(
-                    render_cell(row, column, max_refs, label_width),
+                    render_cell(etable, row, column, max_refs, label_width),
                     max_cell_width,
                 )
                 for column in columns

@@ -42,22 +42,20 @@ def _check_compatible(left: ETable, right: ETable) -> None:
 
 
 def _clone_row(row: ETableRow) -> ETableRow:
+    # Cells are tuples of node ids, so the clone shares them.
     return ETableRow(
         node_id=row.node_id,
         attributes=dict(row.attributes),
-        cells={key: list(refs) for key, refs in row.cells.items()},
+        cells=dict(row.cells),
     )
 
 
 def _rebuild_neighbor_cells(etable: ETable, row: ETableRow) -> None:
     """Fill neighbor columns of a transplanted row from raw adjacency."""
-    from repro.core.transform import _node_ref  # local import, no cycle
-
     for column in etable.neighbor_columns():
-        row.cells[column.key] = [
-            _node_ref(neighbor, etable.graph.schema)
-            for neighbor in etable.graph.neighbors(row.node_id, column.key)
-        ]
+        row.cells[column.key] = tuple(
+            etable.graph.neighbor_ids(row.node_id, column.key)
+        )
 
 
 def _rederive_left_rows(
@@ -113,15 +111,15 @@ def etable_union(left: ETable, right: ETable) -> ETable:
             attributes=dict(row.attributes),
             cells={},
         )
-        for key, refs in row.cells.items():
+        for key, ids in row.cells.items():
             if key in left_keys:
-                transplanted.cells[key] = list(refs)
+                transplanted.cells[key] = ids
         for column in left.participating_columns():
             if column.key in transplanted.cells:
                 continue
             source = rederived.get(row.node_id)
             transplanted.cells[column.key] = (
-                list(source.refs(column.key)) if source else []
+                source.cells.get(column.key, ()) if source else ()
             )
         _rebuild_neighbor_cells(scaffold, transplanted)
         rows.append(transplanted)

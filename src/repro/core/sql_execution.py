@@ -316,8 +316,8 @@ def graph_result_summary(
         primary_keys.append(key)
         cells[key] = {
             column_key: frozenset(
-                graph.node(ref.node_id).source_key
-                for ref in row.refs(column_key)
+                graph.node(node_id).source_key
+                for node_id in row.cells.get(column_key, ())
             )
             for column_key in participating
         }

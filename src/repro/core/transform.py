@@ -13,13 +13,15 @@ This is "similar to setting one of the relations as a GROUP BY attribute in
 SQL, but while GROUP BY aggregates ... ETable presents a list of the
 corresponding instances as entity references".
 
-Two builders produce that table. :func:`transform` folds a matched flat
-relation, which repeats cells across many-to-many edges.
-:func:`transform_reduced` walks the displayed rows through a pattern's
-semi-join reduction (:func:`repro.core.planner.reduce_plan`) instead, so
-the flat join is never built; ``repro.core.cache`` uses it for every
-pattern with more than one node. Both share the assembly of columns,
-neighbor cells and entity references.
+Two builders produce that table, and both build only the rows that
+``row_limit`` keeps. :func:`transform` folds a matched flat relation,
+which repeats cells across many-to-many edges, and skips every tuple whose
+primary node falls outside the window. :func:`transform_reduced` walks the
+displayed rows through a pattern's semi-join reduction
+(:func:`repro.core.planner.reduce_plan`) instead, so the flat join is
+never built; ``repro.core.cache`` uses it for every pattern with more than
+one node. Both share the assembly of columns and cells (:func:`_assemble`).
+A cell holds node ids only; labels are read where a page shows them.
 
 Neighbor columns that duplicate a participating column (the pattern already
 joins that edge from the primary) are auto-hidden, mirroring Figure 8's
@@ -30,11 +32,10 @@ be re-shown with :meth:`ETable.show_column`.
 from __future__ import annotations
 
 from typing import Iterable, Mapping
-from weakref import WeakKeyDictionary
 
 from repro.tgm.graph_relation import GraphRelation
-from repro.tgm.instance_graph import InstanceGraph, Node
-from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
+from repro.tgm.instance_graph import InstanceGraph
+from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow
 from repro.core.matching import match
 from repro.core.query_pattern import QueryPattern
 
@@ -72,7 +73,14 @@ def transform(
     graph: InstanceGraph,
     row_limit: int | None = None,
 ) -> ETable:
-    """Pivot a matched graph relation into an :class:`ETable`."""
+    """Pivot a matched graph relation into an :class:`ETable`.
+
+    Rows are the distinct primary nodes in first-appearance order, cut to
+    the first ``row_limit``. A tuple whose primary node is outside that
+    window is skipped, so no cell is collected for a row the table drops;
+    a one-node pattern has no cells to collect and stops reading tuples
+    once the window is full.
+    """
     primary_position = matched.position(pattern.primary_key)
     participating_positions = [
         (key, matched.position(key)) for key in pattern.participating_keys
@@ -82,23 +90,26 @@ def transform(
     # of the relation): collect row order and the distinct participating
     # nodes per (row, column).
     row_order: list[int] = []
-    row_index: dict[int, int] = {}
-    cell_sets: list[dict[str, dict[int, None]]] = []  # ordered-set per cell
+    cell_sets: dict[int, dict[str, dict[int, None]]] = {}  # ordered sets
+    # No relation has more distinct primaries than tuples.
+    window = len(matched) if row_limit is None else row_limit
     for tuple_row in matched.iter_rows():
         primary_id = tuple_row[primary_position]
-        index = row_index.get(primary_id)
-        if index is None:
-            index = len(row_order)
-            row_index[primary_id] = index
+        sets = cell_sets.get(primary_id)
+        if sets is None:
+            if len(row_order) == window:
+                if not participating_positions:
+                    break
+                continue
             row_order.append(primary_id)
-            cell_sets.append({key: {} for key, _ in participating_positions})
-        sets = cell_sets[index]
+            sets = cell_sets[primary_id] = {
+                key: {} for key, _ in participating_positions
+            }
         for key, position in participating_positions:
             sets[key][tuple_row[position]] = None
 
-    if row_limit is not None:
-        row_order = row_order[:row_limit]
-    return _assemble(pattern, graph, zip(row_order, cell_sets))
+    return _assemble(pattern, graph,
+                     ((row_id, cell_sets[row_id]) for row_id in row_order))
 
 
 def transform_reduced(
@@ -162,9 +173,10 @@ def _assemble(
     rows: Iterable[tuple[int, Mapping[str, Iterable[int]]]],
 ) -> ETable:
     """The ETable of ``rows``: (primary id, participating node ids per
-    column key) pairs, in display order. Adds the column specs, base and
-    neighbor cells and entity references, then auto-hides the neighbor
-    columns the pattern duplicates."""
+    column key) pairs, in display order. Adds the column specs, the base
+    values and the neighbor cells, then auto-hides the neighbor columns
+    the pattern duplicates. Every cell is a tuple of node ids, copied from
+    the participating ids or the graph's adjacency; no label is read."""
     schema = graph.schema
     primary = pattern.primary
     primary_type = schema.node_type(primary.type_name)
@@ -190,56 +202,22 @@ def _assemble(
             )
         )
 
-    refs = _REF_CACHES.setdefault(graph, {})
-
-    def ref_of(node_id: int) -> EntityRef:
-        ref = refs.get(node_id)
-        if ref is None:
-            ref = _node_ref(graph.node(node_id), schema)
-            refs[node_id] = ref
-        return ref
-
+    neighbor_names = [edge_type.name for edge_type in neighbor_edges]
+    neighbors = graph.neighbors_view
     etable_rows: list[ETableRow] = []
     for primary_id, participating in rows:
-        node = graph.node(primary_id)
-        cells: dict[str, list[EntityRef]] = {}
-        for key in participating_keys:
-            cells[key] = [ref_of(node_id) for node_id in participating[key]]
-        for edge_type in neighbor_edges:
-            cells[edge_type.name] = [
-                ref_of(neighbor_id)
-                for neighbor_id in graph.neighbors_view(
-                    primary_id, edge_type.name
-                )
-            ]
-        etable_rows.append(
-            ETableRow(
-                node_id=primary_id,
-                attributes=dict(node.attributes),
-                cells=cells,
-            )
-        )
+        cells = {key: tuple(participating[key]) for key in participating_keys}
+        for name in neighbor_names:
+            cells[name] = tuple(neighbors(primary_id, name))
+        etable_rows.append(ETableRow(
+            node_id=primary_id,
+            attributes=dict(graph.node(primary_id).attributes),
+            cells=cells,
+        ))
 
     etable = ETable(pattern, columns, etable_rows, graph)
     _auto_hide_duplicated_neighbors(etable)
     return etable
-
-
-# EntityRefs are immutable and depend only on a node's label, which no
-# graph write changes (a write only adds nodes and edges), so one cache per
-# graph serves every transform over it. WeakKeyDictionary keeps dropped
-# graphs collectable.
-_REF_CACHES: "WeakKeyDictionary[InstanceGraph, dict[int, EntityRef]]" = (
-    WeakKeyDictionary()
-)
-
-
-def _node_ref(node: Node, schema) -> EntityRef:
-    return EntityRef(
-        node_id=node.node_id,
-        type_name=node.type_name,
-        label=node.label(schema),
-    )
 
 
 def _auto_hide_duplicated_neighbors(etable: ETable) -> None:

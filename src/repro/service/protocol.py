@@ -78,8 +78,8 @@ from repro.tgm.conditions import (
     NotCondition,
     OrCondition,
 )
-from repro.tgm.instance_graph import InstanceGraph
-from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow, EntityRef
+from repro.tgm.instance_graph import UNREAD, InstanceGraph
+from repro.core.etable import ColumnKind, ColumnSpec, ETable, ETableRow
 from repro.core.query_pattern import PatternEdge, PatternNode, QueryPattern
 from repro.core.session import EtableSession, HistoryEntry
 
@@ -512,7 +512,7 @@ def condition_from_json(payload: dict[str, Any]) -> Condition:
         if kind == "compare":
             return AttributeCompare(_string(payload, "attribute", kind),
                                     _string(payload, "op", kind),
-                                    payload["value"])
+                                    _scalar(payload["value"], kind))
         if kind == "like":
             return AttributeLike(_string(payload, "attribute", kind),
                                  _string(payload, "pattern", kind),
@@ -525,7 +525,8 @@ def condition_from_json(payload: dict[str, Any]) -> Condition:
             )
         if kind == "node_is":
             return NodeIs(_node_id(payload["node_id"], kind),
-                          label=payload.get("label", ""))
+                          label=(_string(payload, "label", kind)
+                                 if "label" in payload else ""))
         if kind == "node_in":
             return NodeIn(_node_id(node_id, kind)
                           for node_id in _list(payload, "node_ids", kind))
@@ -641,7 +642,10 @@ def etable_to_json(
     reference cell while keeping its exact count — the reference-count
     badge of Figure 1 stays truthful even when a cell is abbreviated on
     the wire. Rows take the positional version-2 form of the module
-    docstring.
+    docstring. A cell's count is the length of its tuple of node ids,
+    and a label is read from the graph's label table
+    (:meth:`~repro.tgm.instance_graph.InstanceGraph.label_of`) only for
+    the references the page ships.
     """
     try:
         rows = etable.page_rows(offset, limit)
@@ -650,16 +654,22 @@ def etable_to_json(
     columns = etable.columns
     base_keys = [c.key for c in columns if c.kind is ColumnKind.BASE]
     ref_keys = [c.key for c in columns if c.kind is not ColumnKind.BASE]
+    graph = etable.graph
+    labels = graph.labels
     out_rows = []
     for row in rows:
         attributes = row.attributes
+        row_cells = row.cells
         cells = []
         for key in ref_keys:
-            refs = row.refs(key)
-            cell: list[Any] = [len(refs)]
-            for ref in refs if max_refs is None else refs[:max_refs]:
-                cell.append(ref.node_id)
-                cell.append(ref.label)
+            ids = row_cells.get(key, ())
+            cell: list[Any] = [len(ids)]
+            for node_id in ids if max_refs is None else ids[:max_refs]:
+                label = labels[node_id]
+                if label is UNREAD:
+                    label = graph.label_of(node_id)
+                cell.append(node_id)
+                cell.append(label)
             cells.append(cell)
         out_rows.append([
             row.node_id, [attributes.get(key) for key in base_keys], cells,
@@ -694,7 +704,9 @@ def etable_from_json(payload: dict[str, Any], graph: InstanceGraph) -> ETable:
 
     Only the serialized rows are restored; a paginated payload yields a
     partial table (``total_rows`` tells the client what it is missing).
-    Each reference gets its column's type.
+    A cell keeps its node ids and drops the labels beside them: the table
+    reads labels from ``graph``, which must be the graph the payload was
+    made from.
     """
     pattern = pattern_from_json(payload["pattern"])
     columns = [
@@ -713,11 +725,7 @@ def etable_from_json(payload: dict[str, Any], graph: InstanceGraph) -> ETable:
             node_id=node_id,
             attributes=dict(zip(base_keys, values)),
             cells={
-                column.key: [
-                    EntityRef(node_id=ref_id, type_name=column.type_name,
-                              label=label)
-                    for ref_id, label in zip(cell[1::2], cell[2::2])
-                ]
+                column.key: tuple(cell[1::2])
                 for column, cell in zip(ref_columns, cells)
             },
         )
@@ -1008,15 +1016,15 @@ def _act_single(session: EtableSession, params: dict) -> dict:
         return _table_summary(session)
     row = _resolve_row(session, params)
     spec = session.resolve_column(_column_param(params, "single"))
-    refs = row.refs(spec.key)
-    if not refs:
+    ids = row.cells.get(spec.key, ())
+    if not ids:
         raise InvalidAction(f"cell {spec.display!r} is empty")
     index = _int_param(params, "ref", default=0)
-    if not 0 <= index < len(refs):
+    if not 0 <= index < len(ids):
         raise InvalidAction(
-            f"reference index {index} out of range (0..{len(refs) - 1})"
+            f"reference index {index} out of range (0..{len(ids) - 1})"
         )
-    session.single(refs[index])
+    session.single(ids[index])
     return _table_summary(session)
 
 

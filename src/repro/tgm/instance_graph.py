@@ -27,6 +27,11 @@ graph builds a secondary index or its statistics it is read-only:
 So nothing derived from a graph ever goes stale, and no cache over it checks
 for writes. A graph that only the naive matcher has read derived nothing and
 stays writable.
+
+Display labels are kept apart from those indexes: :meth:`InstanceGraph.label_of`
+reads a node's label on first use and keeps it in a list indexed by node id.
+A write only adds nodes and edges, so a kept label never goes stale, and
+keeping one leaves the graph writable.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ class Node:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Node) and other.node_id == self.node_id
+
+
+#: A slot of :attr:`InstanceGraph.labels` whose label is not read yet.
+UNREAD = object()
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,11 @@ class InstanceGraph:
         # (type_name, source_key) -> node_id, for translation lookups
         self._by_source_key: dict[tuple[str, Any], int] = {}
         self._next_id = 1
+        # Display labels by node id, read by label_of on first use. Ids
+        # are dense from 1, so slot 0 is unused and add_node appends one
+        # slot per node. Callers only read it: a hot loop indexes it and
+        # calls label_of for a slot that still holds UNREAD.
+        self.labels: list[Any] = [UNREAD]
         # Lazily-built secondary indexes and statistics; building any of
         # them makes the graph read-only (see _require_writable).
         # (type_name, attribute) -> (value -> [node ids, insertion order],
@@ -308,6 +322,7 @@ class InstanceGraph:
         node = Node(self._next_id, type_name, dict(attributes), source_key)
         self._next_id += 1
         self._nodes[node.node_id] = node
+        self.labels.append(UNREAD)
         self._nodes_by_type[type_name].append(node.node_id)
         if source_key is not None:
             key = (type_name, source_key)
@@ -374,6 +389,16 @@ class InstanceGraph:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
+
+    def label_of(self, node_id: int) -> Any:
+        """The display label of node ``node_id`` (:meth:`Node.label`),
+        read on first use and kept in :attr:`labels`. Keeping it derives
+        no index, so the graph stays writable."""
+        labels = self.labels
+        label = labels[node_id] if 0 < node_id < len(labels) else UNREAD
+        if label is UNREAD:
+            label = labels[node_id] = self.node(node_id).label(self.schema)
+        return label
 
     def node_by_source_key(self, type_name: str, source_key: Any) -> Node:
         """Find the node translated from a given relational key (or value)."""

@@ -104,7 +104,7 @@ class TestSingleSeeAll:
 
     def test_single_from_entity_ref(self, session):
         etable = session.open("Papers")
-        ref = etable.rows[0].refs("Papers->Authors")[0]
+        ref = etable.refs(etable.rows[0], "Papers->Authors")[0]
         result = session.single(ref)
         assert result.primary_type == "Authors"
         assert len(result) == 1

@@ -157,5 +157,5 @@ class TestExport:
 
     def test_entity_ref_str(self, authors_with_papers):
         row = authors_with_papers.find_row_by_attribute("name", "Bob")
-        ref = row.refs("Papers")[0]
+        ref = authors_with_papers.refs(row, "Papers")[0]
         assert str(ref) == str(ref.label)

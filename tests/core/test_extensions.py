@@ -119,9 +119,9 @@ class TestSetOperations:
         for node_id in right_only_ids:
             transplanted = union.row_for_node(node_id)
             expected = full.row_for_node(node_id)
-            assert {ref.node_id for ref in transplanted.refs("Authors")} == \
-                {ref.node_id for ref in expected.refs("Authors")}
-            assert transplanted.refs("Authors")
+            assert set(transplanted.cells["Authors"]) == \
+                set(expected.cells["Authors"])
+            assert transplanted.cells["Authors"]
 
     def test_union_right_only_nonmatching_rows_get_empty_cells(self, toy):
         """A transplanted row that does not match the left pattern (here:
@@ -141,10 +141,10 @@ class TestSetOperations:
         union = etable_union(left, right)
         # Paper 11 has only Ada (US institution): no Korean co-author.
         non_matching = union.find_row_by_attribute("year", 2013)
-        assert non_matching.refs("Authors") == []
+        assert non_matching.cells["Authors"] == ()
         # Paper 8 (2014, Bob & Mark at Korean institutions) matches.
         matching = union.find_row_by_attribute("year", 2014)
-        assert matching.refs("Authors")
+        assert matching.cells["Authors"]
 
 
 class TestCachingExecutor:

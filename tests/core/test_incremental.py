@@ -121,6 +121,30 @@ class TestGraphReadOnlyOnceQueried:
         session.revert(0)
         assert len(session.current) == before_rows + 1
 
+    def test_serializing_a_naive_table_leaves_the_graph_writable(self):
+        """Shipping a page reads labels into the graph's label table, which
+        is no index: the graph still takes a write, and a node added after
+        it ships with its own label."""
+        tgdb = toy_tgdb()
+        graph = tgdb.graph
+        session = EtableSession(tgdb.schema, graph, engine="naive")
+        session.open("Authors")
+        before = protocol.etable_to_json(session.current)
+        author = graph.node_ids_of_type("Authors")[0]
+        paper = graph.add_node("Papers", {"title": "Freshly Added Paper",
+                                          "year": 2024})
+        graph.add_edge("Papers->Authors", paper.node_id, author)
+        session.revert(0)
+        after = protocol.etable_to_json(session.current)
+        position = [c["key"] for c in after["columns"]
+                    if c["kind"] != "base"].index("Authors->Papers")
+        old_cell, new_cell = (
+            next(row for row in payload["rows"] if row[0] == author)[2][position]
+            for payload in (before, after)
+        )
+        assert new_cell == [old_cell[0] + 1, *old_cell[1:],
+                            paper.node_id, "Freshly Added Paper"]
+
 
 class TestIncrementalStats:
     def test_hit_rate_guards_cold_counters(self):

@@ -21,7 +21,7 @@ class TestRenderCell:
     def test_base_cell(self, toy):
         session = open_papers(toy)
         row = session.current.rows[0]
-        assert render_cell(row, session.current.column("year")) == "2006"
+        assert render_cell(session.current, row, session.current.column("year")) == "2006"
 
     def test_null_base_cell_empty(self, toy):
         session = EtableSession(toy.schema, toy.graph)
@@ -30,12 +30,12 @@ class TestRenderCell:
         # Authors have no null columns in toy data; simulate by reading a
         # column through a dict copy instead.
         row.attributes["name"] = None
-        assert render_cell(row, session.current.column("name")) == ""
+        assert render_cell(session.current, row, session.current.column("name")) == ""
 
     def test_ref_cell_has_count_and_labels(self, toy):
         session = open_papers(toy)
         row = session.current.find_row_by_attribute("id", 4)
-        text = render_cell(row, session.current.column("Papers->Authors"))
+        text = render_cell(session.current, row, session.current.column("Papers->Authors"))
         assert text.startswith("3│")
         assert "Bob" in text
 
@@ -43,7 +43,7 @@ class TestRenderCell:
         session = open_papers(toy)
         row = session.current.find_row_by_attribute("id", 4)
         text = render_cell(
-            row, session.current.column("Papers->Authors"), max_refs=1
+            session.current, row, session.current.column("Papers->Authors"), max_refs=1
         )
         assert text.startswith("3│") and text.endswith(", …")
 
@@ -51,7 +51,7 @@ class TestRenderCell:
         session = open_papers(toy)
         row = session.current.find_row_by_attribute("id", 1)
         text = render_cell(
-            row, session.current.column("Papers->Papers (referenced)")
+            session.current, row, session.current.column("Papers->Papers (referenced)")
         )
         assert text == "0│"
 
@@ -59,7 +59,7 @@ class TestRenderCell:
         session = open_papers(toy)
         row = session.current.find_row_by_attribute("id", 4)
         text = render_cell(
-            row, session.current.column("Papers->Paper_Keywords"),
+            session.current, row, session.current.column("Papers->Paper_Keywords"),
             label_width=4,
         )
         assert "…" in text

@@ -31,8 +31,8 @@ class TestRows:
         etable = korea_authors_etable(toy)
         for row in etable.rows:
             papers = {
-                toy.graph.node(ref.node_id).attributes["id"]
-                for ref in row.refs("Papers")
+                toy.graph.node(node_id).attributes["id"]
+                for node_id in row.cells["Papers"]
             }
             assert papers == FIGURE8_EXPECTED[row.attributes["name"]]
 
@@ -76,7 +76,7 @@ class TestColumns:
         # Mark's Institutions cell must contain only Korean institutions.
         etable = korea_authors_etable(toy)
         mark = etable.find_row_by_attribute("name", "Mark")
-        labels = [ref.label for ref in mark.refs("Institutions")]
+        labels = [ref.label for ref in etable.refs(mark, "Institutions")]
         assert labels == ["KAIST"]
 
     def test_neighbor_cell_ignores_pattern(self, toy):
@@ -85,8 +85,8 @@ class TestColumns:
         etable = korea_authors_etable(toy)
         bob = etable.find_row_by_attribute("name", "Bob")
         neighbor = {
-            toy.graph.node(ref.node_id).attributes["id"]
-            for ref in bob.refs("Authors->Papers")
+            toy.graph.node(node_id).attributes["id"]
+            for node_id in bob.cells["Authors->Papers"]
         }
         assert neighbor == {1, 4, 5, 8}  # equals here; filters hit others
 

@@ -24,9 +24,11 @@ class TestFigure1:
         assert len(etable) > 0
         # Every row is a SIGMOD paper with a user-related keyword.
         for row in etable.rows:
-            keywords = {str(r.label) for r in row.refs("Papers->Paper_Keywords")}
+            keywords = {str(r.label)
+                        for r in etable.refs(row, "Papers->Paper_Keywords")}
             assert any("user" in keyword for keyword in keywords)
-            conferences = [str(r.label) for r in row.refs("Papers->Conferences")]
+            conferences = [str(r.label)
+                           for r in etable.refs(row, "Papers->Conferences")]
             assert conferences == ["SIGMOD"]
 
     def test_figure1_columns_present(self, academic):
@@ -77,7 +79,7 @@ class TestFigure2:
         session_a = EtableSession(schema, graph)
         session_a.open("Papers")
         row = session_a.current.row_for_node(paper.node_id)
-        first_ref = row.refs("Papers->Authors")[0]
+        first_ref = session_a.current.refs(row, "Papers->Authors")[0]
         single = session_a.single(first_ref)
         assert len(single) == 1
         assert single.rows[0].attributes["name"] in expected_authors
@@ -163,8 +165,8 @@ class TestFigure8:
         etable = execute_pattern(pattern, toy.graph)
         result = {
             row.attributes["name"]: {
-                toy.graph.node(ref.node_id).attributes["id"]
-                for ref in row.refs("Papers")
+                toy.graph.node(node_id).attributes["id"]
+                for node_id in row.cells["Papers"]
             }
             for row in etable.rows
         }
@@ -179,7 +181,7 @@ class TestFigure8:
         pattern = shift(pattern, "Authors")
         etable = execute_pattern(pattern, toy.graph)
         for row in etable.rows:
-            labels = [str(ref.label) for ref in row.refs("Conferences")]
+            labels = [str(ref.label) for ref in etable.refs(row, "Conferences")]
             assert labels == ["SIGMOD"]
 
 

@@ -139,11 +139,7 @@ def _assert_same_etable(actual, expected):
     for left, right in zip(actual.rows, expected.rows):
         assert left.node_id == right.node_id
         assert left.attributes == right.attributes
-        assert left.cells.keys() == right.cells.keys()
-        for key in left.cells:
-            assert [ref.node_id for ref in left.cells[key]] == [
-                ref.node_id for ref in right.cells[key]
-            ]
+        assert left.cells == right.cells
 
 
 # ----------------------------------------------------------------------

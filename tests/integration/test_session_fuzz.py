@@ -316,7 +316,7 @@ def _next_action(graph, driver, rng):
         if action == "seeall":
             row_index = rng.randrange(len(rows))
             cells = [
-                c for c in ref_columns if rows[row_index].refs(c.key)
+                c for c in ref_columns if rows[row_index].ref_count(c.key)
             ]
             if cells:
                 return action, {"row": row_index,
@@ -383,13 +383,14 @@ class _RoutedSession:
 
 
 def _ref_type_error(etable):
-    """A reference whose type differs from its column's, or None."""
+    """A referenced node whose type differs from its column's, or None."""
     for column in _reference_columns(etable):
         for row in etable.rows:
-            for ref in row.refs(column.key):
-                if ref.type_name != column.type_name:
-                    return (f"reference {ref.node_id} in column "
-                            f"{column.key!r} has type {ref.type_name!r}, "
+            for node_id in row.cells[column.key]:
+                type_name = etable.graph.node(node_id).type_name
+                if type_name != column.type_name:
+                    return (f"reference {node_id} in column "
+                            f"{column.key!r} has type {type_name!r}, "
                             f"its column {column.type_name!r}")
     return None
 

@@ -25,6 +25,7 @@ from repro.tgm.conditions import (
     NodeIn,
     NotCondition,
 )
+from repro.core.etable import ColumnKind
 from repro.core.matching import match
 from repro.core.operators import add, initiate, select, shift
 from repro.core.sql_execution import (
@@ -34,6 +35,7 @@ from repro.core.sql_execution import (
     results_equal,
 )
 from repro.core.transform import execute_pattern
+from repro.service.protocol import etable_to_json
 
 # Module-level fixture data (hypothesis functions cannot take fixtures).
 _TGDB = toy_tgdb()
@@ -135,8 +137,7 @@ def test_participating_cells_match_matched_tuples(pattern):
         for row in matched.tuples:
             expected.setdefault(row[primary_position], set()).add(row[position])
         for etable_row in etable.rows:
-            refs = {ref.node_id for ref in etable_row.refs(key)}
-            assert refs == expected[etable_row.node_id]
+            assert set(etable_row.cells[key]) == expected[etable_row.node_id]
 
 
 @settings(max_examples=30, deadline=None)
@@ -160,30 +161,43 @@ def test_execution_deterministic(pattern):
     second = execute_pattern(pattern, _TGDB.graph)
     assert [r.node_id for r in first.rows] == [r.node_id for r in second.rows]
     for row_a, row_b in zip(first.rows, second.rows):
-        assert row_a.cells.keys() == row_b.cells.keys()
-        for key in row_a.cells:
-            assert [ref.node_id for ref in row_a.cells[key]] == [
-                ref.node_id for ref in row_b.cells[key]
-            ]
+        assert row_a.cells == row_b.cells
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_patterns())
 def test_neighbor_columns_independent_of_pattern(pattern):
-    """Ah columns always mirror raw adjacency, whatever the query."""
-    etable = execute_pattern(pattern, _TGDB.graph)
+    """Ah columns always mirror raw adjacency, whatever the query, and so
+    does each serialized cell ``[count, id, label, ...]``, its labels
+    read straight from the nodes."""
+    graph = _TGDB.graph
+    etable = execute_pattern(pattern, graph)
     for etable_row in etable.rows[:3]:
         for column in etable.neighbor_columns():
-            refs = [ref.node_id for ref in etable_row.refs(column.key)]
-            adjacency = _TGDB.graph.neighbor_ids(etable_row.node_id, column.key)
-            assert refs == adjacency
+            adjacency = graph.neighbor_ids(etable_row.node_id, column.key)
+            assert list(etable_row.cells[column.key]) == adjacency
+    ref_keys = [c.key for c in etable.columns if c.kind is not ColumnKind.BASE]
+    for max_refs in (None, 2):
+        payload = etable_to_json(etable, max_refs=max_refs)
+        for node_id, _, cells in payload["rows"][:3]:
+            for column in etable.neighbor_columns():
+                adjacency = graph.neighbor_ids(node_id, column.key)
+                expected: list = [len(adjacency)]
+                for neighbor in adjacency[:max_refs]:
+                    expected += [neighbor, graph.node(neighbor).label(graph.schema)]
+                assert cells[ref_keys.index(column.key)] == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_patterns(), st.integers(min_value=0, max_value=3))
 def test_row_limit_is_prefix(pattern, limit):
+    """A row window keeps the first rows of the full table, each with all
+    of its cells, in both engines; the naive engine folds a multi-node
+    pattern's flat relation, skipping the tuples of rows past the
+    window."""
     full = execute_pattern(pattern, _TGDB.graph)
-    limited = execute_pattern(pattern, _TGDB.graph, row_limit=limit)
-    assert [r.node_id for r in limited.rows] == [
-        r.node_id for r in full.rows[:limit]
-    ]
+    expected = [(r.node_id, r.cells) for r in full.rows[:limit]]
+    for engine in ("planned", "naive"):
+        limited = execute_pattern(pattern, _TGDB.graph, row_limit=limit,
+                                  engine=engine)
+        assert [(r.node_id, r.cells) for r in limited.rows] == expected, engine

@@ -158,6 +158,12 @@ class TestReadOnlyOnceQueried:
         graph.neighbors(1, "Papers->Authors")
         graph.find_nodes("Authors", AttributeCompare("name", "=", "Chau"))
         graph.find_by_label("Authors", None)  # NULL probes scan
+        labels = [graph.label_of(node_id) for node_id in (1, 2, 3)]
+        for unknown in (0, -1, 10**9):
+            with pytest.raises(TgmError):
+                graph.label_of(unknown)
         added = graph.add_node("Authors", {"id": 12, "name": "Navathe"})
         graph.add_edge("Papers->Authors", 1, added.node_id)
         assert graph.find_by_label("Authors", "Navathe") == added
+        assert labels == ["ETable", "Kahng", "Chau"]
+        assert graph.label_of(added.node_id) == "Navathe"
